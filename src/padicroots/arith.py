@@ -69,9 +69,6 @@ class PAdicContext:
     def modulus(self) -> int:
         return self.p ** self.k
 
-    def with_k(self, k: int) -> "PAdicContext":
-        return PAdicContext(self.p, k)
-
 
 def ord_int(n: int, p: int) -> int | float:
     """Largest e with p^e | n; +infinity for n = 0."""
@@ -106,6 +103,19 @@ def mod_inv(r: int, ctx: PAdicContext) -> int:
     if r % ctx.p == 0:
         raise NotInvertible(f"{r} is divisible by {ctx.p}")
     return pow(r, -1, m)
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b (extended Euclid)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
 
 
 def log_height(q: Fraction) -> float:

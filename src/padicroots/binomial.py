@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .arith import is_prime, ord_int
-from .errors import InvalidParams, PrimeTooLarge
-from .fp import DESK_PRIME_CAP, binomial_coset_roots
+from .errors import InvalidParams
+from .fp import binomial_coset_roots, check_prime_cap
 from .newton import ApproximateRoot, certified_residue
 from .sparsepoly import SparsePoly
 
@@ -88,7 +88,7 @@ def count_binomial_roots(inp: BinomialInput) -> int:
     return math.gcd(d, inp.p - 1) if inp.p > 2 else math.gcd(d, 2)
 
 
-def _first_digits(c1u: int, c2u: int, d: int, p: int, cap: int) -> list[int]:
+def _first_digits(c1u: int, c2u: int, d: int, p: int) -> list[int]:
     """Mod-p roots of c1u + c2u x^d via the generator coset ladder (odd p)."""
     gamma = math.gcd(d, p - 1)
     t = -c1u * pow(c2u, -1, p) % p  # x^d = t over F_p*
@@ -97,14 +97,13 @@ def _first_digits(c1u: int, c2u: int, d: int, p: int, cap: int) -> list[int]:
     # gamma-th roots of t^r
     r = pow(d // gamma % n if n > 1 else 0, -1, n) if n > 1 else 0
     c_res = pow(t, r, p) if n > 1 else t
-    return binomial_coset_roots(c_res, gamma, p, cap)
+    return binomial_coset_roots(c_res, gamma, p)
 
 
-def solve_binomial(inp: BinomialInput, cap: int = DESK_PRIME_CAP) -> BinomialSolveResult:
+def solve_binomial(inp: BinomialInput) -> BinomialSolveResult:
     """Certified approximate roots for all roots of c1 + c2 x^d in Q_p."""
     p = inp.p
-    if p > cap:
-        raise PrimeTooLarge(f"p = {p} exceeds cap {cap}")
+    check_prime_cap(p)
     c1, c2, d, inverted = _normalized(inp)
     ok, reason, v1, v2, ell = _feasible(c1, c2, d, p)
     if not ok:
@@ -119,7 +118,7 @@ def solve_binomial(inp: BinomialInput, cap: int = DESK_PRIME_CAP) -> BinomialSol
     if p == 2:
         digit_roots = [1] if gamma == 1 else [1, 3]
     else:
-        digit_roots = _first_digits(c1u, c2u, d, p, cap)
+        digit_roots = _first_digits(c1u, c2u, d, p)
     # enough certified digits that Newton on the (nodal) target gains a full
     # 2^i digits per i iterations: depth + 2 where depth = (ell >= 1)
     want = 3 if ell >= 1 else 2

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantViolated
+
 # 256 e^2, the base constant of the linear-forms-in-p-adic-logs estimate
 C256E2 = 256 * math.e ** 2
 # floor for the height factors: 1/(16 e^2)
@@ -97,9 +99,10 @@ def aux_polys(abar2: int, abar3: int) -> AuxPolys:
         conv[i + 1] -= 2 * c
         conv[i + 2] += c
     if conv != q:
-        raise AssertionError("cofactor identity q = Q*(x-1)^2 failed")
+        raise InvariantViolated("cofactor identity q = Q*(x-1)^2 failed")
     q1 = abar2 * abar3 * diff
-    assert q1 % 2 == 0 and sum(Q) == q1 // 2
+    if q1 % 2 or sum(Q) != q1 // 2:
+        raise InvariantViolated(f"cofactor value Q(1) = {sum(Q)} is not {q1}/2")
     return AuxPolys(q=q, Q=Q, q_at_one_cofactor=q1 // 2)
 
 

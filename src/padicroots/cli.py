@@ -23,7 +23,7 @@ from .nodal_tree import build_tree
 from .oracle import count_qp_roots
 from .sparsepoly import SparsePoly, parse_poly
 from .tetranomial import TetraFamilyParams, collision_order, generate
-from .trinomial import MODE_FULL, MODE_RESTRICTED, MODE_SMALL_GCD, solve_sparse
+from .trinomial import MODE_FULL, MODES, solve_sparse
 
 
 def _root_json(rt, digits: int | None):
@@ -280,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="count and approximate all roots in Q_p")
     add_poly_p(s)
-    s.add_argument("--mode", choices=[MODE_FULL, MODE_RESTRICTED, MODE_SMALL_GCD],
-                   default=MODE_FULL)
+    s.add_argument("--mode", choices=MODES, default=MODE_FULL)
     s.add_argument("--digits", type=int, default=None, help="certified digits to emit")
     s.add_argument("--paper-k", action="store_true",
                    help="force the worst-case tree precision (slow or infeasible)")
@@ -291,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("count", help="root count only")
     add_poly_p(c)
-    c.add_argument("--mode", choices=[MODE_FULL, MODE_RESTRICTED, MODE_SMALL_GCD],
-                   default=MODE_FULL)
+    c.add_argument("--mode", choices=MODES, default=MODE_FULL)
     c.set_defaults(func=_cmd_solve, count_only=True, digits=None, paper_k=False, exact=False)
 
     pg = sub.add_parser("polygon", help="Newton polygon lower edges")
@@ -329,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--d-list", type=int, nargs="+", required=True)
     bn.add_argument("--H", type=int, default=50)
     bn.add_argument("--seed", type=int, default=0)
-    bn.add_argument("--jobs", type=int, default=1, help="reserved; runs sequential")
     bn.set_defaults(func=_cmd_bench)
     return ap
 

@@ -55,3 +55,7 @@ class ModeHypothesisViolated(PadicError):
 
 class ParseError(PadicError):
     """Polynomial text or JSON could not be parsed."""
+
+
+class InvariantViolated(PadicError):
+    """A correctness check inside the solver failed; the result is not trusted."""

@@ -7,18 +7,15 @@ The change affects running time only, never correctness.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .errors import ContentDivisible, PrimeTooLarge
 from .sparsepoly import SparsePoly
 
 DESK_PRIME_CAP = 100_000
 
 
-def _check_cap(p: int, cap: int = DESK_PRIME_CAP):
-    if p > cap:
-        raise PrimeTooLarge(f"p = {p} exceeds the exhaustive-scan cap {cap}")
+def check_prime_cap(p: int):
+    if p > DESK_PRIME_CAP:
+        raise PrimeTooLarge(f"p = {p} exceeds the exhaustive-scan cap {DESK_PRIME_CAP}")
 
 
 def _reduce_exponent_unit(a: int, p: int) -> int:
@@ -56,14 +53,14 @@ def fp_derivative_terms(f: SparsePoly, p: int) -> list[tuple[int, int]]:
     return [(e, c) for e, c in sorted(acc.items()) if c]
 
 
-def roots_fp_exhaustive(f: SparsePoly, p: int, cap: int = DESK_PRIME_CAP) -> list[tuple[int, bool]]:
+def roots_fp_exhaustive(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
     """All roots of f mod p with a degeneracy flag (f(z) = f'(z) = 0 mod p).
 
     Note the reduced term list may be empty even for f != 0 mod p when
     exponent reduction cancels terms; the function then vanishes on all of
     F_p* (e.g. x^20 + 2x^2 mod 3).
     """
-    _check_cap(p, cap)
+    check_prime_cap(p)
     if all(c % p == 0 for _, c in f.terms):
         raise ContentDivisible("f is identically 0 mod p")
     fterms = fp_terms(f, p)
@@ -102,9 +99,9 @@ def _factor_trial(n: int) -> list[int]:
     return out
 
 
-def generator_fp(p: int, cap: int = DESK_PRIME_CAP) -> int:
+def generator_fp(p: int) -> int:
     """Smallest primitive root mod p, verified against the factors of p-1."""
-    _check_cap(p, cap)
+    check_prime_cap(p)
     if p == 2:
         return 1
     qs = _factor_trial(p - 1)
@@ -114,14 +111,14 @@ def generator_fp(p: int, cap: int = DESK_PRIME_CAP) -> int:
     raise ArithmeticError(f"no generator found for p={p}")  # unreachable for prime p
 
 
-def binomial_coset_roots(c_res: int, gamma: int, p: int, cap: int = DESK_PRIME_CAP) -> list[int]:
+def binomial_coset_roots(c_res: int, gamma: int, p: int) -> list[int]:
     """All solutions of x^gamma = c_res in F_p*, or [] if there are none.
 
     Brute-forces the first root over {g^0, ..., g^((p-1)/gamma - 1)}, then
     walks the coset by multiplying with g^((p-1)/gamma); there are exactly
     0 or gamma solutions.
     """
-    _check_cap(p, cap)
+    check_prime_cap(p)
     c_res %= p
     if c_res == 0 or (p - 1) % gamma != 0:
         return []
@@ -129,7 +126,7 @@ def binomial_coset_roots(c_res: int, gamma: int, p: int, cap: int = DESK_PRIME_C
         return []
     if p == 2:
         return [1]
-    g = generator_fp(p, cap)
+    g = generator_fp(p)
     step = (p - 1) // gamma
     x = None
     t = 1
@@ -218,121 +215,3 @@ def gcd_with_frobenius(coeffs: list[int], p: int) -> int:
     frob[1] = (frob[1] - 1) % p
     g = _poly_gcd(f, _poly_trim(frob), p)
     return len(g) - 1 if g else len(f) - 1
-
-
-# -- 2-D lattice reduction for exponent shortening -------------------------
-
-
-@dataclass(frozen=True)
-class ReducedExponents:
-    """Exponent e with e*a_i = m_i mod p-1 and short |m_i|.
-
-    An e that is invertible mod p-1 (so x -> x^e is an automorphism of
-    F_p*) is preferred, but one need not exist within the bound: for
-    (a2, a3, p) = (50, 99, 101) every odd e has |50e mod 100| = 50.  When
-    gcd(e, p-1) = g > 1, e_inv inverts e on the quotient group of order
-    (p-1)/g and `automorphism` is False.
-    """
-
-    e: int
-    e_inv: int
-    m2: int
-    m3: int
-    bound: float  # the guaranteed cap r' * sqrt(2(p-1))
-    automorphism: bool = True
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _row_combine(r1, r2, col):
-    """Unimodular combination making r1[col] = gcd and r2[col] = 0."""
-    a, b = r1[col], r2[col]
-    if b == 0:
-        return r1, r2
-    if a == 0:
-        return r2, r1
-    g, s, t = _xgcd(a, b)
-    n1 = tuple(s * x + t * y for x, y in zip(r1, r2))
-    n2 = tuple(-(b // g) * x + (a // g) * y for x, y in zip(r1, r2))
-    return n1, n2
-
-
-def _lattice_basis(a2: int, a3: int, n: int):
-    """Basis of the lattice {(e*a2 + s*n, e*a3 + t*n)} with e tracked."""
-    r0 = (a2, a3, 1)
-    r1 = (n, 0, 0)
-    r2 = (0, n, 0)
-    r0, r1 = _row_combine(r0, r1, 0)
-    r0, r2 = _row_combine(r0, r2, 0)
-    r1, r2 = _row_combine(r1, r2, 1)
-    # r2 is now (0, 0, *): a relation, not a lattice direction
-    return r0, r1
-
-
-def _gauss_reduce(b1, b2):
-    """Lagrange reduction; vectors carry (x, y, e) with e combined linearly."""
-
-    def norm2(v):
-        return v[0] * v[0] + v[1] * v[1]
-
-    while True:
-        if norm2(b2) < norm2(b1):
-            b1, b2 = b2, b1
-        n1 = norm2(b1)
-        if n1 == 0:
-            return b2, b1
-        mu = round((b1[0] * b2[0] + b1[1] * b2[1]) / n1)
-        if mu == 0:
-            return b1, b2
-        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1], b2[2] - mu * b1[2])
-
-
-def reduce_exponents_lattice(a2: int, a3: int, p: int) -> ReducedExponents:
-    """Short representative (m2, m3) = e*(a2, a3) mod p-1 via Gauss reduction.
-
-    Guarantees |m_i| <= r' * sqrt(2(p-1)) with r' = gcd(a2, a3, p-1)
-    (Minkowski on the rank-2 lattice of determinant (p-1)*r'), and prefers
-    an e invertible mod p-1 so x -> x^e is an automorphism of F_p*.
-    """
-    if not 0 < a2 < a3 < p - 1:
-        raise ValueError("need 0 < a2 < a3 < p-1")
-    n = p - 1
-    rprime = math.gcd(math.gcd(a2, a3), n)
-    bound = rprime * math.sqrt(2 * n)
-
-    b1, b2 = _gauss_reduce(*_lattice_basis(a2, a3, n))
-
-    # rank in-bound short combinations, preferring invertible e, then norm
-    best = None
-    for i in range(-4, 5):
-        for j in range(-4, 5):
-            v = (i * b1[0] + j * b2[0], i * b1[1] + j * b2[1], i * b1[2] + j * b2[2])
-            e = v[2] % n
-            if e == 0 or max(abs(v[0]), abs(v[1])) > bound:
-                continue
-            cand = (math.gcd(e, n) != 1, max(abs(v[0]), abs(v[1])), e, v[0], v[1])
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        raise ArithmeticError("Gauss reduction produced no in-bound vector")
-    _, _, e, m2, m3 = best
-    g = math.gcd(e, n)
-    e_inv = pow(e // g, -1, n // g) if n // g > 1 else 0
-    return ReducedExponents(
-        e=e, e_inv=e_inv, m2=m2, m3=m3, bound=bound, automorphism=g == 1
-    )
-
-
-def _center_scalar(x: int, n: int) -> int:
-    x %= n
-    return x - n if x > n // 2 else x

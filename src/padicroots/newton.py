@@ -20,28 +20,12 @@ from .errors import DerivativeNotInvertible
 from .sparsepoly import SparsePoly
 
 
-def _eval_mod(f: SparsePoly, x: int, m: int) -> int:
-    total = 0
-    for a, c in f.terms:
-        total = (total + c * pow(x, a, m)) % m
-    return total
-
-
-def _eval_deriv_mod(f: SparsePoly, x: int, m: int) -> int:
-    total = 0
-    for a, c in f.terms:
-        if a == 0:
-            continue
-        total = (total + a * c * pow(x, a - 1, m)) % m
-    return total
-
-
 def residual_orders(f: SparsePoly, p: int, z: int, probe_k: int) -> tuple[int, int]:
     """(ord f(z), ord f'(z)) measured mod p^probe_k; probe_k stands for 'at
     least probe_k' when the value vanishes at that precision."""
     m = p ** probe_k
-    fv = _eval_mod(f, z, m)
-    dv = _eval_deriv_mod(f, z, m)
+    fv = f.eval_mod(z, m)
+    dv = f.deriv_mod(z, m)
     ordf = ord_int(fv, p) if fv else probe_k
     ordd = ord_int(dv, p) if dv else probe_k
     return ordf, ordd
@@ -55,12 +39,12 @@ def newton_step(f: SparsePoly, p: int, z: int, prec: int) -> int:
     fine as long as ord f(z) > 2 ord f'(z) (Hensel's regime).
     """
     probe = p ** (prec + 8)
-    dv = _eval_deriv_mod(f, z, probe)
+    dv = f.deriv_mod(z, probe)
     if dv == 0:
         raise DerivativeNotInvertible("derivative vanished at working precision")
     ell = ord_int(dv, p)
     work = p ** (prec + ell)
-    fv = _eval_mod(f, z, work)
+    fv = f.eval_mod(z, work)
     if fv == 0:
         return z % p ** prec
     # f/f' must at least be p-integral with room to move one digit; the

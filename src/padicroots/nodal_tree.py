@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import PAdicContext, ord_int
-from .errors import ContentDivisible, PrimeTooLarge
-from .fp import DESK_PRIME_CAP, fp_derivative_terms, fp_terms
+from .errors import ContentDivisible, InvariantViolated
+from .fp import check_prime_cap, roots_fp_exhaustive
 from .sparsepoly import SparsePoly, shift_rescale, taylor_coeffs_mod
 
 M_P = {2: 4, 3: 3}  # nodal degree cap by prime; 2 for p >= 5
@@ -44,29 +44,6 @@ def s_value(f: SparsePoly, digit: int, ctx: PAdicContext) -> int:
     return min(best, k)
 
 
-def _fp_roots_of_node(g: SparsePoly, p: int) -> list[tuple[int, bool]]:
-    """Roots of the mod-p reduction with degeneracy flags; sparse-aware.
-
-    The reduced term lists may be empty when exponent reduction cancels
-    terms; the induced function then vanishes on all of F_p*.
-    """
-    if all(c % p == 0 for _, c in g.terms):
-        raise ContentDivisible("nodal polynomial is 0 mod p")
-    fterms = fp_terms(g, p)
-    dterms = fp_derivative_terms(g, p)
-    roots = []
-    c0 = g.coefficient(0) % p
-    if c0 == 0:
-        roots.append((0, g.coefficient(1) % p == 0))
-    for z in range(1, p):
-        fv = sum(c * pow(z, e, p) for e, c in fterms) % p
-        if fv:
-            continue
-        dv = sum(c * pow(z, e, p) for e, c in dterms) % p
-        roots.append((z, dv == 0))
-    return roots
-
-
 @dataclass
 class NodalNode:
     digit_path: tuple[int, ...]
@@ -94,9 +71,13 @@ class NodalNode:
         return out
 
     def walk(self):
-        yield self
-        for ch in self.children:
-            yield from ch.walk()
+        """Preorder over the subtree; iterative, so digit chains of any depth
+        are safe."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass
@@ -131,23 +112,17 @@ class NodalTree:
         return any(n.blocked for n in self.root.walk())
 
 
-def build_tree(
-    f: SparsePoly,
-    ctx: PAdicContext,
-    root_digits: str = "all",
-    cap: int = DESK_PRIME_CAP,
-) -> NodalTree:
+def build_tree(f: SparsePoly, ctx: PAdicContext, root_digits: str = "all") -> NodalTree:
     """Construct the full tree at precision k.
 
     root_digits='nonzero' restricts depth-0 expansion and harvesting to
     digits != 0 (the valuation-0 root sweep); 'one' restricts depth 0 to
     the digit 1 (most-significant-digit-1 roots); deeper digits are never
-    restricted.  Degree-collapse and depth invariants are asserted during
-    construction for trinomial inputs.
+    restricted.  Depth and s-sum invariants, and for trinomial inputs the
+    degree collapse, are checked during construction (InvariantViolated).
     """
     p, k = ctx.p, ctx.k
-    if p > cap:
-        raise PrimeTooLarge(f"p = {p} exceeds cap {cap}")
+    check_prime_cap(p)
     if f.content_p(p) > 0:
         raise ContentDivisible("divide out the content p-power first")
     trinomial_input = f.term_count == 3
@@ -157,7 +132,7 @@ def build_tree(
     stack = [root]
     while stack:
         node = stack.pop()
-        roots = _fp_roots_of_node(node.poly, p)
+        roots = roots_fp_exhaustive(node.poly, p)
         if node.depth == 0 and root_digits == "nonzero":
             roots = [(z, d) for z, d in roots if z != 0]
         elif node.depth == 0 and root_digits == "one":
@@ -182,25 +157,28 @@ def build_tree(
                 k_local=node.k_local - s,
                 s_consumed=node.s_consumed + s,
             )
-            assert child.depth <= max_depth, "depth bound exceeded"
-            assert child.s_consumed >= 2 * child.depth, "s-sum bound violated"
+            if child.depth > max_depth:
+                raise InvariantViolated(f"depth bound exceeded at {child.digit_path}")
+            if child.s_consumed < 2 * child.depth:
+                raise InvariantViolated(f"s-sum bound violated at {child.digit_path}")
             node.children.append(child)
             node.child_s.append(s)
             stack.append(child)
     tree = NodalTree(p=p, k=k, root=root, trinomial_input=trinomial_input)
     if trinomial_input:
-        _assert_trinomial_invariants(tree)
+        _check_trinomial_invariants(tree)
     return tree
 
 
-def _assert_trinomial_invariants(tree: NodalTree):
+def _check_trinomial_invariants(tree: NodalTree):
     cap = nodal_degree_cap(tree.p)
     for n in tree.root.walk():
         if n.depth >= 1 and n.digit_path[0] != 0:
-            coeffs = n.mod_p_coeffs(tree.p)
-            assert len(coeffs) - 1 <= cap, (
-                f"nodal degree {len(coeffs) - 1} exceeds cap {cap} at {n.digit_path}"
-            )
+            degree = len(n.mod_p_coeffs(tree.p)) - 1
+            if degree > cap:
+                raise InvariantViolated(
+                    f"nodal degree {degree} exceeds cap {cap} at {n.digit_path}"
+                )
 
 
 def count_nondegenerate_roots(tree: NodalTree) -> int:

@@ -14,29 +14,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import ord_int
-from .errors import BudgetExceeded, ContentDivisible, CriterionFailed
+from .arith import ord_int, xgcd
+from .errors import BudgetExceeded, ContentDivisible, CriterionFailed, InvariantViolated
 from .newton_polygon import integral_valuation_candidates
 from .sparsepoly import SparsePoly
 
 DEFAULT_BUDGET = 10 ** 8
 HARD_K_CAP = 64
-
-
-def _eval_mod(f: SparsePoly, x: int, m: int) -> int:
-    total = 0
-    for a, c in f.terms:
-        total = (total + c * pow(x, a, m)) % m
-    return total
-
-
-def _eval_deriv_mod(f: SparsePoly, x: int, m: int) -> int:
-    total = 0
-    for a, c in f.terms:
-        if a == 0:
-            continue
-        total = (total + a * c * pow(x, a - 1, m)) % m
-    return total
 
 
 def roots_mod_pk(f: SparsePoly, p: int, k: int, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -47,7 +31,7 @@ def roots_mod_pk(f: SparsePoly, p: int, k: int, budget: int = DEFAULT_BUDGET) ->
     frontier = []
     for x in range(p):
         work += 1
-        if _eval_mod(f, x, p) == 0:
+        if f.eval_mod(x, p) == 0:
             frontier.append(x)
     for j in range(1, k):
         m = p ** (j + 1)
@@ -58,7 +42,7 @@ def roots_mod_pk(f: SparsePoly, p: int, k: int, budget: int = DEFAULT_BUDGET) ->
         for r in frontier:
             for t in range(p):
                 x = r + t * p ** j
-                if _eval_mod(f, x, m) == 0:
+                if f.eval_mod(x, m) == 0:
                     nxt.append(x)
         frontier = nxt
     return sorted(frontier)
@@ -72,11 +56,11 @@ def lift_root(f: SparsePoly, p: int, residue: int, target_k: int) -> int:
     """
     # establish ell = ord_p f'(residue) at a safe working precision
     probe = p ** (target_k + 8)
-    dv = _eval_deriv_mod(f, residue, probe)
+    dv = f.deriv_mod(residue, probe)
     if dv == 0:
         raise CriterionFailed("derivative vanishes at working precision")
     ell = ord_int(dv, p)
-    fv = _eval_mod(f, residue, probe)
+    fv = f.eval_mod(residue, probe)
     j0 = (ord_int(fv, p) if fv else target_k + 8) - 2 * ell
     if j0 < 1:
         raise CriterionFailed(
@@ -86,13 +70,13 @@ def lift_root(f: SparsePoly, p: int, residue: int, target_k: int) -> int:
     prec = target_k + 2 * ell + 2
     m = p ** prec
     while True:
-        fz = _eval_mod(f, z, m)
+        fz = f.eval_mod(z, m)
         if fz == 0:
             break
         jf = ord_int(fz, p) - 2 * ell
         if jf >= target_k:
             break
-        dz = _eval_deriv_mod(f, z, m)
+        dz = f.deriv_mod(z, m)
         if ord_int(dz, p) != ell:
             raise CriterionFailed("derivative valuation drifted during lifting")
         step = (fz // p ** ell) * pow(dz // p ** ell, -1, m) % m
@@ -128,7 +112,7 @@ def _certify_count(
     work = 0
     for x in range(1, p):
         work += 1
-        if _eval_mod(g, x, p) == 0:
+        if g.eval_mod(x, p) == 0:
             frontier.append(x)
     k = 1
     while frontier:
@@ -143,12 +127,12 @@ def _certify_count(
         for r in frontier:
             for t in range(p):
                 x = r + t * p ** (k - 1)
-                if _eval_mod(g, x, m) != 0:
+                if g.eval_mod(x, m) != 0:
                     continue
                 if any(x % p ** min(k, kk) == rr % p ** min(k, kk) for rr, kk in skip_prefixes):
                     continue
-                fv = _eval_mod(g, x, p ** (2 * k + 2))
-                dv = _eval_deriv_mod(g, x, p ** (2 * k + 2))
+                fv = g.eval_mod(x, p ** (2 * k + 2))
+                dv = g.deriv_mod(x, p ** (2 * k + 2))
                 ell = ord_int(dv, p) if dv else None
                 ordf = ord_int(fv, p) if fv else 2 * k + 2
                 # k >= ell + 1 makes the whole class sit inside the Hensel
@@ -202,22 +186,11 @@ def _degenerate_binomial(f: SparsePoly) -> tuple[int, Fraction] | None:
         return None
     if A ** ab3 != B ** ab2:
         return None
-    g, alpha, beta = _xgcd(a2, a3)
-    assert g == r
+    g, alpha, beta = xgcd(a2, a3)
+    if g != r:  # xgcd is shared with the solver; check it independently
+        raise InvariantViolated(f"xgcd({a2}, {a3}) gave {g}, gcd is {r}")
     T = A ** alpha * B ** beta
     return r, T
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def count_qp_roots(f: SparsePoly, p: int, budget: int = DEFAULT_BUDGET) -> OracleRootSet:

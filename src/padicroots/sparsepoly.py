@@ -116,6 +116,21 @@ class SparsePoly:
             out.append((a, int(v)))
         return SparsePoly(tuple(out))
 
+    def eval_mod(self, x: int, m: int) -> int:
+        """f(x) mod m; exponentiation by squaring per term."""
+        total = 0
+        for a, c in self.terms:
+            total = (total + c * pow(x, a, m)) % m
+        return total
+
+    def deriv_mod(self, x: int, m: int) -> int:
+        """f'(x) mod m, without building the derivative."""
+        total = 0
+        for a, c in self.terms:
+            if a:
+                total = (total + a * c * pow(x, a - 1, m)) % m
+        return total
+
     # -- text / JSON round trips ------------------------------------------
 
     def to_text(self) -> str:
@@ -198,16 +213,6 @@ def parse_poly_json(obj) -> SparsePoly:
 
 
 # -- evaluation and calculus ----------------------------------------------
-
-
-def evaluate_mod(f: SparsePoly, x: int, ctx: PAdicContext) -> int:
-    """f(x) mod p^k; exponentiation by squaring per term."""
-    m = ctx.modulus
-    x %= m
-    total = 0
-    for a, c in f.terms:
-        total = (total + c * pow(x, a, m)) % m
-    return total
 
 
 def derivative(f: SparsePoly, order: int = 1) -> SparsePoly:

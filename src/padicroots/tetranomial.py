@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import is_prime, ord_int
-from .errors import InvalidParams, PrecisionTooLow
+from .errors import InvalidParams, InvariantViolated, PrecisionTooLow
 from .sparsepoly import SparsePoly
 
 
@@ -120,17 +120,17 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
 
     F = generate(params)
     probe = p ** (k + 8)
-    dF1 = _deriv_eval(F, z1, probe)
-    dF2 = _deriv_eval(F, z2, probe)
+    dF1 = F.deriv_mod(z1, probe)
+    dF2 = F.deriv_mod(z2, probe)
     if dF1 == 0 or dF2 == 0 or ord_int(dF1, p) != ord_int(dF2, p):
         raise PrecisionTooLow("derivative valuation not resolved; raise the precision")
 
     # sanity: both roots kill the tetranomial to nearly full working depth
     for z in (z1, z2):
-        fv = _eval(F, z, probe)
+        fv = F.eval_mod(z, probe)
         slack = ord_int(dF1, p)  # conditioning of the evaluation
         if fv != 0 and ord_int(fv, p) < k - slack:
-            raise AssertionError("constructed residue is not a root at working precision")
+            raise InvariantViolated("constructed residue is not a root at working precision")
 
     return CollisionReport(
         params=params,
@@ -143,14 +143,6 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
             len(_base_p_digits(abs(c), p)) for _, c in F.terms
         ),
     )
-
-
-def _eval(f: SparsePoly, x: int, m: int) -> int:
-    return sum(c * pow(x, a, m) for a, c in f.terms) % m
-
-
-def _deriv_eval(f: SparsePoly, x: int, m: int) -> int:
-    return sum(a * c * pow(x, a - 1, m) for a, c in f.terms if a) % m
 
 
 def _base_p_digits(n: int, p: int) -> list[int]:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .arith import is_prime, ord_int
-from .binomial import BinomialInput, solve_binomial
+from .arith import is_prime, ord_int, xgcd
+from .binomial import REASON_NO_INTEGRAL_VALUATION, BinomialInput, solve_binomial
 from .bounds import trinomial_separation_bound
-from .errors import BudgetExceeded, InvalidParams, ModeHypothesisViolated
+from .errors import BudgetExceeded, InvalidParams, InvariantViolated, ModeHypothesisViolated
 from .fp import gcd_with_frobenius
 from .newton import ApproximateRoot, certified_residue, newton_step
 from .newton_polygon import integral_valuation_candidates
@@ -53,6 +53,7 @@ def _pool() -> list[int]:
 MODE_FULL = "full"
 MODE_RESTRICTED = "restricted-root"
 MODE_SMALL_GCD = "small-gcd-assume"
+MODES = (MODE_FULL, MODE_RESTRICTED, MODE_SMALL_GCD)
 
 
 @dataclass(frozen=True)
@@ -148,18 +149,6 @@ def discriminant_tri(inp: TrinomialInput, exact: bool = False) -> DiscriminantRe
     )
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, rr = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while rr:
-        q = old_r // rr
-        old_r, rr = rr, old_r - q * rr
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def degenerate_encoding(inp: TrinomialInput) -> tuple[int, Fraction]:
     """(r, T) such that the degenerate roots of f are the roots of x^r = T.
 
@@ -168,7 +157,7 @@ def degenerate_encoding(inp: TrinomialInput) -> tuple[int, Fraction]:
     """
     A = Fraction(-inp.c1 * inp.a3, (inp.a3 - inp.a2) * inp.c2)
     B = Fraction(inp.c1 * inp.a2, (inp.a3 - inp.a2) * inp.c3)
-    r, alpha, beta = _xgcd(inp.a2, inp.a3)
+    r, alpha, beta = xgcd(inp.a2, inp.a3)
     height_bits = (abs(alpha) + abs(beta)) * max(
         A.numerator.bit_length() + A.denominator.bit_length(),
         B.numerator.bit_length() + B.denominator.bit_length(),
@@ -265,11 +254,12 @@ class SolveResult:
     p: int
     root_count: int
     roots: list[ApproximateRoot]
-    zero_root_multiplicity: int
-    candidates: list[CandidateOutcome]
-    plan: PrecisionPlan | None
-    discriminant: DiscriminantReport | None
     mode: str
+    zero_root_multiplicity: int = 0
+    # trinomials only
+    candidates: list[CandidateOutcome] = field(default_factory=list)
+    plan: PrecisionPlan | None = None
+    discriminant: DiscriminantReport | None = None
     reason: str | None = None  # why the count is 0, when it is
 
     @property
@@ -290,9 +280,10 @@ def _harvest_tree(
             # dual-route check: Frobenius gcd count vs the exhaustive scan
             distinct = gcd_with_frobenius(node.mod_p_coeffs(p), p)
             found = len(node.nondegenerate_roots) + len(node.degenerate_roots)
-            assert distinct == found, (
-                f"root-count cross-check failed at {node.digit_path}: {distinct} != {found}"
-            )
+            if distinct != found:
+                raise InvariantViolated(
+                    f"root-count cross-check failed at {node.digit_path}: {distinct} != {found}"
+                )
         i = node.depth
         mu = sum(dig * p ** j for j, dig in enumerate(node.digit_path))
         for z in node.nondegenerate_roots:
@@ -313,21 +304,23 @@ def _harvest_tree(
     return roots, outcome
 
 
+def _msd_one(roots: list[ApproximateRoot]) -> list[ApproximateRoot]:
+    """The roots of the form p^j(1 + O(p)): most significant digit 1."""
+    return [rt for rt in roots if rt.unit_digits(1) == (1,)]
+
+
 def solve_trinomial(
-    f: SparsePoly | TrinomialInput,
-    p: int | None = None,
+    inp: TrinomialInput,
     mode: str = MODE_FULL,
     paper_k: bool = False,
     exact_discriminant: bool = False,
 ) -> SolveResult:
-    """Count and approximate all roots of a trinomial in Q_p."""
-    if isinstance(f, TrinomialInput):
-        inp, a1 = f, 0
-    else:
-        inp, a1 = TrinomialInput.from_poly(f, p)
+    """Count and approximate all roots in Q_p of c1 + c2 x^a2 + c3 x^a3.
+
+    The constant term is nonzero, so 0 is never a root; solve_sparse
+    validates the mode and handles a factor x^a1.
+    """
     p = inp.p
-    if mode not in (MODE_FULL, MODE_RESTRICTED, MODE_SMALL_GCD):
-        raise InvalidParams(f"unknown mode {mode!r}")
     if mode == MODE_SMALL_GCD:
         g = math.gcd(inp.a2 * inp.a3 * (inp.a3 - inp.a2), (p - 1) * p)
         if g > 2:
@@ -336,18 +329,14 @@ def solve_trinomial(
             )
 
     body = inp.poly
-    zero_mult = a1
-    roots: list[ApproximateRoot] = []
     outcomes: list[CandidateOutcome] = []
 
     report = discriminant_tri(inp, exact=exact_discriminant)
-    degen = degenerate_roots_qp(inp, report)
+    roots = degenerate_roots_qp(inp, report)
     if mode == MODE_RESTRICTED:
-        degen = [rt for rt in degen if rt.unit_digits(1) == (1,)]
-    roots.extend(degen)
+        roots = _msd_one(roots)
 
     candidates = integral_valuation_candidates(body, p)
-    reason = None if candidates else "no-integral-valuation"
     plan_mode = "paper-bound" if paper_k else "stabilization"
     plan = precision_plan(inp, report, mode=plan_mode)
     root_digits = "one" if mode == MODE_RESTRICTED else "nonzero"
@@ -369,17 +358,15 @@ def solve_trinomial(
         outcomes.append(outcome)
 
     roots.sort(key=lambda rt: (rt.valuation, rt.unit_residue % rt.p, rt.unit_residue))
-    count = len(roots) + (1 if zero_mult else 0)
     return SolveResult(
         p=p,
-        root_count=count,
+        root_count=len(roots),
         roots=roots,
-        zero_root_multiplicity=zero_mult,
+        mode=mode,
         candidates=outcomes,
         plan=plan,
         discriminant=report,
-        mode=mode,
-        reason=reason if count == 0 else None,
+        reason=None if candidates else REASON_NO_INTEGRAL_VALUATION,
     )
 
 
@@ -390,58 +377,39 @@ def refine_root(root: ApproximateRoot, steps: int, buffer: int = 4) -> Approxima
         prec = 2 * prec
         z = newton_step(root.target, root.p, z, prec + buffer)
     z, got = certified_residue(root.target, root.p, z, prec)
-    from dataclasses import replace
-
     return replace(root, unit_residue=z, precision=got)
 
 
 def solve_sparse(f: SparsePoly, p: int, mode: str = MODE_FULL, **kw) -> SolveResult:
-    """Dispatch a 1-, 2-, or 3-term polynomial to the right solver, with a
-    uniform result shape."""
+    """Count and approximate the roots in Q_p of a 1-, 2- or 3-term polynomial.
+
+    The one entry point that validates p and mode.  It strips x^a1, solves
+    the body (a nonzero constant, a binomial or a trinomial) and counts 0
+    as one more root when a1 > 0.  Restricted mode never counts 0, which
+    is not of the form p^j(1 + O(p)); zero_root_multiplicity still reports it.
+    """
+    if not is_prime(p):
+        raise InvalidParams(f"{p} is not prime")
+    if mode not in MODES:
+        raise InvalidParams(f"unknown mode {mode!r}")
     body, a1 = strip_zero_root(f)
-    if body.term_count == 1:
-        return SolveResult(
-            p=p,
-            root_count=1 if a1 else 0,
-            roots=[],
-            zero_root_multiplicity=a1,
-            candidates=[],
-            plan=None,
-            discriminant=None,
-            mode=mode,
-        )
-    if body.term_count == 2:
-        (_, c1), (d, c2) = body.terms
-        res = solve_binomial(BinomialInput(c1=c1, c2=c2, d=d, p=p))
-        out = res.roots
-        if mode == MODE_RESTRICTED:
-            out = [rt for rt in out if rt.unit_digits(1) == (1,)]
-        return SolveResult(
-            p=p,
-            root_count=len(out) + (1 if a1 else 0),
-            roots=out,
-            zero_root_multiplicity=a1,
-            candidates=[],
-            plan=None,
-            discriminant=None,
-            mode=mode,
-            reason=res.reason if not out and not a1 else None,
+    if body.term_count > 3:
+        raise InvalidParams(
+            f"{body.term_count} terms: only monomials, binomials and trinomials are solvable"
         )
     if body.term_count == 3:
-        inp, _ = TrinomialInput.from_poly(f, p)
-        result = solve_trinomial(inp, mode=mode, **kw)
-        if a1:
-            return SolveResult(
-                p=p,
-                root_count=result.root_count + 1,
-                roots=result.roots,
-                zero_root_multiplicity=a1,
-                candidates=result.candidates,
-                plan=result.plan,
-                discriminant=result.discriminant,
-                mode=mode,
-            )
-        return result
-    raise InvalidParams(
-        f"{body.term_count} terms: only monomials, binomials and trinomials are solvable"
-    )
+        inp, _ = TrinomialInput.from_poly(body, p)
+        res = solve_trinomial(inp, mode=mode, **kw)
+    else:
+        roots, reason = [], None
+        if body.term_count == 2:
+            (_, c1), (d, c2) = body.terms
+            sol = solve_binomial(BinomialInput(c1=c1, c2=c2, d=d, p=p))
+            roots = _msd_one(sol.roots) if mode == MODE_RESTRICTED else sol.roots
+            reason = sol.reason
+        res = SolveResult(p=p, root_count=len(roots), roots=roots, mode=mode, reason=reason)
+    res.zero_root_multiplicity = a1
+    res.root_count = len(res.roots) + (1 if a1 and mode != MODE_RESTRICTED else 0)
+    if res.root_count:
+        res.reason = None
+    return res

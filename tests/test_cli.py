@@ -105,6 +105,8 @@ def test_bench_subcommand(capsys):
 def test_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "solve", "--p", "4", "x^2 - 1")
     assert code == 1  # 4 is not prime -> computational error path
+    for argv in (["count", "--p", "4", "x^3"], ["solve", "--p", "1", "x^2"]):
+        assert run_cli(capsys, *argv)[0] == 1  # monomials are checked too
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
 

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from padicroots.arith import is_prime
@@ -8,7 +6,6 @@ from padicroots.fp import (
     binomial_coset_roots,
     gcd_with_frobenius,
     generator_fp,
-    reduce_exponents_lattice,
     roots_fp_exhaustive,
 )
 from padicroots.sparsepoly import SparsePoly, parse_poly
@@ -86,32 +83,3 @@ def test_frobenius_gcd_matches_exhaustive(rng):
             continue
         expected = len(roots_fp_exhaustive(f, p))
         assert gcd_with_frobenius(coeffs, p) == expected
-
-
-def test_lattice_examples():
-    r = reduce_exponents_lattice(1, 2, 101)
-    assert (r.e, r.m2, r.m3) == (1, 1, 2)
-    r = reduce_exponents_lattice(50, 99, 101)
-    assert max(abs(r.m2), abs(r.m3)) <= math.sqrt(200)
-    r = reduce_exponents_lattice(3, 6, 13)
-    assert max(abs(r.m2), abs(r.m3)) <= 3 * math.sqrt(24)
-
-
-def test_lattice_bound_500_random(rng):
-    done = 0
-    while done < 500:
-        p = rng.choice([q for q in PRIMES if q >= 5] + [101, 211, 1009, 9973])
-        if p > 10 ** 4:
-            continue
-        a3 = rng.randint(3, p - 2)
-        a2 = rng.randint(1, a3 - 1)
-        if not a2 < a3 < p - 1:
-            continue
-        r = reduce_exponents_lattice(a2, a3, p)
-        n = p - 1
-        assert (r.e * a2 - r.m2) % n == 0
-        assert (r.e * a3 - r.m3) % n == 0
-        assert max(abs(r.m2), abs(r.m3)) <= r.bound
-        if r.automorphism:
-            assert math.gcd(r.e, n) == 1 and r.e * r.e_inv % n == 1
-        done += 1

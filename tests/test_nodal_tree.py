@@ -3,6 +3,7 @@ import pytest
 from padicroots.arith import PAdicContext
 from padicroots.errors import ContentDivisible
 from padicroots.nodal_tree import (
+    NodalNode,
     build_tree,
     count_nondegenerate_roots,
     nodal_degree_cap,
@@ -105,6 +106,24 @@ def test_tree_q3_example():
     by_path = {n.digit_path: n.n_p for n in t.root.walk() if n.n_p}
     assert sum(by_path.values()) == 8
     assert len(by_path) == 5  # five root-bearing nodes
+
+
+def test_walk_is_preorder_at_any_depth():
+    def node(path):
+        return NodalNode(digit_path=path, depth=len(path), poly=SparsePoly(((0, 1),)),
+                         k_local=1, s_consumed=0)
+
+    root = node(())
+    a, b = node((1,)), node((2,))
+    a.children = [node((1, 0)), node((1, 1))]
+    root.children = [a, b]
+    chain = b
+    for _ in range(5000):  # far past the interpreter's recursion limit
+        chain.children = [node(chain.digit_path + (0,))]
+        chain = chain.children[0]
+    paths = [n.digit_path for n in root.walk()]
+    assert paths[:5] == [(), (1,), (1, 0), (1, 1), (2,)]
+    assert len(paths) == 5005 and paths[-1] == (2,) + (0,) * 5000
 
 
 def test_content_rejected():

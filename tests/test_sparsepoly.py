@@ -10,7 +10,6 @@ from padicroots.errors import ParseError, ZeroConstantTerm
 from padicroots.sparsepoly import (
     SparsePoly,
     derivative,
-    evaluate_mod,
     gcd_exponents,
     parse_poly,
     parse_poly_json,
@@ -54,10 +53,14 @@ def test_text_json_round_trip(rng):
 
 
 def test_evaluate_mod_examples():
-    assert evaluate_mod(parse_poly("x^2 - 1"), 1, PAdicContext(7, 2)) == 0
-    assert evaluate_mod(parse_poly("1 - x^340"), 4, PAdicContext(17, 1)) == 0
+    assert parse_poly("x^2 - 1").eval_mod(1, 7 ** 2) == 0
+    assert parse_poly("1 - x^340").eval_mod(4, 17) == 0
     # 1 - 10 + 738 = 729 = 3^6
-    assert evaluate_mod(parse_poly("x^10 - 10*x + 738"), 1, PAdicContext(3, 4)) == 0
+    assert parse_poly("x^10 - 10*x + 738").eval_mod(1, 3 ** 4) == 0
+    # f'(x) = 10x^9 - 10: 0 at 1, 10*2^9 - 10 = 5110 at 2
+    assert parse_poly("x^10 - 10*x + 738").deriv_mod(1, 3 ** 4) == 0
+    assert parse_poly("x^10 - 10*x + 738").deriv_mod(2, 10 ** 6) == 5110
+    assert parse_poly("7").deriv_mod(3, 5) == 0
 
 
 def test_derivative():
@@ -154,6 +157,6 @@ def test_shift_then_eval_matches_direct(p, digit, data):
     rng = random.Random(f"{p}:{digit}:{k}:{sorted(terms.items())}")
     for _ in range(20):
         x = rng.randrange(ctx.modulus)
-        lhs = p ** s * evaluate_mod(shifted, x, ctx) % ctx.modulus
-        rhs = evaluate_mod(f, digit + p * x, ctx)
+        lhs = p ** s * shifted.eval_mod(x, ctx.modulus) % ctx.modulus
+        rhs = f.eval_mod(digit + p * x, ctx.modulus)
         assert (lhs - rhs) % p ** k == 0

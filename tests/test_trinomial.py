@@ -1,10 +1,19 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padicroots.trinomial
 from padicroots.arith import ord_int
 from padicroots.bounds import degenerate_valuation_gap_cap
-from padicroots.errors import BudgetExceeded, InvalidParams, ModeHypothesisViolated
+from padicroots.errors import (
+    BudgetExceeded,
+    InvalidParams,
+    InvariantViolated,
+    ModeHypothesisViolated,
+)
 from padicroots.oracle import count_qp_roots
 from padicroots.sparsepoly import parse_poly
 from padicroots.trinomial import (
@@ -125,6 +134,73 @@ def test_zero_root_reporting():
     assert res.zero_root_multiplicity == 3
     body = parse_poly("1 + x^2 + x^6")
     assert res.root_count == count_qp_roots(parse_poly("x^3 + x^5 + x^9"), 5).qp_count
+
+
+def test_restricted_mode_never_counts_zero():
+    # 0 is not of the form p^j (1 + O(p)); its multiplicity is still reported
+    for text, want in (("x^3 - 3*x^5 + 2*x^7", 1), ("x^2 - x^3", 1), ("x^2", 0)):
+        res = solve_sparse(parse_poly(text), 5, mode=MODE_RESTRICTED)
+        assert (res.root_count, res.zero_root_multiplicity) == (want, parse_poly(text).low_exponent)
+
+
+@pytest.mark.parametrize("text", ["x^3", "5", "x^2 - 1", "x - x^3", "1 + x + x^2"])
+def test_p_and_mode_checked_for_every_shape(text):
+    f = parse_poly(text)
+    for p in (4, 1, 0, -3):
+        with pytest.raises(InvalidParams):
+            solve_sparse(f, p)
+    with pytest.raises(InvalidParams):
+        solve_sparse(f, 5, mode="no-such-mode")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-4 + 859375*x^7 - 341796875*x^11",
+        "-1 + 19531250*x^117 - 87890625*x^130",
+        "7 - 37500*x^75 + 1220703125*x^180",
+    ],
+)
+def test_p2_digit_chain_deeper_than_recursion_limit(text):
+    # the ladder runs to the proven cap and the digit chain toward the
+    # degenerate root gets deeper than Python's recursion limit
+    f = parse_poly(text)
+    assert solve_sparse(f, 2).root_count == count_qp_roots(f, 2).qp_count == 1
+
+
+_OFF_BY_ONE_SCRIPT = """
+import padicroots.trinomial as t
+from padicroots.errors import InvariantViolated
+from padicroots.sparsepoly import parse_poly
+true_count = t.gcd_with_frobenius
+t.gcd_with_frobenius = lambda coeffs, p: true_count(coeffs, p) + 1
+if __debug__:
+    raise SystemExit("not running under python -O")
+try:
+    t.solve_sparse(parse_poly("738 - 10*x^2 + x^20"), 3)
+except InvariantViolated:
+    raise SystemExit(0)
+raise SystemExit("cross-check passed a wrong count")
+"""
+
+
+def test_failed_cross_check_raises_invariant_violated(monkeypatch):
+    true_count = padicroots.trinomial.gcd_with_frobenius
+    monkeypatch.setattr(
+        padicroots.trinomial, "gcd_with_frobenius", lambda coeffs, p: true_count(coeffs, p) + 1
+    )
+    with pytest.raises(InvariantViolated):
+        solve_sparse(parse_poly("738 - 10*x^2 + x^20"), 3)
+    # the check is an exception, not an assert, so it survives python -O
+    src = str(Path(padicroots.trinomial.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _OFF_BY_ONE_SCRIPT],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_oracle_equivalence_trinomials(rng):
