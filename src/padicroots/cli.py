@@ -136,17 +136,13 @@ def _cmd_tree(args) -> int:
     f = parse_poly(args.poly)
     ctx = PAdicContext(args.p, args.k)
     tree = build_tree(f, ctx)
-    s_step = {}
-    for n in tree.root.walk():
-        for child, s in zip(n.children, n.child_s):
-            s_step[child.digit_path] = s
     if args.json:
         nodes = [
             {
-                "digit_path": list(n.digit_path),
+                "digit_path": list(n.digits(args.p)),
                 "depth": n.depth,
                 "k_local": n.k_local,
-                "s_value": s_step.get(n.digit_path, 0),
+                "s_value": n.s_step,
                 "s_consumed": n.s_consumed,
                 "poly_mod_p": n.mod_p_coeffs(args.p),
                 "nondegenerate_roots": n.nondegenerate_roots,
@@ -159,8 +155,8 @@ def _cmd_tree(args) -> int:
     for n in tree.root.walk():
         pad = "  " * n.depth
         print(
-            f"{pad}path={list(n.digit_path)} k={n.k_local} "
-            f"s={s_step.get(n.digit_path, 0)}/{n.s_consumed} "
+            f"{pad}path={list(n.digits(args.p))} k={n.k_local} "
+            f"s={n.s_step}/{n.s_consumed} "
             f"mod-p={n.mod_p_coeffs(args.p)} simple={n.nondegenerate_roots} "
             f"degenerate={n.degenerate_roots}"
         )

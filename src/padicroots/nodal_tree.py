@@ -23,44 +23,50 @@ def nodal_degree_cap(p: int) -> int:
     return M_P.get(p, 2)
 
 
-def s_value(f: SparsePoly, digit: int, ctx: PAdicContext) -> int:
-    """min_i (i + ord_p of the i-th Taylor coefficient of f at digit).
+def s_value(u: list[int], p: int, k: int) -> int:
+    """min_i (i + ord_p u_i) over the Taylor coefficients u of a node at a digit.
 
     Values >= k cannot be certified at precision k and are returned as k
-    (callers only compare against thresholds below k).  Terminates early
-    once the index alone exceeds the running minimum.
+    (callers only compare against thresholds below k), so u needs only the
+    indices i < k.  Terminates early once the index alone exceeds the
+    running minimum.
     """
-    k = ctx.k
     best = k
-    jmax = min(f.degree, k)
-    u = taylor_coeffs_mod(f, digit, ctx, jmax)
     for i, ui in enumerate(u):
         if i >= best:
             break
-        v = ord_int(ui, ctx.p)
-        contribution = i + min(v, k)
+        contribution = i + min(ord_int(ui, p), k)
         if contribution < best:
             best = contribution
-    return min(best, k)
+    return best
 
 
 @dataclass
 class NodalNode:
-    digit_path: tuple[int, ...]
+    mu: int  # the digit prefix zeta_0 + zeta_1 p + ... + zeta_{depth-1} p^(depth-1)
     depth: int
     poly: SparsePoly  # truncated: coefficients mod p^k_local
     k_local: int
     s_consumed: int
+    s_step: int = 0  # s-value of the digit that made this node; 0 at the root
     nondegenerate_roots: list[int] = field(default_factory=list)
     degenerate_roots: list[int] = field(default_factory=list)
     # (digit, s) for degenerate digits whose expansion is blocked by k_local
     blocked: list[tuple[int, int]] = field(default_factory=list)
     children: list["NodalNode"] = field(default_factory=list)
-    child_s: list[int] = field(default_factory=list)
 
     @property
     def n_p(self) -> int:
         return len(self.nondegenerate_roots)
+
+    def digits(self, p: int) -> tuple[int, ...]:
+        """The digit path zeta_0, ..., zeta_{depth-1} of the prefix mu."""
+        out = []
+        mu = self.mu
+        for _ in range(self.depth):
+            mu, z = divmod(mu, p)
+            out.append(z)
+        return tuple(out)
 
     def mod_p_coeffs(self, p: int) -> list[int]:
         out = [0] * (self.poly.degree + 1) if not self.poly.is_zero else []
@@ -85,7 +91,6 @@ class NodalTree:
     p: int
     k: int
     root: NodalNode
-    trinomial_input: bool
 
     def nodes(self):
         return list(self.root.walk())
@@ -101,7 +106,7 @@ class NodalTree:
     def signature(self) -> frozenset:
         """Root-bearing nodes: the stabilization fingerprint."""
         return frozenset(
-            (n.digit_path, tuple(sorted(n.nondegenerate_roots)))
+            (n.depth, n.mu, tuple(sorted(n.nondegenerate_roots)))
             for n in self.root.walk()
             if n.nondegenerate_roots
         )
@@ -118,20 +123,23 @@ def build_tree(f: SparsePoly, ctx: PAdicContext, root_digits: str = "all") -> No
     root_digits='nonzero' restricts depth-0 expansion and harvesting to
     digits != 0 (the valuation-0 root sweep); 'one' restricts depth 0 to
     the digit 1 (most-significant-digit-1 roots); deeper digits are never
-    restricted.  Depth and s-sum invariants, and for trinomial inputs the
-    degree collapse, are checked during construction (InvariantViolated).
+    restricted.  Each degenerate digit costs one Taylor expansion, which
+    gives both its s-value and its child.  The depth and s-sum invariants,
+    and for trinomial inputs the degree collapse below a nonzero first
+    digit, are checked as each child is made (InvariantViolated).
     """
     p, k = ctx.p, ctx.k
     check_prime_cap(p)
     if f.content_p(p) > 0:
         raise ContentDivisible("divide out the content p-power first")
-    trinomial_input = f.term_count == 3
+    degree_cap = nodal_degree_cap(p) if f.term_count == 3 else None
     max_depth = (k - 1) // 2
 
-    root = NodalNode(digit_path=(), depth=0, poly=f, k_local=k, s_consumed=0)
+    root = NodalNode(mu=0, depth=0, poly=f, k_local=k, s_consumed=0)
     stack = [root]
     while stack:
         node = stack.pop()
+        k_local = node.k_local
         roots = roots_fp_exhaustive(node.poly, p)
         if node.depth == 0 and root_digits == "nonzero":
             roots = [(z, d) for z, d in roots if z != 0]
@@ -142,43 +150,34 @@ def build_tree(f: SparsePoly, ctx: PAdicContext, root_digits: str = "all") -> No
                 node.nondegenerate_roots.append(z)
                 continue
             node.degenerate_roots.append(z)
-            local_ctx = PAdicContext(p, node.k_local)
-            s = s_value(node.poly, z, local_ctx)
-            if not 2 <= s <= node.k_local - 1:
-                if s >= node.k_local:
+            # the index-k_local coefficient can never bring s below k_local
+            u = taylor_coeffs_mod(node.poly, z, p, k_local, min(node.poly.degree, k_local - 1))
+            s = s_value(u, p, k_local)
+            if not 2 <= s <= k_local - 1:
+                if s >= k_local:
                     node.blocked.append((z, s))
                 continue
-            child_coeffs = shift_rescale(node.poly, z, s, local_ctx)
-            child_poly = SparsePoly.from_dense(child_coeffs)
             child = NodalNode(
-                digit_path=node.digit_path + (z,),
+                mu=node.mu + z * p ** node.depth,
                 depth=node.depth + 1,
-                poly=child_poly,
-                k_local=node.k_local - s,
+                poly=SparsePoly.from_dense(shift_rescale(u, s, p, k_local)),
+                k_local=k_local - s,
                 s_consumed=node.s_consumed + s,
+                s_step=s,
             )
             if child.depth > max_depth:
-                raise InvariantViolated(f"depth bound exceeded at {child.digit_path}")
+                raise InvariantViolated(f"depth bound exceeded at {child.digits(p)}")
             if child.s_consumed < 2 * child.depth:
-                raise InvariantViolated(f"s-sum bound violated at {child.digit_path}")
+                raise InvariantViolated(f"s-sum bound violated at {child.digits(p)}")
+            if degree_cap is not None and child.mu % p != 0:
+                degree = len(child.mod_p_coeffs(p)) - 1
+                if degree > degree_cap:
+                    raise InvariantViolated(
+                        f"nodal degree {degree} exceeds cap {degree_cap} at {child.digits(p)}"
+                    )
             node.children.append(child)
-            node.child_s.append(s)
             stack.append(child)
-    tree = NodalTree(p=p, k=k, root=root, trinomial_input=trinomial_input)
-    if trinomial_input:
-        _check_trinomial_invariants(tree)
-    return tree
-
-
-def _check_trinomial_invariants(tree: NodalTree):
-    cap = nodal_degree_cap(tree.p)
-    for n in tree.root.walk():
-        if n.depth >= 1 and n.digit_path[0] != 0:
-            degree = len(n.mod_p_coeffs(tree.p)) - 1
-            if degree > cap:
-                raise InvariantViolated(
-                    f"nodal degree {degree} exceeds cap {cap} at {n.digit_path}"
-                )
+    return NodalTree(p=p, k=k, root=root)
 
 
 def count_nondegenerate_roots(tree: NodalTree) -> int:
@@ -195,7 +194,6 @@ class StabilizedTree:
     k_used: int
     stabilized: bool  # False: the cap was hit first (still exact when the
     # cap comes from the worst-case precision formula)
-    heuristic: bool  # True unless the cap is a proven worst-case bound
 
 
 def stabilized_tree(
@@ -204,7 +202,6 @@ def stabilized_tree(
     k_start: int = 4,
     k_cap: int = 4096,
     root_digits: str = "all",
-    cap_is_proof: bool = False,
 ) -> StabilizedTree:
     """Double k until the root-bearing signature repeats, or k_cap is hit.
 
@@ -222,31 +219,26 @@ def stabilized_tree(
         tree = build_tree(f, ctx, root_digits=root_digits)
         sig = tree.signature() if not tree.immature else None
         if sig is not None and sig == prev_sig:
-            return StabilizedTree(tree=tree, k_used=k, stabilized=True, heuristic=not cap_is_proof)
+            return StabilizedTree(tree=tree, k_used=k, stabilized=True)
         prev_sig = sig
         if k >= k_cap:
-            return StabilizedTree(
-                tree=tree, k_used=k, stabilized=False, heuristic=not cap_is_proof
-            )
+            return StabilizedTree(tree=tree, k_used=k, stabilized=False)
         k = min(2 * k, k_cap)
 
 
-def reconstruct_node_poly(
-    f: SparsePoly, p: int, digit_path: tuple[int, ...], s_consumed: int, k_local: int
-) -> SparsePoly:
+def reconstruct_node_poly(f: SparsePoly, p: int, node: NodalNode) -> SparsePoly:
     """Recompute p^(-s) f(mu + p^i x) mod p^k_local from scratch (test hook)."""
-    i = len(digit_path)
+    i = node.depth
     if i == 0:
         return f
-    mu = sum(d * p ** j for j, d in enumerate(digit_path))
-    ctx = PAdicContext(p, k_local + s_consumed)
-    jmax = min(f.degree, ctx.k - 1)
-    u = taylor_coeffs_mod(f, mu, ctx, jmax)
-    m_out = p ** k_local
-    ps = p ** s_consumed
+    k = node.k_local + node.s_consumed
+    m = p ** k
+    u = taylor_coeffs_mod(f, node.mu, p, k, min(f.degree, k - 1))
+    m_out = p ** node.k_local
+    ps = p ** node.s_consumed
     coeffs = []
     for j, uj in enumerate(u):
-        c = uj * pow(p, i * j, ctx.modulus) % ctx.modulus
+        c = uj * pow(p, i * j, m) % m
         if c % ps:
             raise ContentDivisible("reconstruction: claimed s does not divide")
         coeffs.append(c // ps % m_out)

@@ -12,9 +12,8 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import PAdicContext, ord_int
+from .arith import ord_int
 from .errors import (
     ContentDivisible,
     DivisibilityViolation,
@@ -24,12 +23,6 @@ from .errors import (
 )
 
 MAX_EXPONENT = 2 ** 63 - 1
-
-MONOMIAL = "monomial"
-BINOMIAL = "binomial"
-TRINOMIAL = "trinomial"
-TETRANOMIAL = "tetranomial"
-GENERAL = "general"
 
 
 @dataclass(frozen=True)
@@ -85,18 +78,6 @@ class SparsePoly:
                 return c
         return 0
 
-    def classify(self) -> str:
-        t = len(self.terms)
-        if t == 1:
-            return MONOMIAL
-        if t == 2:
-            return BINOMIAL
-        if t == 3:
-            return TRINOMIAL
-        if t == 4:
-            return TETRANOMIAL
-        return GENERAL
-
     def max_abs_coeff(self) -> int:
         return max(abs(c) for _, c in self.terms) if self.terms else 0
 
@@ -105,16 +86,6 @@ class SparsePoly:
         if not self.terms:
             return 0
         return min(ord_int(c, p) for _, c in self.terms)
-
-    def scale_coeffs(self, factor: Fraction) -> "SparsePoly":
-        """Multiply every coefficient by an exact rational; result must be integral."""
-        out = []
-        for a, c in self.terms:
-            v = factor * c
-            if v.denominator != 1:
-                raise DivisibilityViolation(f"coefficient {c} * {factor} not integral")
-            out.append((a, int(v)))
-        return SparsePoly(tuple(out))
 
     def eval_mod(self, x: int, m: int) -> int:
         """f(x) mod m; exponentiation by squaring per term."""
@@ -231,13 +202,13 @@ def derivative(f: SparsePoly, order: int = 1) -> SparsePoly:
     return SparsePoly(tuple(out))
 
 
-def taylor_coeffs_mod(f: SparsePoly, zeta: int, ctx: PAdicContext, jmax: int) -> list[int]:
+def taylor_coeffs_mod(f: SparsePoly, zeta: int, p: int, k: int, jmax: int) -> list[int]:
     """Taylor coefficients u_j = f^(j)(zeta)/j! mod p^k for j = 0..jmax.
 
     u_j = sum_i c_i * C(a_i, j) * zeta^(a_i - j); binomials over huge exponents
     stay cheap because only jmax + 1 columns are needed.
     """
-    m = ctx.modulus
+    m = p ** k
     zeta %= m
     out = [0] * (jmax + 1)
     for a, c in f.terms:
@@ -255,26 +226,25 @@ def taylor_coeffs_mod(f: SparsePoly, zeta: int, ctx: PAdicContext, jmax: int) ->
     return out
 
 
-def shift_rescale(f: SparsePoly, digit: int, s: int, ctx: PAdicContext) -> list[int]:
-    """Dense coefficients of p^(-s) * f(digit + p*x) mod p^(k-s).
+def shift_rescale(u: list[int], s: int, p: int, k: int) -> list[int]:
+    """Dense coefficients of p^(-s) * f(digit + p*x) mod p^(k-s), from the
+    Taylor coefficients u of f at the digit mod p^k.
 
     Precondition: p^s divides every coefficient of f(digit + p*x); this holds
     when s is the digit's s-value.  Coefficients of x^j with j >= k vanish
-    mod p^(k-s), so the output has length min(deg f, k-1) + 1.
+    mod p^(k-s), so u needs only the indices j < k.
     """
-    p, k = ctx.p, ctx.k
     if not 0 <= s < k:
         raise DivisibilityViolation(f"need 0 <= s < k, got s={s}, k={k}")
-    jmax = min(f.degree, k - 1)
-    u = taylor_coeffs_mod(f, digit, ctx, jmax)
+    m = p ** k
     mod_out = p ** (k - s)
     ps = p ** s
     out = []
     for j, uj in enumerate(u):
-        c = uj * p ** j % ctx.modulus
+        c = uj * p ** j % m
         if c % ps:
             raise DivisibilityViolation(
-                f"coefficient of x^{j} in f({digit} + {p}x) is not divisible by {p}^{s}"
+                f"coefficient of x^{j} in the digit shift is not divisible by {p}^{s}"
             )
         out.append(c // ps % mod_out)
     while out and out[-1] == 0:

@@ -176,19 +176,7 @@ def degenerate_roots_qp(inp: TrinomialInput, report: DiscriminantReport) -> list
     r, T = degenerate_encoding(inp)
     enc = BinomialInput(c1=-T.numerator, c2=T.denominator, d=r, p=inp.p)
     res = solve_binomial(enc)
-    return [
-        ApproximateRoot(
-            p=root.p,
-            valuation=root.valuation,
-            unit_residue=root.unit_residue,
-            precision=root.precision,
-            target=root.target,
-            inverted=root.inverted,
-            degenerate=True,
-            multiplicity=2,
-        )
-        for root in res.roots
-    ]
+    return [replace(root, degenerate=True, multiplicity=2) for root in res.roots]
 
 
 @dataclass(frozen=True)
@@ -271,9 +259,7 @@ def _harvest_tree(
     g: SparsePoly, p: int, v: int, k_cap: int, root_digits: str, k_start: int
 ) -> tuple[list[ApproximateRoot], CandidateOutcome]:
     """Non-degenerate valuation-v roots from the digit tree of g."""
-    st = stabilized_tree(
-        g, p, k_start=k_start, k_cap=k_cap, root_digits=root_digits, cap_is_proof=True
-    )
+    st = stabilized_tree(g, p, k_start=k_start, k_cap=k_cap, root_digits=root_digits)
     roots = []
     for node in st.tree.root.walk():
         if node.depth >= 1:
@@ -282,12 +268,11 @@ def _harvest_tree(
             found = len(node.nondegenerate_roots) + len(node.degenerate_roots)
             if distinct != found:
                 raise InvariantViolated(
-                    f"root-count cross-check failed at {node.digit_path}: {distinct} != {found}"
+                    f"root-count cross-check failed at {node.digits(p)}: {distinct} != {found}"
                 )
         i = node.depth
-        mu = sum(dig * p ** j for j, dig in enumerate(node.digit_path))
         for z in node.nondegenerate_roots:
-            start = mu + z * p ** i
+            start = node.mu + z * p ** i
             residue, prec = certified_residue(g, p, start, i + 2)
             roots.append(
                 ApproximateRoot(

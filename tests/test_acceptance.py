@@ -27,7 +27,7 @@ from padicroots.nodal_tree import (
     s_value,
 )
 from padicroots.oracle import count_qp_roots, lift_root
-from padicroots.sparsepoly import SparsePoly, parse_poly, shift_rescale
+from padicroots.sparsepoly import SparsePoly, parse_poly, shift_rescale, taylor_coeffs_mod
 from padicroots.tetranomial import TetraFamilyParams, collision_order, generate
 from padicroots.trinomial import TrinomialInput, discriminant_tri, solve_sparse
 from tests.conftest import (
@@ -91,8 +91,9 @@ def test_criterion_1_worked_examples():
     assert solve_sparse(parse_poly("x^10 + 11*x^2 - 12"), 2).root_count == 6
     assert solve_sparse(parse_poly("x^20 - 10*x^2 + 738"), 3).root_count == 8
     f = parse_poly("x^10 - 10*x + 738")
-    assert s_value(f, 1, PAdicContext(3, 6)) == 4
-    child = shift_rescale(f, 1, 4, PAdicContext(3, 6))
+    u = taylor_coeffs_mod(f, 1, 3, 6, 5)  # one expansion gives s and the child
+    assert s_value(u, 3, 6) == 4
+    child = shift_rescale(u, 4, 3, 6)
     reduced = [c % 3 for c in child]
     while reduced and reduced[-1] == 0:
         reduced.pop()
@@ -186,10 +187,10 @@ def test_criterion_5_tree_invariants():
         assert tree.depth <= (k - 1) // 2
         cap = nodal_degree_cap(p)
         for n in tree.nodes():
-            if n.depth >= 1 and n.digit_path[0] != 0:
+            if n.depth >= 1 and n.mu % p != 0:
                 assert len(n.mod_p_coeffs(p)) - 1 <= cap
             if n.depth >= 1:
-                rebuilt = reconstruct_node_poly(f, p, n.digit_path, n.s_consumed, n.k_local)
+                rebuilt = reconstruct_node_poly(f, p, n)
                 assert rebuilt == n.poly
         if f.coefficient(0) % p:
             nu = len(tree.root.degenerate_roots)

@@ -1,6 +1,7 @@
-"""Guards on the package source: typed invariants and one copy of each helper."""
+"""Guards on the package source: typed invariants, one copy of each helper, no dead code."""
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -31,3 +32,37 @@ def test_top_level_names_defined_once():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 where[node.name].append(name)
     assert {n: mods for n, mods in where.items() if len(mods) > 1} == {}
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods of classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("__"):
+                    yield item
+
+
+def test_every_definition_is_used():
+    """Each definition's name appears somewhere outside its own body, in the
+    package, its tests or the benchmark: code nothing calls is deleted."""
+    root = Path(__file__).resolve().parents[1]
+    sources = {
+        path: path.read_text()
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    unused = []
+    for path in MODULES:
+        lines = sources[path].splitlines()
+        for node in _definitions(ast.parse(sources[path], filename=str(path))):
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            outside = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno:])
+            if not word.search(outside) and not any(
+                word.search(text) for other, text in sources.items() if other != path
+            ):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

@@ -12,17 +12,25 @@ from padicroots.nodal_tree import (
     stabilized_tree,
 )
 from padicroots.oracle import lift_root
-from padicroots.sparsepoly import SparsePoly, parse_poly
-from tests.conftest import random_trinomial
+from padicroots.sparsepoly import SparsePoly, parse_poly, taylor_coeffs_mod
+from tests.conftest import degenerate_trinomial, random_trinomial
+
+
+def _s_at(f, z, p, k):
+    """s-value of digit z from the expansion build_tree makes: indices < k."""
+    return s_value(taylor_coeffs_mod(f, z, p, k, min(f.degree, k - 1)), p, k)
 
 
 def test_s_value_examples():
-    assert s_value(parse_poly("x^10 - 10*x + 738"), 1, PAdicContext(3, 6)) == 4
+    assert _s_at(parse_poly("x^10 - 10*x + 738"), 1, 3, 6) == 4
     for p in (2, 3, 5):
-        assert s_value(SparsePoly(((2, 1),)), 0, PAdicContext(p, 6)) == 2
+        assert _s_at(SparsePoly(((2, 1),)), 0, p, 6) == 2
     # binomial with p coprime to everything: s = 1 at any mod-p root
     f = parse_poly("-1 + x^4")
-    assert s_value(f, 1, PAdicContext(3, 5)) == 1
+    assert _s_at(f, 1, 3, 5) == 1
+    # the index-k coefficient never lowers s below k: x^2 at k = 2 is blocked
+    assert _s_at(SparsePoly(((2, 1),)), 0, 3, 2) == 2
+    assert s_value(taylor_coeffs_mod(SparsePoly(((2, 1),)), 0, 3, 2, 2), 3, 2) == 2
 
 
 def test_s_value_at_most_multiplicity(rng):
@@ -30,16 +38,16 @@ def test_s_value_at_most_multiplicity(rng):
     for _ in range(150):
         f = random_trinomial(rng, d_max=15, h_max=20)
         p = rng.choice([2, 3, 5])
-        ctx = PAdicContext(p, 8)
+        k = 8
         if f.content_p(p):
             continue
         for z in range(p):
             mult = _multiplicity_mod_p(f, z, p)
             if mult == 0:
                 continue
-            assert 1 <= s_value(f, z, ctx) <= max(mult, ctx.k)
-            if mult < ctx.k:
-                assert s_value(f, z, ctx) <= mult
+            assert 1 <= _s_at(f, z, p, k) <= max(mult, k)
+            if mult < k:
+                assert _s_at(f, z, p, k) <= mult
 
 
 def _multiplicity_mod_p(f, z, p, bound=30):
@@ -103,27 +111,70 @@ def test_tree_q2_example():
 def test_tree_q3_example():
     t = build_tree(parse_poly("738 - 10*x^2 + x^20"), PAdicContext(3, 7))
     assert count_nondegenerate_roots(t) == 8
-    by_path = {n.digit_path: n.n_p for n in t.root.walk() if n.n_p}
+    by_path = {(n.depth, n.mu): n.n_p for n in t.root.walk() if n.n_p}
     assert sum(by_path.values()) == 8
     assert len(by_path) == 5  # five root-bearing nodes
 
 
 def test_walk_is_preorder_at_any_depth():
-    def node(path):
-        return NodalNode(digit_path=path, depth=len(path), poly=SparsePoly(((0, 1),)),
+    p = 3
+
+    def node(mu, depth):
+        return NodalNode(mu=mu, depth=depth, poly=SparsePoly(((0, 1),)),
                          k_local=1, s_consumed=0)
 
-    root = node(())
-    a, b = node((1,)), node((2,))
-    a.children = [node((1, 0)), node((1, 1))]
+    root = node(0, 0)
+    a, b = node(1, 1), node(2, 1)
+    a.children = [node(1, 2), node(1 + 1 * p, 2)]
     root.children = [a, b]
-    chain = b
+    chain, place = b, p
     for _ in range(5000):  # far past the interpreter's recursion limit
-        chain.children = [node(chain.digit_path + (0,))]
-        chain = chain.children[0]
-    paths = [n.digit_path for n in root.walk()]
-    assert paths[:5] == [(), (1,), (1, 0), (1, 1), (2,)]
-    assert len(paths) == 5005 and paths[-1] == (2,) + (0,) * 5000
+        chain.children = [node(chain.mu + 1 * place, chain.depth + 1)]  # next digit 1
+        chain, place = chain.children[0], place * p
+    nodes = list(root.walk())
+    keys = [(n.depth, n.mu) for n in nodes]
+    assert keys[:5] == [(0, 0), (1, 1), (2, 1), (2, 4), (1, 2)]
+    assert [n.digits(p) for n in nodes[:5]] == [(), (1,), (1, 0), (1, 1), (2,)]
+    assert len(keys) == 5005 and keys[-1] == (5001, (p ** 5001 - 1) // 2 + 1)
+    assert chain.digits(p) == (2,) + (1,) * 5000
+
+
+def test_one_taylor_expansion_per_degenerate_digit(rng, monkeypatch):
+    """The expansion at a degenerate digit gives both its s-value and its child."""
+    import padicroots.nodal_tree as nodal_tree_mod
+    import padicroots.sparsepoly as sparsepoly_mod
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return taylor_coeffs_mod(*args)
+
+    monkeypatch.setattr(nodal_tree_mod, "taylor_coeffs_mod", counted)
+    monkeypatch.setattr(sparsepoly_mod, "taylor_coeffs_mod", counted)
+    cases = [(parse_poly("x^10 + 11*x^2 - 12"), 2, 12)]
+    while len(cases) < 40:
+        make = degenerate_trinomial if len(cases) % 2 else random_trinomial
+        f, p = make(rng), rng.choice([2, 3, 5])
+        if not f.content_p(p):
+            cases.append((f, p, rng.randint(3, 12)))
+    children = 0
+    for f, p, k in cases:
+        calls.clear()
+        tree = build_tree(f, PAdicContext(p, k))
+        assert len(calls) == sum(len(n.degenerate_roots) for n in tree.root.walk())
+        children += tree.node_count - 1
+    assert children > 20, children  # the trees do branch
+
+
+def test_child_records_its_step_and_prefix():
+    t = build_tree(parse_poly("x^10 + 11*x^2 - 12"), PAdicContext(2, 12))
+    for n in t.root.walk():
+        for child in n.children:
+            assert child.s_step == child.s_consumed - n.s_consumed >= 2
+            assert child.digits(2)[:-1] == n.digits(2)
+            assert child.digits(2)[-1] in n.degenerate_roots
+    assert t.root.s_step == 0 and t.root.digits(2) == ()
 
 
 def test_content_rejected():
@@ -160,11 +211,11 @@ def test_invariants_on_random_corpus(rng):
         assert tree.depth <= (k - 1) // 2
         cap = nodal_degree_cap(p)
         for n in nodes:
-            if n.depth >= 1 and n.digit_path[0] != 0:
+            if n.depth >= 1 and n.mu % p != 0:
                 assert len(n.mod_p_coeffs(p)) - 1 <= cap
             if n.depth >= 1:
-                rebuilt = reconstruct_node_poly(f, p, n.digit_path, n.s_consumed, n.k_local)
-                assert rebuilt == n.poly, (f.to_text(), p, k, n.digit_path)
+                rebuilt = reconstruct_node_poly(f, p, n)
+                assert rebuilt == n.poly, (f.to_text(), p, k, n.digits(p))
         # node count cap for trinomials with p not dividing the constant term
         if f.coefficient(0) % p:
             nu = len(tree.root.degenerate_roots)
@@ -182,9 +233,8 @@ def test_harvested_roots_lift(rng):
             continue
         tree = build_tree(f, PAdicContext(p, 9))
         for n in tree.nodes():
-            mu = sum(d * p ** j for j, d in enumerate(n.digit_path))
             for z in n.nondegenerate_roots:
-                start = mu + z * p ** n.depth
+                start = n.mu + z * p ** n.depth
                 target_k = 2 * n.depth + 6
                 res = lift_root(f, p, _polish(f, p, start, n.depth), target_k)
                 ev = sum(c * pow(res, a, p ** target_k) for a, c in f.terms) % p ** target_k

@@ -15,6 +15,7 @@ from padicroots.sparsepoly import (
     parse_poly_json,
     reciprocal,
     shift_rescale,
+    taylor_coeffs_mod,
 )
 
 
@@ -72,17 +73,30 @@ def test_derivative():
     assert derivative(parse_poly("5"), 1).is_zero
 
 
+def _shift(f, digit, s, p, k):
+    """p^(-s) f(digit + p x) mod p^(k-s) from the expansion build_tree makes."""
+    return shift_rescale(taylor_coeffs_mod(f, digit, p, k, min(f.degree, k - 1)), s, p, k)
+
+
+def test_taylor_coeffs_examples():
+    # x^10 - 10x + 738 at 1: f(1) = 3^6, f'(1) = 0, then 45 and 120 for j = 2, 3
+    assert taylor_coeffs_mod(parse_poly("x^10 - 10*x + 738"), 1, 3, 6, 3) == [0, 0, 45, 120]
+    # x^2 at zeta = 2 mod 5^2, and at zeta = 0 (the shortcut branch)
+    assert taylor_coeffs_mod(SparsePoly(((2, 1),)), 2, 5, 2, 2) == [4, 4, 1]
+    assert taylor_coeffs_mod(parse_poly("7 + 3*x^2 + x^9"), 0, 2, 3, 2) == [7, 0, 3]
+
+
 def test_shift_rescale_examples():
     # p^(-2) (p x)^2 = x^2
-    out = shift_rescale(SparsePoly(((2, 1),)), 0, 2, PAdicContext(3, 5))
+    out = _shift(SparsePoly(((2, 1),)), 0, 2, 3, 5)
     assert out == [0, 0, 1]
     # s(f, 1) = 4 digit shift: mod-3 reduction x^3 + 2x^2
-    out = shift_rescale(parse_poly("x^10 - 10*x + 738"), 1, 4, PAdicContext(3, 6))
+    out = _shift(parse_poly("x^10 - 10*x + 738"), 1, 4, 3, 6)
     assert modp_strip(out, 3) == [0, 0, 2, 1]
     # the four digit-1 shifts of 1 - x^340 mod 17
     expected = {1: [0, 14], 4: [10, 12], 13: [15, 5], 16: [3, 3]}
     for z, want in expected.items():
-        out = shift_rescale(parse_poly("1 - x^340"), z, 2, PAdicContext(17, 3))
+        out = _shift(parse_poly("1 - x^340"), z, 2, 17, 3)
         assert modp_strip(out, 17) == want
 
 
@@ -151,8 +165,9 @@ def test_shift_then_eval_matches_direct(p, digit, data):
     ctx = PAdicContext(p, k)
     from padicroots.nodal_tree import s_value
 
-    s = min(s_value(f, digit, ctx), k - 1)
-    coeffs = shift_rescale(f, digit, s, ctx)
+    u = taylor_coeffs_mod(f, digit, p, k, min(f.degree, k - 1))
+    s = min(s_value(u, p, k), k - 1)
+    coeffs = shift_rescale(u, s, p, k)
     shifted = SparsePoly.from_dense(coeffs)
     rng = random.Random(f"{p}:{digit}:{k}:{sorted(terms.items())}")
     for _ in range(20):
