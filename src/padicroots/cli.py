@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: solve, count, tree, polygon, bounds, tetra, oracle, bench.
+Subcommands: solve, count, tree, polygon, bounds, tetra, oracle.
 Exit codes: 0 success, 1 computational error (budget, overflow), 2 usage
 error.  Diagnostics go to stderr; results to stdout, as text or JSON.
 """
@@ -8,12 +8,8 @@ error.  Diagnostics go to stderr; results to stdout, as text or JSON.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import random
 import sys
-import time
 from . import bounds as bounds_mod
 from .arith import PAdicContext
 from .binomial import separation_binomial
@@ -60,7 +56,6 @@ def _solve_json(res, f: SparsePoly, digits: int | None):
             "D": res.plan.D,
             "M_p": res.plan.M_p,
             "k": res.plan.k,
-            "mode": res.plan.mode,
         }
     if res.discriminant is not None:
         rep = res.discriminant
@@ -81,7 +76,6 @@ def _cmd_solve(args) -> int:
         f,
         args.p,
         mode=args.mode,
-        paper_k=args.paper_k,
         exact_discriminant=args.exact,
     )
     if args.count_only:
@@ -218,48 +212,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _bench_poly(rng: random.Random, d: int, H: int) -> SparsePoly:
-    while True:
-        a2 = rng.randint(1, d - 1)
-        c = lambda: rng.choice([x for x in range(-H, H + 1) if x])
-        f = SparsePoly.from_terms([(0, c()), (a2, c()), (d, c())])
-        if f.term_count == 3:
-            return f
-
-
-def _cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    rows = []
-    for p in args.p_list:
-        for d in args.d_list:
-            f = _bench_poly(rng, d, args.H)
-            t0 = time.perf_counter()
-            status = "ok"
-            count = k_used = -1
-            try:
-                res = solve_sparse(f, p)
-                count, k_used = res.root_count, res.k_used
-            except PadicError as exc:
-                status = type(exc).__name__
-            rows.append(
-                {
-                    "p": p,
-                    "d": d,
-                    "H": args.H,
-                    "wall_time": f"{time.perf_counter() - t0:.6f}",
-                    "k_used": k_used,
-                    "root_count": count,
-                    "status": status,
-                }
-            )
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="padicroots",
@@ -278,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_poly_p(s)
     s.add_argument("--mode", choices=MODES, default=MODE_FULL)
     s.add_argument("--digits", type=int, default=None, help="certified digits to emit")
-    s.add_argument("--paper-k", action="store_true",
-                   help="force the worst-case tree precision (slow or infeasible)")
     s.add_argument("--exact", action="store_true",
                    help="force exact bigint discriminant evaluation")
     s.set_defaults(func=_cmd_solve, count_only=False)
@@ -287,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("count", help="root count only")
     add_poly_p(c)
     c.add_argument("--mode", choices=MODES, default=MODE_FULL)
-    c.set_defaults(func=_cmd_solve, count_only=True, digits=None, paper_k=False, exact=False)
+    c.set_defaults(func=_cmd_solve, count_only=True, digits=None, exact=False)
 
     pg = sub.add_parser("polygon", help="Newton polygon lower edges")
     add_poly_p(pg)
@@ -317,13 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="brute-force ground truth (desk scale)")
     add_poly_p(orc)
     orc.set_defaults(func=_cmd_oracle)
-
-    bn = sub.add_parser("bench", help="grid timing of the solver, CSV to stdout")
-    bn.add_argument("--p-list", type=int, nargs="+", required=True)
-    bn.add_argument("--d-list", type=int, nargs="+", required=True)
-    bn.add_argument("--H", type=int, default=50)
-    bn.add_argument("--seed", type=int, default=0)
-    bn.set_defaults(func=_cmd_bench)
     return ap
 
 

@@ -13,10 +13,6 @@ class DivisibilityViolation(PadicError):
     """A claimed power of p does not divide the value it should."""
 
 
-class ZeroConstantTerm(PadicError):
-    """Operation requires f(0) != 0."""
-
-
 class ContentDivisible(PadicError):
     """p divides every coefficient of the polynomial."""
 

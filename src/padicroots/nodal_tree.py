@@ -103,14 +103,6 @@ class NodalTree:
     def node_count(self) -> int:
         return sum(1 for _ in self.root.walk())
 
-    def signature(self) -> frozenset:
-        """Root-bearing nodes: the stabilization fingerprint."""
-        return frozenset(
-            (n.depth, n.mu, tuple(sorted(n.nondegenerate_roots)))
-            for n in self.root.walk()
-            if n.nondegenerate_roots
-        )
-
     @property
     def immature(self) -> bool:
         """Some expansion is blocked purely by precision."""
@@ -192,8 +184,7 @@ def count_nondegenerate_roots(tree: NodalTree) -> int:
 class StabilizedTree:
     tree: NodalTree
     k_used: int
-    stabilized: bool  # False: the cap was hit first (still exact when the
-    # cap comes from the worst-case precision formula)
+    stabilized: bool  # True: the tree is mature; False: it rests on k_cap
 
 
 def stabilized_tree(
@@ -203,24 +194,37 @@ def stabilized_tree(
     k_cap: int = 4096,
     root_digits: str = "all",
 ) -> StabilizedTree:
-    """Double k until the root-bearing signature repeats, or k_cap is hit.
+    """Double k from k_start until the tree is mature, or k_cap is hit.
 
-    A tree with precision-blocked expansions never votes for stabilization:
-    only mature trees (no blocked sites) can confirm each other.  Inputs
-    whose trees stay immature at every precision (an infinite digit chain
-    shadowing a degenerate Z_p root) run to the cap, which is exact whenever
-    the cap is the worst-case precision bound.
+    A mature tree (no precision-blocked site) is exact, so the first one
+    ends the ladder.  Every s-value it computed is below its node's
+    k_local, and there s_value returns the true value: the contributions
+    it truncates at k_local, and the Taylor indices it drops, are all at
+    least k_local.  Every node polynomial is known mod p^k_local with
+    k_local >= 1, so its mod-p reduction, its F_p roots and their
+    degenerate/simple split are exact.  At any larger k the same digits
+    therefore give the same s-values, children and root lists; no node is
+    added, because no site was blocked.  The count is exact too.  A
+    degenerate digit with a Z_p root above it has s >= 2 (s = 1 leaves a
+    unit constant term), so along the digit path of a simple root each
+    degenerate digit either is blocked, which a mature tree rules out, or
+    makes a child with k_local smaller by s.  The path therefore ends at a
+    simple root of some node's reduction, which Hensel-lifts to that root
+    alone.
+
+    A repeated Z_p root keeps its digit chain blocked at every k, so trees
+    of such f never mature: they run to k_cap and return with
+    stabilized=False.  Their count is exact when k_cap is the k of
+    precision_plan, the paper's worst-case precision: S0 caps the s-value
+    of the first digit, M_p that of each later one, and D the number of
+    digits two simple roots can share, so at that k every simple root is
+    harvested and blocked sites lie only on the chains of repeated roots.
     """
     k = max(1, k_start)
-    prev_sig = None
-    tree = None
     while True:
-        ctx = PAdicContext(p, k)
-        tree = build_tree(f, ctx, root_digits=root_digits)
-        sig = tree.signature() if not tree.immature else None
-        if sig is not None and sig == prev_sig:
+        tree = build_tree(f, PAdicContext(p, k), root_digits=root_digits)
+        if not tree.immature:
             return StabilizedTree(tree=tree, k_used=k, stabilized=True)
-        prev_sig = sig
         if k >= k_cap:
             return StabilizedTree(tree=tree, k_used=k, stabilized=False)
         k = min(2 * k, k_cap)

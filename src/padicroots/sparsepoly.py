@@ -3,7 +3,7 @@
 A polynomial is a tuple of (exponent, coefficient) pairs with strictly
 increasing exponents and nonzero coefficients.  Exponents are capped at
 2^63 - 1; coefficients are arbitrary-precision.  The zero polynomial is the
-empty term tuple (only produced as a derivative sentinel).
+empty term tuple.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     DivisibilityViolation,
     ExponentOverflow,
     ParseError,
-    ZeroConstantTerm,
 )
 
 MAX_EXPONENT = 2 ** 63 - 1
@@ -67,10 +66,6 @@ class SparsePoly:
     @property
     def term_count(self) -> int:
         return len(self.terms)
-
-    @property
-    def low_exponent(self) -> int:
-        return self.terms[0][0]
 
     def coefficient(self, a: int) -> int:
         for e, c in self.terms:
@@ -186,22 +181,6 @@ def parse_poly_json(obj) -> SparsePoly:
 # -- evaluation and calculus ----------------------------------------------
 
 
-def derivative(f: SparsePoly, order: int = 1) -> SparsePoly:
-    """Exact formal derivative of the given order (order 0 is the identity)."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if order == 0:
-        return f
-    out = []
-    for a, c in f.terms:
-        if a < order:
-            continue
-        for j in range(order):
-            c *= a - j
-        out.append((a - order, c))
-    return SparsePoly(tuple(out))
-
-
 def taylor_coeffs_mod(f: SparsePoly, zeta: int, p: int, k: int, jmax: int) -> list[int]:
     """Taylor coefficients u_j = f^(j)(zeta)/j! mod p^k for j = 0..jmax.
 
@@ -250,27 +229,6 @@ def shift_rescale(u: list[int], s: int, p: int, k: int) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def reciprocal(f: SparsePoly) -> SparsePoly:
-    """x^deg(f) * f(1/x): exponents a -> deg - a, same coefficients."""
-    if f.is_zero or f.terms[0][0] != 0:
-        raise ZeroConstantTerm("reciprocal needs f(0) != 0")
-    d = f.degree
-    return SparsePoly(tuple(sorted((d - a, c) for a, c in f.terms)))
-
-
-def gcd_exponents(f: SparsePoly) -> tuple[int, SparsePoly]:
-    """r = gcd of exponent offsets from the lowest exponent, and fbar with
-    f(x) = x^a1 * fbar(x^r)."""
-    if f.term_count < 2:
-        raise ValueError("need at least two terms")
-    a1 = f.terms[0][0]
-    r = 0
-    for a, _ in f.terms[1:]:
-        r = math.gcd(r, a - a1)
-    fbar = SparsePoly(tuple(((a - a1) // r, c) for a, c in f.terms))
-    return r, fbar
 
 
 def strip_zero_root(f: SparsePoly) -> tuple[SparsePoly, int]:

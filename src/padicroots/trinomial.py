@@ -3,7 +3,8 @@
 Pipeline: candidate valuations from the Newton polygon; degenerate roots
 (when the trinomial discriminant vanishes) through an exact binomial
 encoding; non-degenerate roots per valuation through digit trees built at
-adaptively-doubled precision, capped by the worst-case precision plan.
+doubling precision until one is mature, capped by the worst-case precision
+plan.
 Every emitted root carries a Newton certificate; totals match the number
 of distinct roots of f in Q_p.
 """
@@ -28,7 +29,6 @@ from .sparsepoly import SparsePoly, rescale_for_valuation, strip_zero_root
 EXACT_DISCRIMINANT_CAP = 10_000  # largest abar3 for full bigint evaluation
 MODULAR_TRIALS = 40  # 62-bit primes used per vanishing test
 PRIME_POOL_SIZE = 128
-PAPER_K_BUILD_LIMIT = 100_000  # refuse to materialize trees beyond this k
 
 _prime_pool: list[int] = []
 
@@ -187,13 +187,11 @@ class PrecisionPlan:
     D: int
     M_p: int
     k: int
-    mode: str  # "stabilization" or "paper-bound"
 
 
 def precision_plan(
     inp: TrinomialInput,
     report: DiscriminantReport,
-    mode: str = "stabilization",
     height: int | None = None,
 ) -> PrecisionPlan:
     """Assemble S0 and D caps from the explicit proof constants.
@@ -226,7 +224,7 @@ def precision_plan(
     sep = trinomial_separation_bound(d, H, p, degenerate=report.is_zero, a2=inp.a2, r=r)
     D = max(0, math.ceil(-sep / lp))
     k = 1 + s0 * min(1, D) + m_p * max(D - 1, 0)
-    return PrecisionPlan(S0=s0, D=D, M_p=m_p, k=k, mode=mode)
+    return PrecisionPlan(S0=s0, D=D, M_p=m_p, k=k)
 
 
 @dataclass
@@ -249,10 +247,6 @@ class SolveResult:
     plan: PrecisionPlan | None = None
     discriminant: DiscriminantReport | None = None
     reason: str | None = None  # why the count is 0, when it is
-
-    @property
-    def k_used(self) -> int:
-        return max((c.k_used for c in self.candidates), default=0)
 
 
 def _harvest_tree(
@@ -297,7 +291,6 @@ def _msd_one(roots: list[ApproximateRoot]) -> list[ApproximateRoot]:
 def solve_trinomial(
     inp: TrinomialInput,
     mode: str = MODE_FULL,
-    paper_k: bool = False,
     exact_discriminant: bool = False,
 ) -> SolveResult:
     """Count and approximate all roots in Q_p of c1 + c2 x^a2 + c3 x^a3.
@@ -322,23 +315,12 @@ def solve_trinomial(
         roots = _msd_one(roots)
 
     candidates = integral_valuation_candidates(body, p)
-    plan_mode = "paper-bound" if paper_k else "stabilization"
-    plan = precision_plan(inp, report, mode=plan_mode)
+    plan = precision_plan(inp, report)
     root_digits = "one" if mode == MODE_RESTRICTED else "nonzero"
     for v, _mult in candidates:
         g, _shift = rescale_for_valuation(body, p, v)
-        local_plan = precision_plan(inp, report, mode=plan_mode, height=g.max_abs_coeff())
-        k_cap = local_plan.k
-        if paper_k:
-            if k_cap > PAPER_K_BUILD_LIMIT:
-                raise BudgetExceeded(
-                    f"worst-case precision k = {k_cap} is too large to materialize; "
-                    "use adaptive stabilization"
-                )
-            k_start = k_cap
-        else:
-            k_start = min(6, k_cap)
-        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, k_start)
+        k_cap = precision_plan(inp, report, height=g.max_abs_coeff()).k
+        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, min(6, k_cap))
         roots.extend(got)
         outcomes.append(outcome)
 

@@ -27,7 +27,13 @@ from padicroots.nodal_tree import (
     s_value,
 )
 from padicroots.oracle import count_qp_roots, lift_root
-from padicroots.sparsepoly import SparsePoly, parse_poly, shift_rescale, taylor_coeffs_mod
+from padicroots.sparsepoly import (
+    SparsePoly,
+    parse_poly,
+    shift_rescale,
+    strip_zero_root,
+    taylor_coeffs_mod,
+)
 from padicroots.tetranomial import TetraFamilyParams, collision_order, generate
 from padicroots.trinomial import TrinomialInput, discriminant_tri, solve_sparse
 from tests.conftest import (
@@ -284,7 +290,7 @@ def test_criterion_7_separation_soundness(corpus):
         if oracle.qp_count < 2:
             continue
         H = f.max_abs_coeff()
-        d = f.degree - f.low_exponent
+        d = f.degree - strip_zero_root(f)[1]
         if e["kind"] == "binomial":
             if d < 2:
                 continue
@@ -315,7 +321,7 @@ def test_criterion_7_separation_soundness(corpus):
         simples = [rt for rt in res.roots if not rt.degenerate]
         if not degs or not simples:
             continue
-        d = f.degree - f.low_exponent
+        d = f.degree - strip_zero_root(f)[1]
         r = res.discriminant.r
         cap = degenerate_valuation_gap_cap(d, f.max_abs_coeff(), r) / math.log(p)
         for tau in degs:

@@ -83,25 +83,6 @@ def test_oracle_subcommand(capsys):
     assert payload["count"] == 6
 
 
-def test_bench_subcommand(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--p-list", "3", "5", "7", "--d-list", "10", "20", "40", "--H", "20"
-    )
-    assert code == 0
-    lines = [ln for ln in out.strip().splitlines() if ln]
-    assert len(lines) == 10  # header + 9 rows
-    assert lines[0].startswith("p,d,H,wall_time,k_used,root_count")
-    # deterministic non-time columns on repeat
-    code, out2, _ = run_cli(
-        capsys, "bench", "--p-list", "3", "5", "7", "--d-list", "10", "20", "40", "--H", "20"
-    )
-    strip_time = lambda text: [
-        ",".join(col for i, col in enumerate(ln.split(",")) if i != 3)
-        for ln in text.strip().splitlines()
-    ]
-    assert strip_time(out) == strip_time(out2)
-
-
 def test_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "solve", "--p", "4", "x^2 - 1")
     assert code == 1  # 4 is not prime -> computational error path
@@ -109,6 +90,12 @@ def test_exit_codes(capsys):
         assert run_cli(capsys, *argv)[0] == 1  # monomials are checked too
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
+
+
+def test_removed_options_are_usage_errors(capsys):
+    # one precision policy: the ladder, ending at a mature tree or the proven cap
+    assert run_cli(capsys, "solve", "--p", "5", "x^2 - 1", "--paper-k")[0] == 2
+    assert run_cli(capsys, "bench", "--p-list", "3", "--d-list", "10")[0] == 2
 
 
 def test_usage_error_on_missing_p(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+import padicroots.nodal_tree
 from padicroots.arith import PAdicContext
 from padicroots.errors import ContentDivisible
 from padicroots.nodal_tree import (
@@ -11,8 +12,9 @@ from padicroots.nodal_tree import (
     s_value,
     stabilized_tree,
 )
+from padicroots.newton_polygon import integral_valuation_candidates
 from padicroots.oracle import lift_root
-from padicroots.sparsepoly import SparsePoly, parse_poly, taylor_coeffs_mod
+from padicroots.sparsepoly import SparsePoly, parse_poly, rescale_for_valuation, taylor_coeffs_mod
 from tests.conftest import degenerate_trinomial, random_trinomial
 
 
@@ -197,6 +199,57 @@ def test_stabilized_cap_flag():
     # x^2 never matures (the digit-0 chain is always precision-blocked)
     st = stabilized_tree(SparsePoly(((2, 1),)), 3, k_start=2, k_cap=16)
     assert not st.stabilized and st.k_used == 16
+
+
+def test_ladder_ends_at_first_mature_tree(monkeypatch):
+    built = []
+    real = padicroots.nodal_tree.build_tree
+
+    def counting(f, ctx, **kw):
+        built.append(ctx.k)
+        return real(f, ctx, **kw)
+
+    monkeypatch.setattr(padicroots.nodal_tree, "build_tree", counting)
+    st = stabilized_tree(parse_poly("x^2 - 1"), 5, k_start=1, k_cap=64)
+    assert built == [1] and st.stabilized and st.k_used == 1
+    # first mature at k = 8, which is also the cap: the count rests on a mature tree
+    built.clear()
+    st = stabilized_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, k_start=1, k_cap=8)
+    assert built == [1, 2, 4, 8] and st.stabilized and st.k_used == 8
+    assert count_nondegenerate_roots(st.tree) == 6
+
+
+def _shape(tree):
+    return sorted(
+        (n.depth, n.mu, tuple(sorted(n.nondegenerate_roots)),
+         tuple(sorted(n.degenerate_roots)), n.s_step)
+        for n in tree.root.walk()
+    )
+
+
+def test_mature_tree_is_exact(rng):
+    """A mature tree at k is the tree at 2k, node for node: no later rung of
+    the ladder can change it.  Trees are those the solver builds."""
+    mature = 0
+    for i in range(600):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        if i % 3 == 0:
+            f = degenerate_trinomial(rng)
+        else:
+            f = random_trinomial(rng, d_max=30, h_max=60)
+            # p-power coefficients push s-values and digit chains up
+            f = SparsePoly(tuple((a, c * p ** rng.choice([0, 0, 1, 3])) for a, c in f.terms))
+        for v, _ in integral_valuation_candidates(f, p):
+            g, _ = rescale_for_valuation(f, p, v)
+            for k in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24):
+                tree = build_tree(g, PAdicContext(p, k), root_digits="nonzero")
+                if tree.immature:
+                    continue
+                deeper = build_tree(g, PAdicContext(p, 2 * k), root_digits="nonzero")
+                assert not deeper.immature, (g.to_text(), p, k)
+                assert _shape(deeper) == _shape(tree), (g.to_text(), p, k)
+                mature += 1
+    assert mature > 2000
 
 
 def test_invariants_on_random_corpus(rng):

@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicroots.arith import PAdicContext
-from padicroots.errors import ParseError, ZeroConstantTerm
+from padicroots.errors import ParseError
 from padicroots.sparsepoly import (
     SparsePoly,
-    derivative,
-    gcd_exponents,
     parse_poly,
     parse_poly_json,
-    reciprocal,
     shift_rescale,
     taylor_coeffs_mod,
 )
@@ -64,15 +61,6 @@ def test_evaluate_mod_examples():
     assert parse_poly("7").deriv_mod(3, 5) == 0
 
 
-def test_derivative():
-    assert derivative(parse_poly("x^3")).terms == ((2, 3),)
-    f = parse_poly("7 + 5*x^4 - 2*x^9")
-    assert derivative(f, 0) == f
-    d2 = derivative(parse_poly("1 + 3*x^4 + 2*x^6"), 2)
-    assert d2.terms == ((2, 36), (4, 60))
-    assert derivative(parse_poly("5"), 1).is_zero
-
-
 def _shift(f, digit, s, p, k):
     """p^(-s) f(digit + p x) mod p^(k-s) from the expansion build_tree makes."""
     return shift_rescale(taylor_coeffs_mod(f, digit, p, k, min(f.degree, k - 1)), s, p, k)
@@ -98,47 +86,6 @@ def test_shift_rescale_examples():
     for z, want in expected.items():
         out = _shift(parse_poly("1 - x^340"), z, 2, 17, 3)
         assert modp_strip(out, 17) == want
-
-
-def test_reciprocal():
-    assert reciprocal(parse_poly("1 + 2*x^3")).terms == ((0, 2), (3, 1))
-    f = parse_poly("1 + x + x^2")
-    assert reciprocal(f) == f
-    g = parse_poly("3 + 5*x^2 + 7*x^9")
-    assert reciprocal(g).terms == ((0, 7), (7, 5), (9, 3))
-    with pytest.raises(ZeroConstantTerm):
-        reciprocal(parse_poly("x + x^2"))
-
-
-def test_reciprocal_involution(rng):
-    for _ in range(40):
-        pairs = {0: rng.randint(1, 99)}
-        for _ in range(rng.randint(1, 4)):
-            pairs[rng.randint(1, 60)] = rng.choice([-3, -1, 1, 2, 7])
-        f = SparsePoly.from_terms(list(pairs.items()))
-        assert reciprocal(reciprocal(f)) == f
-
-
-def test_gcd_exponents():
-    r, fbar = gcd_exponents(parse_poly("x^6 + x^2 + 1"))
-    assert r == 2 and fbar == parse_poly("x^3 + x + 1")
-    r, fbar = gcd_exponents(parse_poly("x^3 + x + 1"))
-    assert r == 1 and fbar == parse_poly("x^3 + x + 1")
-    r, fbar = gcd_exponents(parse_poly("738 - 10*x^2 + x^20"))
-    assert r == 2 and fbar == parse_poly("738 - 10*x + x^10")
-
-
-def test_gcd_exponents_reconstruction(rng):
-    for _ in range(40):
-        f = SparsePoly.from_terms(
-            [(rng.randint(0, 30), rng.choice([-2, 1, 5])) for _ in range(rng.randint(2, 5))]
-        )
-        if f.term_count < 2:
-            continue
-        r, fbar = gcd_exponents(f)
-        a1 = f.low_exponent
-        rebuilt = SparsePoly(tuple((a1 + a * r, c) for a, c in fbar.terms))
-        assert rebuilt == f
 
 
 @given(
