@@ -16,6 +16,7 @@ from .trinomial import (
     SolveResult,
     TrinomialInput,
     degenerate_roots_qp,
+    delta_tri,
     discriminant_tri,
     precision_plan,
     refine_root,
@@ -43,6 +44,7 @@ __all__ = [
     "count_nondegenerate_roots",
     "count_qp_roots",
     "degenerate_roots_qp",
+    "delta_tri",
     "discriminant_tri",
     "generate",
     "integral_valuation_candidates",

@@ -137,7 +137,7 @@ def trinomial_separation_bound(
     # simple-simple pairs: prefactor height + scaling valuation + cofactor
     b_pair = -(math.log(H) + 2 * math.log(d * H) + math.log(jterm) + rolle)
     # degenerate-simple pairs
-    b_degsimple = -math.log(max((d - r) * d ** 3 * H / (8 * r ** 4), 1.0))
+    b_degsimple = -degenerate_valuation_gap_cap(d, H, r)
     # degenerate-degenerate pairs: spacing of roots of x^r = tau^r, whose
     # encoding has logarithmic height <= d (log d + 2 log H)
     b_degdeg = -(rolle + (d / r) * (math.log(d) + 2 * math.log(max(H, 2))))
@@ -148,4 +148,5 @@ def degenerate_valuation_gap_cap(d: int, H: int, r: int) -> float:
     """Cap on |ord_p(z - tau)| between a simple root z and a degenerate
     root tau: log_p((d-r) d^3 H / (8 r^4)) in natural-log form (divide by
     log p for the ord cap at a given prime)."""
-    return math.log(max((d - r) * d ** 3 * H / (8 * r ** 4), 1.0))
+    # a sum of logs: the product overflows a float once H passes 10^300
+    return max(math.log(d - r) + 3 * math.log(d) + math.log(H) - math.log(8 * r ** 4), 0.0)

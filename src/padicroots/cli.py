@@ -19,7 +19,7 @@ from .nodal_tree import build_tree
 from .oracle import count_qp_roots
 from .sparsepoly import SparsePoly, parse_poly
 from .tetranomial import TetraFamilyParams, collision_order, generate
-from .trinomial import MODE_FULL, MODES, solve_sparse
+from .trinomial import MODE_FULL, MODES, TrinomialInput, precision_plan, solve_sparse
 
 
 def _root_json(rt, digits: int | None):
@@ -50,21 +50,11 @@ def _solve_json(res, f: SparsePoly, digits: int | None):
             ],
         },
     }
-    if res.plan is not None:
-        out["precision"] = {
-            "S0": res.plan.S0,
-            "D": res.plan.D,
-            "M_p": res.plan.M_p,
-            "k": res.plan.k,
-        }
-    if res.discriminant is not None:
-        rep = res.discriminant
-        out["discriminant"] = {
-            "is_zero": rep.is_zero,
-            "method": rep.method,
-            "value": str(rep.delta_tri) if rep.delta_tri is not None else None,
-            "r": rep.r,
-        }
+    rep = res.discriminant
+    if rep is not None:
+        plan = precision_plan(TrinomialInput.from_poly(f, res.p)[0], rep)
+        out["precision"] = {"S0": plan.S0, "D": plan.D, "M_p": plan.M_p, "k": plan.k}
+        out["discriminant"] = {"is_zero": rep.is_zero, "method": rep.method, "r": rep.r}
     if res.reason:
         out["reason"] = res.reason
     return out
@@ -72,12 +62,7 @@ def _solve_json(res, f: SparsePoly, digits: int | None):
 
 def _cmd_solve(args) -> int:
     f = parse_poly(args.poly)
-    res = solve_sparse(
-        f,
-        args.p,
-        mode=args.mode,
-        exact_discriminant=args.exact,
-    )
+    res = solve_sparse(f, args.p, mode=args.mode)
     if args.count_only:
         payload = {"p": res.p, "count": res.root_count, "mode": res.mode}
         print(json.dumps(payload) if args.json else f"{res.root_count}")
@@ -230,14 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_poly_p(s)
     s.add_argument("--mode", choices=MODES, default=MODE_FULL)
     s.add_argument("--digits", type=int, default=None, help="certified digits to emit")
-    s.add_argument("--exact", action="store_true",
-                   help="force exact bigint discriminant evaluation")
     s.set_defaults(func=_cmd_solve, count_only=False)
 
     c = sub.add_parser("count", help="root count only")
     add_poly_p(c)
     c.add_argument("--mode", choices=MODES, default=MODE_FULL)
-    c.set_defaults(func=_cmd_solve, count_only=True, digits=None, exact=False)
+    c.set_defaults(func=_cmd_solve, count_only=True, digits=None)
 
     pg = sub.add_parser("polygon", help="Newton polygon lower edges")
     add_poly_p(pg)

@@ -187,7 +187,7 @@ def _degenerate_binomial(f: SparsePoly) -> tuple[int, Fraction] | None:
     if A ** ab3 != B ** ab2:
         return None
     g, alpha, beta = xgcd(a2, a3)
-    if g != r:  # xgcd is shared with the solver; check it independently
+    if g != r:  # xgcd lives in arith, outside the oracle; check it independently
         raise InvariantViolated(f"xgcd({a2}, {a3}) gave {g}, gcd is {r}")
     T = A ** alpha * B ** beta
     return r, T

@@ -1,22 +1,26 @@
 """Counting and approximating all Q_p roots of integer trinomials.
 
 Pipeline: candidate valuations from the Newton polygon; degenerate roots
-(when the trinomial discriminant vanishes) through an exact binomial
-encoding; non-degenerate roots per valuation through digit trees built at
-doubling precision until one is mature, capped by the worst-case precision
-plan.
+through an exact binomial encoding x^r = T; non-degenerate roots per
+valuation through digit trees built at doubling precision until one is
+mature, capped by the worst-case precision plan.
 Every emitted root carries a Newton certificate; totals match the number
 of distinct roots of f in Q_p.
+
+Degeneracy is decided exactly at every degree.  A repeated root tau != 0
+has tau^a2 = A and tau^a3 = B, two rationals fixed by the coefficients, so
+with r = gcd(a2, a3) the trinomial discriminant vanishes exactly when one
+rational T = tau^r has T^(a2/r) = A and T^(a3/r) = B (discriminant_tri);
+that T gives the encoding x^r = T.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .arith import is_prime, ord_int, xgcd
+from .arith import is_prime, ord_int
 from .binomial import REASON_NO_INTEGRAL_VALUATION, BinomialInput, solve_binomial
 from .bounds import trinomial_separation_bound
 from .errors import BudgetExceeded, InvalidParams, InvariantViolated, ModeHypothesisViolated
@@ -26,29 +30,9 @@ from .newton_polygon import integral_valuation_candidates
 from .nodal_tree import nodal_degree_cap, stabilized_tree
 from .sparsepoly import SparsePoly, rescale_for_valuation, strip_zero_root
 
-EXACT_DISCRIMINANT_CAP = 10_000  # largest abar3 for full bigint evaluation
-MODULAR_TRIALS = 40  # 62-bit primes used per vanishing test
-PRIME_POOL_SIZE = 128
-
-_prime_pool: list[int] = []
-
-
-def _pool() -> list[int]:
-    """Lazily built pool of random 62-bit primes for the modular test.
-
-    Fixed seed keeps runs reproducible; each input draws its own 40-prime
-    subset.  A fixed pool trades a little adversarial hardness for speed;
-    the false-zero probability statement assumes inputs independent of it.
-    """
-    if not _prime_pool:
-        rng = random.Random("62-bit prime pool")
-        local = []
-        while len(local) < PRIME_POOL_SIZE:
-            q = rng.getrandbits(62) | (1 << 61) | 1
-            if is_prime(q):
-                local.append(q)
-        _prime_pool[:] = local  # idempotent under concurrent first calls
-    return _prime_pool
+# largest ladder cap a valuation holding a degenerate root may run to: its
+# trees never mature, so its ladder always climbs to the cap
+K_BUILD_LIMIT = 100_000
 
 MODE_FULL = "full"
 MODE_RESTRICTED = "restricted-root"
@@ -97,84 +81,92 @@ class TrinomialInput:
 
 @dataclass(frozen=True)
 class DiscriminantReport:
-    delta_tri: int | None  # None when only the modular vanishing test ran
-    is_zero: bool
+    T: Fraction | None  # the degenerate roots are those of x^r = T; None if there are none
     r: int
     abar2: int
     abar3: int
-    method: str  # "exact" or "modular"
+    method = "exact"  # the only method; perfbench/tracer.py reads it
+
+    @property
+    def is_zero(self) -> bool:
+        return self.T is not None
 
 
-def _delta_mod_q(inp: TrinomialInput, ab2: int, ab3: int, q: int) -> int:
-    """Delta_tri mod a prime q with exponents reduced by Fermat."""
-
-    def powq(base: int, e: int) -> int:
-        base %= q
-        if base == 0:
-            return 0
-        return pow(base, e % (q - 1) or (q - 1) if e else 0, q)
-
-    lhs = powq(ab3, ab3) * powq(inp.c1, ab3 - ab2) % q * powq(inp.c3, ab2) % q
-    rhs = powq(ab2, ab2) * powq(ab3 - ab2, ab3 - ab2) % q * powq(-inp.c2, ab3) % q
-    return (lhs - rhs) % q
+def delta_tri(inp: TrinomialInput) -> int:
+    """The trinomial discriminant
+    abar3^abar3 c1^(abar3-abar2) c3^abar2 - abar2^abar2 (abar3-abar2)^(abar3-abar2) (-c2)^abar3,
+    in full: the reference discriminant_tri is checked against."""
+    r = math.gcd(inp.a2, inp.a3)
+    ab2, ab3 = inp.a2 // r, inp.a3 // r
+    return (
+        ab3 ** ab3 * inp.c1 ** (ab3 - ab2) * inp.c3 ** ab2
+        - ab2 ** ab2 * (ab3 - ab2) ** (ab3 - ab2) * (-inp.c2) ** ab3
+    )
 
 
-def discriminant_tri(inp: TrinomialInput, exact: bool = False) -> DiscriminantReport:
-    """Exact vanishing test for the trinomial discriminant.
+def _int_root(n: int, k: int) -> int | None:
+    """The y >= 0 with y^k = n, for n >= 0 and k >= 1; None if there is none."""
+    if n < 2 or k == 1:
+        return n
+    bits = n.bit_length()
+    if k >= bits:  # 2^k > n, so only y = 1 could do, and n >= 2
+        return None
+    y = 1 << -(-bits // k)  # at least the real root; Newton descends to its floor
+    while True:
+        z = ((k - 1) * y + n // y ** (k - 1)) // k
+        if z >= y:
+            return y if y ** k == n else None
+        y = z
 
-    Exact bigint evaluation up to abar3 <= 10^4 (or always with
-    exact=True); beyond that, a multi-modulus probabilistic test: nonzero
-    on any nonzero residue mod 40 deterministic-seeded random 62-bit
-    primes.  A false zero needs all 40 primes to divide a fixed nonzero
-    integer, which at this size has probability far below 2^-200.
+
+def _power_is(t: int, e: int, w: int) -> bool:
+    """t^e == w for t, w >= 1, never building a power of more than about
+    twice the bits of w."""
+    if t == 1:
+        return w == 1
+    return e * (t.bit_length() - 1) < w.bit_length() and t ** e == w
+
+
+def discriminant_tri(inp: TrinomialInput) -> DiscriminantReport:
+    """Exact vanishing test for the trinomial discriminant, at any degree.
+
+    Why it is exact: a repeated root tau != 0 solves f = x f' = 0, that is
+    tau^a2 = A = -c1 a3/((a3-a2) c2) and tau^a3 = B = c1 a2/((a3-a2) c3).
+    abar2, abar3 are coprime, so T = tau^r = A^alpha B^beta is rational, and
+    a rational T with T^abar2 = A and T^abar3 = B exists exactly when
+    A^abar3 = B^abar2, which cleared of denominators is delta_tri = 0.
+
+    How: one of abar2, abar3, say e, is odd, so T is the unique rational
+    e-th root of its side: integer e-th roots of the reduced numerator and
+    denominator, the sign carried.  T must then give the other side too; a
+    bit-length test comes before that power, so the work is polynomial in
+    log(dH) at any degree.
     """
     r = math.gcd(inp.a2, inp.a3)
     ab2, ab3 = inp.a2 // r, inp.a3 // r
-    if exact or ab3 <= EXACT_DISCRIMINANT_CAP:
-        delta = (
-            ab3 ** ab3 * inp.c1 ** (ab3 - ab2) * inp.c3 ** ab2
-            - ab2 ** ab2 * (ab3 - ab2) ** (ab3 - ab2) * (-inp.c2) ** ab3
-        )
-        return DiscriminantReport(
-            delta_tri=delta, is_zero=delta == 0, r=r, abar2=ab2, abar3=ab3, method="exact"
-        )
-    rng = random.Random(f"delta:{inp.c1},{inp.c2},{inp.c3},{inp.a2},{inp.a3}")
-    for q in rng.sample(_pool(), MODULAR_TRIALS):
-        if _delta_mod_q(inp, ab2, ab3, q) != 0:
-            return DiscriminantReport(
-                delta_tri=None, is_zero=False, r=r, abar2=ab2, abar3=ab3, method="modular"
-            )
-    return DiscriminantReport(
-        delta_tri=None, is_zero=True, r=r, abar2=ab2, abar3=ab3, method="modular"
-    )
-
-
-def degenerate_encoding(inp: TrinomialInput) -> tuple[int, Fraction]:
-    """(r, T) such that the degenerate roots of f are the roots of x^r = T.
-
-    Combines tau^a2 = -c1 a3 / ((a3-a2) c2) and tau^a3 = c1 a2 / ((a3-a2) c3)
-    through an extended-Euclid pair alpha*a2 + beta*a3 = r.
-    """
-    A = Fraction(-inp.c1 * inp.a3, (inp.a3 - inp.a2) * inp.c2)
-    B = Fraction(inp.c1 * inp.a2, (inp.a3 - inp.a2) * inp.c3)
-    r, alpha, beta = xgcd(inp.a2, inp.a3)
-    height_bits = (abs(alpha) + abs(beta)) * max(
-        A.numerator.bit_length() + A.denominator.bit_length(),
-        B.numerator.bit_length() + B.denominator.bit_length(),
-    )
-    if height_bits > 8_000_000:
-        raise BudgetExceeded("degenerate encoding too large to materialize exactly")
-    T = A ** alpha * B ** beta
-    return r, T
+    diff = inp.a3 - inp.a2
+    A = Fraction(-inp.c1 * inp.a3, diff * inp.c2)
+    B = Fraction(inp.c1 * inp.a2, diff * inp.c3)
+    (e, V), (o, W) = ((ab2, A), (ab3, B)) if ab2 % 2 else ((ab3, B), (ab2, A))
+    num = _int_root(abs(V.numerator), e)
+    den = _int_root(V.denominator, e) if num is not None else None
+    T = None
+    if (
+        den is not None
+        and (W > 0 if o % 2 == 0 else (W > 0) == (V > 0))
+        and _power_is(num, o, abs(W.numerator))
+        and _power_is(den, o, W.denominator)
+    ):
+        T = Fraction(num if V > 0 else -num, den)
+    return DiscriminantReport(T=T, r=r, abar2=ab2, abar3=ab3)
 
 
 def degenerate_roots_qp(inp: TrinomialInput, report: DiscriminantReport) -> list[ApproximateRoot]:
-    """All degenerate roots of f in Q_p, each of multiplicity 2, via the
-    encoding binomial solved over Q_p."""
-    if not report.is_zero:
+    """All degenerate roots of f in Q_p, each of multiplicity 2: the roots
+    of the encoding binomial x^r = T, solved over Q_p."""
+    if report.T is None:
         return []
-    r, T = degenerate_encoding(inp)
-    enc = BinomialInput(c1=-T.numerator, c2=T.denominator, d=r, p=inp.p)
+    enc = BinomialInput(c1=-report.T.numerator, c2=report.T.denominator, d=report.r, p=inp.p)
     res = solve_binomial(enc)
     return [replace(root, degenerate=True, multiplicity=2) for root in res.roots]
 
@@ -244,7 +236,6 @@ class SolveResult:
     zero_root_multiplicity: int = 0
     # trinomials only
     candidates: list[CandidateOutcome] = field(default_factory=list)
-    plan: PrecisionPlan | None = None
     discriminant: DiscriminantReport | None = None
     reason: str | None = None  # why the count is 0, when it is
 
@@ -288,15 +279,15 @@ def _msd_one(roots: list[ApproximateRoot]) -> list[ApproximateRoot]:
     return [rt for rt in roots if rt.unit_digits(1) == (1,)]
 
 
-def solve_trinomial(
-    inp: TrinomialInput,
-    mode: str = MODE_FULL,
-    exact_discriminant: bool = False,
-) -> SolveResult:
+def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL) -> SolveResult:
     """Count and approximate all roots in Q_p of c1 + c2 x^a2 + c3 x^a3.
 
     The constant term is nonzero, so 0 is never a root; solve_sparse
-    validates the mode and handles a factor x^a1.
+    validates the mode and handles a factor x^a1.  A valuation that holds
+    a degenerate root never gets a mature tree (stabilized_tree), so its
+    ladder runs to the cap; a cap above K_BUILD_LIMIT raises
+    BudgetExceeded, checked before any other valuation is rescaled, since
+    rescaling alone can be out of reach at large degree.
     """
     p = inp.p
     if mode == MODE_SMALL_GCD:
@@ -309,17 +300,29 @@ def solve_trinomial(
     body = inp.poly
     outcomes: list[CandidateOutcome] = []
 
-    report = discriminant_tri(inp, exact=exact_discriminant)
+    report = discriminant_tri(inp)
     roots = degenerate_roots_qp(inp, report)
     if mode == MODE_RESTRICTED:
         roots = _msd_one(roots)
 
+    def rescaled(v: int) -> tuple[SparsePoly, int]:
+        g, _shift = rescale_for_valuation(body, p, v)
+        return g, precision_plan(inp, report, height=g.max_abs_coeff()).k
+
+    ready = {}
+    if roots:  # every root of x^r = T has the valuation ord_p(T) / r
+        v = roots[0].valuation
+        ready[v] = rescaled(v)
+        if ready[v][1] > K_BUILD_LIMIT:
+            raise BudgetExceeded(
+                f"valuation {v} holds a degenerate root and needs k = {ready[v][1]}"
+                f" > {K_BUILD_LIMIT}"
+            )
+
     candidates = integral_valuation_candidates(body, p)
-    plan = precision_plan(inp, report)
     root_digits = "one" if mode == MODE_RESTRICTED else "nonzero"
     for v, _mult in candidates:
-        g, _shift = rescale_for_valuation(body, p, v)
-        k_cap = precision_plan(inp, report, height=g.max_abs_coeff()).k
+        g, k_cap = ready.get(v) or rescaled(v)
         got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, min(6, k_cap))
         roots.extend(got)
         outcomes.append(outcome)
@@ -331,7 +334,6 @@ def solve_trinomial(
         roots=roots,
         mode=mode,
         candidates=outcomes,
-        plan=plan,
         discriminant=report,
         reason=None if candidates else REASON_NO_INTEGRAL_VALUATION,
     )
@@ -347,7 +349,7 @@ def refine_root(root: ApproximateRoot, steps: int, buffer: int = 4) -> Approxima
     return replace(root, unit_residue=z, precision=got)
 
 
-def solve_sparse(f: SparsePoly, p: int, mode: str = MODE_FULL, **kw) -> SolveResult:
+def solve_sparse(f: SparsePoly, p: int, mode: str = MODE_FULL) -> SolveResult:
     """Count and approximate the roots in Q_p of a 1-, 2- or 3-term polynomial.
 
     The one entry point that validates p and mode.  It strips x^a1, solves
@@ -366,7 +368,7 @@ def solve_sparse(f: SparsePoly, p: int, mode: str = MODE_FULL, **kw) -> SolveRes
         )
     if body.term_count == 3:
         inp, _ = TrinomialInput.from_poly(body, p)
-        res = solve_trinomial(inp, mode=mode, **kw)
+        res = solve_trinomial(inp, mode=mode)
     else:
         roots, reason = [], None
         if body.term_count == 2:

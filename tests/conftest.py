@@ -73,8 +73,12 @@ def random_binomial(rng: random.Random, d_max: int = 40, h_max: int = 30) -> Spa
             return f
 
 
-def degenerate_trinomial(rng: random.Random):
-    """c * q_{ab2,ab3}(u x^r): guaranteed degenerate root u^(-1/r)-wise."""
+def degenerate_trinomial(rng: random.Random, p: int | None = None, u: int | None = None):
+    """c * q_{ab2,ab3}(u x^r): guaranteed degenerate root u^(-1/r)-wise.
+
+    u is drawn from {1, 2, 3} unless given; with p given the draw adds 5,
+    p and p^2, so the degenerate root can carry a p-adic valuation.
+    """
     import math
 
     while True:
@@ -83,12 +87,13 @@ def degenerate_trinomial(rng: random.Random):
         if math.gcd(ab2, ab3) == 1:
             break
     r = rng.randint(1, 3)
-    u = rng.choice([1, 1, 2, 3])
+    if u is None:
+        u = rng.choice([1, 1, 2, 3] if p is None else [1, 2, 3, 5, p, p * p])
     c = rng.choice([1, -1, 2, -3])
     f = SparsePoly.from_terms(
         [(0, c * (ab3 - ab2)), (ab2 * r, -c * ab3 * u ** ab2), (ab3 * r, c * ab2 * u ** ab3)]
     )
-    return f if f.term_count == 3 else degenerate_trinomial(rng)
+    return f if f.term_count == 3 else degenerate_trinomial(rng, p, u)
 
 
 @pytest.fixture

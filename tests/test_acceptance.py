@@ -35,7 +35,7 @@ from padicroots.sparsepoly import (
     taylor_coeffs_mod,
 )
 from padicroots.tetranomial import TetraFamilyParams, collision_order, generate
-from padicroots.trinomial import TrinomialInput, discriminant_tri, solve_sparse
+from padicroots.trinomial import TrinomialInput, delta_tri, discriminant_tri, solve_sparse
 from tests.conftest import (
     degenerate_trinomial,
     random_binomial,
@@ -360,10 +360,10 @@ def test_criterion_8_identity_suite():
         c1 = rng.choice([x for x in range(-50, 51) if x])
         c2 = rng.choice([x for x in range(-50, 51) if x])
         c3 = rng.choice([x for x in range(-50, 51) if x])
-        rep = discriminant_tri(TrinomialInput(c1, c2, c3, 1, 2, 5))
+        inp = TrinomialInput(c1, c2, c3, 1, 2, 5)
         classical = c2 * c2 - 4 * c1 * c3
-        assert abs(rep.delta_tri) == abs(classical)
-        assert rep.is_zero == (classical == 0)
+        assert abs(delta_tri(inp)) == abs(classical)
+        assert discriminant_tri(inp).is_zero == (classical == 0)
     _report("criterion 8 (identity suite)", True, "abar3 <= 60 exhaustive + 200 quadratics")
 
 

@@ -131,3 +131,14 @@ def test_separation_bound_shapes():
 def test_degenerate_gap_cap():
     assert degenerate_valuation_gap_cap(10, 50, 1) == math.log((10 - 1) * 1000 * 50 / 8)
     assert degenerate_valuation_gap_cap(4, 1, 2) >= 0
+
+    # a sum of logs: equal to the product form while that fits a float, and
+    # finite above H = 10^300, where the product overflows
+    def product_form(d, H, r):
+        return math.log(max((d - r) * d ** 3 * H / (8 * r ** 4), 1.0))
+
+    for d, H, r in [(10, 50, 1), (20, 738, 1), (8002, 2 ** 900, 2), (10 ** 6, 10 ** 250, 7)]:
+        assert abs(degenerate_valuation_gap_cap(d, H, r) - product_form(d, H, r)) < 1e-9
+    cap = degenerate_valuation_gap_cap(20, 10 ** 400, 1)
+    assert abs(cap - (math.log(19 * 20 ** 3 / 8) + 400 * math.log(10))) < 1e-9
+    assert trinomial_separation_bound(20, 10 ** 400, 3, degenerate=True) <= -cap

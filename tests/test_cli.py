@@ -24,6 +24,8 @@ def test_solve_json_schema_and_count(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("solve.json"))
     assert payload["count"] == 8
+    assert payload["discriminant"] == {"is_zero": False, "method": "exact", "r": 2}
+    assert set(payload["precision"]) == {"S0", "D", "M_p", "k"}
     # polynomial round-trips through the emitted JSON
     assert parse_poly_json(payload["input"]) == parse_poly("738 - 10*x^2 + x^20")
 
@@ -67,6 +69,14 @@ def test_bounds_subcommand(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("bounds.json"))
     assert payload["trinomial_separation_log"] < 0
+    # heights above the float range: the degenerate gap is a sum of logs
+    code, out, _ = run_cli(
+        capsys, "bounds", "--p", "3", "--d", "20", "--H", str(10 ** 400), "--degenerate"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("bounds.json"))
+    assert payload["degenerate_gap_log"] > 900
 
 
 def test_tetra_subcommand(capsys):
@@ -96,6 +106,8 @@ def test_removed_options_are_usage_errors(capsys):
     # one precision policy: the ladder, ending at a mature tree or the proven cap
     assert run_cli(capsys, "solve", "--p", "5", "x^2 - 1", "--paper-k")[0] == 2
     assert run_cli(capsys, "bench", "--p-list", "3", "--d-list", "10")[0] == 2
+    # one exact discriminant test at every degree
+    assert run_cli(capsys, "solve", "--p", "5", "x^2 - 1", "--exact")[0] == 2
 
 
 def test_usage_error_on_missing_p(capsys):

@@ -1,12 +1,14 @@
 import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import padicroots.trinomial
-from padicroots.arith import ord_int
+from padicroots.arith import is_prime, ord_int
 from padicroots.bounds import degenerate_valuation_gap_cap
 from padicroots.errors import (
     BudgetExceeded,
@@ -15,13 +17,14 @@ from padicroots.errors import (
     ModeHypothesisViolated,
 )
 from padicroots.oracle import count_qp_roots
-from padicroots.sparsepoly import parse_poly, strip_zero_root
+from padicroots.sparsepoly import SparsePoly, parse_poly, strip_zero_root
 from padicroots.trinomial import (
     MODE_FULL,
     MODE_RESTRICTED,
     MODE_SMALL_GCD,
     TrinomialInput,
     degenerate_roots_qp,
+    delta_tri,
     discriminant_tri,
     precision_plan,
     refine_root,
@@ -36,12 +39,15 @@ from tests.conftest import (
 
 
 def test_discriminant_examples():
-    rep = discriminant_tri(TrinomialInput(1, -2, 1, 1, 2, 5))
-    assert rep.is_zero and rep.delta_tri == 0
-    rep = discriminant_tri(TrinomialInput(1, 1, 1, 1, 2, 5))
-    assert rep.delta_tri == 3 and not rep.is_zero  # |classical disc of x^2+x+1| = 3
+    inp = TrinomialInput(1, -2, 1, 1, 2, 5)
+    rep = discriminant_tri(inp)
+    assert rep.is_zero and delta_tri(inp) == 0 and rep.T == 1
+    inp = TrinomialInput(1, 1, 1, 1, 2, 5)
+    rep = discriminant_tri(inp)
+    assert delta_tri(inp) == 3 and not rep.is_zero  # |classical disc of x^2+x+1| = 3
+    assert rep.T is None
     rep = discriminant_tri(TrinomialInput(4, -4, 1, 1, 2, 7))
-    assert rep.is_zero
+    assert rep.is_zero and rep.T == 2 and rep.method == "exact"
 
 
 def test_discriminant_quadratic_matches_classical(rng):
@@ -49,44 +55,131 @@ def test_discriminant_quadratic_matches_classical(rng):
         c1 = rng.choice([x for x in range(-50, 51) if x])
         c2 = rng.choice([x for x in range(-50, 51) if x])
         c3 = rng.choice([x for x in range(-50, 51) if x])
-        rep = discriminant_tri(TrinomialInput(c1, c2, c3, 1, 2, 5))
+        inp = TrinomialInput(c1, c2, c3, 1, 2, 5)
+        rep = discriminant_tri(inp)
         classical = c2 * c2 - 4 * c1 * c3
-        assert abs(rep.delta_tri) == abs(classical)
+        assert abs(delta_tri(inp)) == abs(classical)
         assert rep.is_zero == (classical == 0)
 
 
-def test_discriminant_modular_agrees_with_exact(rng):
-    for _ in range(60):
-        inp = TrinomialInput(
-            rng.randint(1, 40) * rng.choice([-1, 1]),
-            rng.randint(1, 40) * rng.choice([-1, 1]),
-            rng.randint(1, 40) * rng.choice([-1, 1]),
-            rng.randint(1, 9),
-            rng.randint(10, 50),
-            5,
-        )
-        exact = discriminant_tri(inp, exact=True)
-        from padicroots.trinomial import _delta_mod_q
-
-        # exercise the modular reducer directly against the exact value
-        for q in (2 ** 61 - 1,):
-            assert _delta_mod_q(inp, exact.abar2, exact.abar3, q) == exact.delta_tri % q
-
-
-def test_discriminant_huge_exponent_modular_path():
+def test_discriminant_huge_exponents():
     inp = TrinomialInput(3, -7, 5, 12345, 2 ** 40, 3)
     rep = discriminant_tri(inp)
-    assert rep.method == "modular" and not rep.is_zero
-    # (x^n - 1)^2 reduces to abar3 = 2, so it stays on the exact path
+    assert rep.r == 1 and rep.T is None and not rep.is_zero
+    # (x^n - 1)^2 reduces to abar3 = 2: x^(2^30) = 1
     inp2 = TrinomialInput(1, -2, 1, 2 ** 30, 2 ** 31, 3)
     rep2 = discriminant_tri(inp2)
-    assert rep2.is_zero and rep2.method == "exact"
-    # a vanishing discriminant with coprime huge exponents goes modular:
-    # q(x) = (abar3 - abar2) - abar3 x^abar2 + abar2 x^abar3
+    assert rep2.r == 2 ** 30 and rep2.T == 1 and rep2.is_zero
+    # a vanishing discriminant with coprime huge exponents:
+    # q(x) = (abar3 - abar2) - abar3 x^abar2 + abar2 x^abar3, double root 1
     n = 2 ** 30 + 1
     inp3 = TrinomialInput(n - 2, -n, 2, 2, n, 3)
     rep3 = discriminant_tri(inp3)
-    assert rep3.is_zero and rep3.method == "modular"
+    assert rep3.r == 1 and rep3.T == 1 and rep3.is_zero
+
+
+def _q(ab2, ab3, r, u):
+    """q_{ab2,ab3}(u x^r), denominators cleared: a double root at x^r = 1/u."""
+    u = Fraction(u)
+    s, t = u.numerator, u.denominator
+    return SparsePoly.from_terms(
+        [
+            (0, (ab3 - ab2) * t ** ab3),
+            (ab2 * r, -ab3 * s ** ab2 * t ** (ab3 - ab2)),
+            (ab3 * r, ab2 * s ** ab3),
+        ]
+    )
+
+
+def test_discriminant_matches_delta_tri(rng):
+    """is_zero exactly when delta_tri vanishes, and then T^abar2 = A and
+    T^abar3 = B, on 20000 inputs with abar3 <= 60: half random, half from
+    the degenerate family with negative and rational u, some of those with
+    one coefficient changed."""
+    zeros = 0
+    for i in range(20000):
+        ab3 = rng.randint(2, 60)
+        ab2 = rng.randint(1, ab3 - 1)
+        r = rng.choice([1, 1, 2, 3])
+        if i % 2:
+            g = math.gcd(ab2, ab3)
+            ab2, ab3 = ab2 // g, ab3 // g
+            u = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 1, 2, 3, 4]))
+            c = rng.choice([1, -1, 2, -3])
+            terms = [(a, c * k) for a, k in _q(ab2, ab3, r, u).terms]
+            if rng.random() < 0.3:  # a near miss: one coefficient changed
+                j = rng.randrange(3)
+                terms[j] = (terms[j][0], terms[j][1] * rng.choice([-1, 2, 4, -8]))
+            (_, c1), (a2, c2), (a3, c3) = terms
+        else:
+            c1, c2, c3 = (rng.choice([x for x in range(-30, 31) if x]) for _ in range(3))
+            a2, a3 = ab2 * r, ab3 * r
+        inp = TrinomialInput(c1, c2, c3, a2, a3, 5)
+        rep = discriminant_tri(inp)
+        assert rep.is_zero == (delta_tri(inp) == 0), (c1, c2, c3, a2, a3)
+        if rep.is_zero:
+            zeros += 1
+            A = Fraction(-c1 * a3, (a3 - a2) * c2)
+            B = Fraction(c1 * a2, (a3 - a2) * c3)
+            assert rep.T ** rep.abar2 == A and rep.T ** rep.abar3 == B
+    assert zeros > 5000
+
+
+def _pool_primes():
+    """The 128 primes of the modular vanishing test this exact test replaced."""
+    rng = random.Random("62-bit prime pool")
+    pool = []
+    while len(pool) < 128:
+        q = rng.getrandbits(62) | (1 << 61) | 1
+        if is_prime(q):
+            pool.append(q)
+    return pool
+
+
+def test_discriminant_not_fooled_by_a_modular_false_zero():
+    """c1 - x^10000 + x^10001 with c1 chosen by CRT so that
+    delta_tri = 10001^10001 c1 - 10000^10000 vanishes mod every prime of the
+    old 62-bit pool: a modular test then calls it degenerate.  It is not,
+    and the counts are those the oracle gives (0, 1, 1 at p = 3, 5, 7; the
+    oracle takes about 45 s each on a 2-vCPU VM, so they are pinned)."""
+    pool = _pool_primes()
+    c1, m = 0, 1
+    for q in pool:
+        want = pow(10000, 10000, q) * pow(10001, -10001, q) % q
+        c1 += m * ((want - c1) * pow(m, -1, q) % q)
+        m *= q
+    inp = TrinomialInput(c1, -1, 1, 10000, 10001, 3)
+    assert all(delta_tri(inp) % q == 0 for q in pool) and delta_tri(inp) != 0
+    rep = discriminant_tri(inp)
+    assert not rep.is_zero
+    assert degenerate_roots_qp(inp, rep) == []
+    f = inp.poly
+    assert [solve_sparse(f, p).root_count for p in (3, 5, 7)] == [0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "f, p, want",
+    [
+        # x = 1 is a double root and the v = 1 rescale would build 3^(2^30)
+        (SparsePoly.from_terms([(0, 2 ** 30 - 1), (2, -(2 ** 30 + 1)), (2 ** 30 + 1, 2)]), 3,
+         BudgetExceeded),
+        (SparsePoly.from_terms([(0, 9999), (2, -10001), (10001, 2)]), 3, BudgetExceeded),
+        (_q(2, 4001, 2, 2), 5, "oracle"),  # x^2 = 1/2 has no root in Q_5
+        (SparsePoly.from_terms([(0, 10 ** 6), (1, -(10 ** 6 + 1)), (10 ** 6 + 1, 1)]), 5,
+         BudgetExceeded),
+        # (1 - 3^400 x)^2: height above 10^300
+        (SparsePoly.from_terms([(0, 1), (1, -2 * 3 ** 400), (2, 3 ** 800)]), 5, "oracle"),
+        (_q(2, 4001, 1, 2), 7, BudgetExceeded),
+    ],
+)
+def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
+    """Each gives the oracle's count or, when the valuation of its
+    degenerate root needs a ladder above K_BUILD_LIMIT, BudgetExceeded."""
+    if want == "oracle":
+        assert solve_sparse(f, p).root_count == count_qp_roots(f, p).qp_count
+    else:
+        with pytest.raises(want):
+            solve_sparse(f, p)
 
 
 def test_degenerate_roots_examples():
@@ -329,8 +422,8 @@ def test_rejects_general_polynomials():
 
 
 def test_pairwise_depth_within_plan(rng):
-    """Distinct output roots of square-free inputs share at most plan.D
-    leading digits."""
+    """Distinct output roots of square-free inputs share at most
+    precision_plan(...).D leading digits."""
     checked = 0
     for _ in range(80):
         f = random_trinomial(rng, d_max=20, h_max=25)
@@ -340,7 +433,9 @@ def test_pairwise_depth_within_plan(rng):
             continue
         import itertools
 
+        plan = precision_plan(TrinomialInput.from_poly(f, p)[0], res.discriminant)
+
         for r1, r2 in itertools.combinations(res.roots, 2):
-            assert _pair_ord(r1, r2, p) <= res.plan.D
+            assert _pair_ord(r1, r2, p) <= plan.D
             checked += 1
     assert checked > 20
