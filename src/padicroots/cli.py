@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, count, tree, polygon, bounds, tetra, oracle.
-Exit codes: 0 success, 1 computational error (budget, overflow), 2 usage
-error.  Diagnostics go to stderr; results to stdout, as text or JSON.
+Exit codes: 0 success, 1 computational error or bad input, 2 usage error.
+Diagnostics go to stderr; results to stdout, as text or JSON.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ import argparse
 import json
 import sys
 from . import bounds as bounds_mod
-from .arith import PAdicContext
+from .arith import PAdicContext, is_prime
 from .binomial import separation_binomial
-from .errors import PadicError
+from .errors import InvalidParams, PadicError
 from .newton_polygon import build_arch, build_padic
 from .nodal_tree import build_tree
 from .oracle import count_qp_roots
@@ -143,6 +143,8 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if not is_prime(args.p) or args.d < 2 or args.H < 1:
+        raise InvalidParams(f"need p prime, d >= 2, H >= 1; got p={args.p}, d={args.d}, H={args.H}")
     out = {
         "mahler_log": bounds_mod.mahler_bound(args.d, args.H),
         "trinomial_separation_log": bounds_mod.trinomial_separation_bound(
@@ -205,10 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_poly_p(sp, need_p=True):
+    def add_poly_p(sp, p_required=True):
         sp.add_argument("poly", help="polynomial, e.g. '738 - 10*x^2 + x^20'")
-        if need_p:
-            sp.add_argument("--p", type=int, required=True, help="prime p")
+        sp.add_argument("--p", type=int, required=p_required, help="prime p")
         sp.add_argument("--json", action="store_true")
 
     s = sub.add_parser("solve", help="count and approximate all roots in Q_p")
@@ -223,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_solve, count_only=True, digits=None)
 
     pg = sub.add_parser("polygon", help="Newton polygon lower edges")
-    add_poly_p(pg)
-    pg.add_argument("--arch", action="store_true", help="Archimedean polygon")
+    add_poly_p(pg, p_required=False)
+    pg.add_argument("--arch", action="store_true", help="Archimedean polygon; --p not needed")
     pg.set_defaults(func=_cmd_polygon)
 
     tr = sub.add_parser("tree", help="digit tree at a fixed precision")
@@ -257,6 +258,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.command == "polygon" and args.p is None and not args.arch:
+            ap.error("polygon: --p is required without --arch")
+        if getattr(args, "digits", None) is not None and args.digits < 1:
+            ap.error("solve: --digits must be at least 1")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

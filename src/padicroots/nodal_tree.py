@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .arith import PAdicContext, ord_int
 from .errors import ContentDivisible, InvariantViolated
-from .fp import check_prime_cap, roots_fp_exhaustive
+from .fp import roots_fp_exhaustive
 from .sparsepoly import SparsePoly, shift_rescale, taylor_coeffs_mod
 
 M_P = {2: 4, 3: 3}  # nodal degree cap by prime; 2 for p >= 5
@@ -118,12 +118,10 @@ def build_tree(f: SparsePoly, ctx: PAdicContext, root_digits: str = "all") -> No
     restricted.  Each degenerate digit costs one Taylor expansion, which
     gives both its s-value and its child.  The depth and s-sum invariants,
     and for trinomial inputs the degree collapse below a nonzero first
-    digit, are checked as each child is made (InvariantViolated).
+    digit, are checked as each child is made (InvariantViolated).  The root
+    node's F_p scan rejects f = 0 mod p and a p over the desk cap.
     """
     p, k = ctx.p, ctx.k
-    check_prime_cap(p)
-    if f.content_p(p) > 0:
-        raise ContentDivisible("divide out the content p-power first")
     degree_cap = nodal_degree_cap(p) if f.term_count == 3 else None
     max_depth = (k - 1) // 2
 

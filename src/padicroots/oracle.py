@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import ord_int, xgcd
-from .errors import BudgetExceeded, ContentDivisible, CriterionFailed, InvariantViolated
-from .newton_polygon import integral_valuation_candidates
+from .arith import is_prime, ord_int, xgcd
+from .errors import (
+    BudgetExceeded, ContentDivisible, CriterionFailed, InvalidParams, InvariantViolated,
+)
 from .sparsepoly import SparsePoly
 
 DEFAULT_BUDGET = 10 ** 8
@@ -169,6 +170,19 @@ def _rescale(f: SparsePoly, p: int, v: int) -> SparsePoly:
     return g
 
 
+def _integral_valuations(f: SparsePoly, p: int) -> list[int]:
+    """Integral v with min_k(o_k + v a_k), o_k = ord_p c_k, attained twice, largest
+    first: the only valuations of roots in Q_p (the oracle's own sweep)."""
+    pts = [(a, ord_int(c, p)) for a, c in f.terms]
+    found = set()
+    for i, (ai, oi) in enumerate(pts):
+        for aj, oj in pts[i + 1:]:
+            v, rem = divmod(oi - oj, aj - ai)
+            if rem == 0 and oi + v * ai == min(o + v * a for a, o in pts):
+                found.add(v)
+    return sorted(found, reverse=True)
+
+
 def _degenerate_binomial(f: SparsePoly) -> tuple[int, Fraction] | None:
     """(r, T) with the degenerate roots of f exactly the roots of x^r = T.
 
@@ -196,6 +210,8 @@ def _degenerate_binomial(f: SparsePoly) -> tuple[int, Fraction] | None:
 def count_qp_roots(f: SparsePoly, p: int, budget: int = DEFAULT_BUDGET) -> OracleRootSet:
     """Count the roots of f in Q_p: valuation sweep + Hensel certification,
     plus the exact-rational sidecar for degenerate trinomial roots."""
+    if not is_prime(p):
+        raise InvalidParams(f"{p} is not prime")
     if f.is_zero:
         raise ValueError("zero polynomial")
     body, a1 = f, 0
@@ -233,7 +249,7 @@ def count_qp_roots(f: SparsePoly, p: int, budget: int = DEFAULT_BUDGET) -> Oracl
                 }
             )
 
-    for v, _mult in integral_valuation_candidates(body, p):
+    for v in _integral_valuations(body, p):
         g = _rescale(body, p, v)
         skip = degen_prefixes_by_val.get(v, [])
         n, certified = _certify_count(g, p, skip, budget)

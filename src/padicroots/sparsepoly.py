@@ -14,14 +14,11 @@ import re
 from dataclasses import dataclass
 
 from .arith import ord_int
-from .errors import (
-    ContentDivisible,
-    DivisibilityViolation,
-    ExponentOverflow,
-    ParseError,
-)
+from .errors import BudgetExceeded, DivisibilityViolation, ExponentOverflow, ParseError
 
 MAX_EXPONENT = 2 ** 63 - 1
+# largest power of p, in bits, that rescale_for_valuation builds
+MAX_RESCALE_BITS = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -151,14 +148,14 @@ def parse_poly(text: str) -> SparsePoly:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ParseError(f"cannot parse term {chunk!r}")
+        if m.group("var") is None and m.group("exp") is not None:
+            raise ParseError(f"exponent without variable in {chunk!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coeff = sign * int(m.group("coeff")) if m.group("coeff") is not None else sign
-        if m.group("var") is None:
-            if m.group("exp") is not None:
-                raise ParseError(f"exponent without variable in {chunk!r}")
-            a = 0
-        else:
-            a = int(m.group("exp")) if m.group("exp") is not None else 1
+        try:  # int() refuses digit strings over the interpreter's limit
+            coeff = sign * int(m.group("coeff") or 1)
+            a = int(m.group("exp") or 1) if m.group("var") else 0
+        except ValueError as exc:
+            raise ParseError(f"cannot read {chunk[:40]!r}...: {exc}") from exc
         if a > MAX_EXPONENT:
             raise ExponentOverflow(f"exponent {a} exceeds 2^63 - 1")
         pairs.append((a, coeff))
@@ -239,30 +236,19 @@ def strip_zero_root(f: SparsePoly) -> tuple[SparsePoly, int]:
     return SparsePoly(tuple((a - a1, c) for a, c in f.terms)), a1
 
 
-def strip_content_p(f: SparsePoly, p: int) -> tuple[SparsePoly, int]:
-    """Divide out the p-part of the content; returns (f / p^m, m)."""
-    m = f.content_p(p)
-    if m == 0:
-        return f, 0
-    q = p ** m
-    return SparsePoly(tuple((a, c // q) for a, c in f.terms)), m
-
-
-def rescale_for_valuation(f: SparsePoly, p: int, v: int) -> tuple[SparsePoly, int]:
+def rescale_for_valuation(f: SparsePoly, p: int, v: int) -> SparsePoly:
     """Integerized, content-free image of f(p^v x).
 
-    Roots of f with ord_p = v correspond to unit roots of the result.
-    Returns (g, shift) with g(x) = p^shift * f(p^v x) exactly.
+    Roots of f with ord_p = v correspond to unit roots of the result.  With
+    c_i = u_i p^(o_i), p not dividing u_i, and e_i = o_i + v a_i, the result
+    is g = sum u_i p^(e_i - m) x^(a_i) with m = min e_i, so
+    g(x) p^m = f(p^v x) for every sign of v.  Each coefficient is built once,
+    at its final size; a power of p above MAX_RESCALE_BITS raises
+    BudgetExceeded before any is built.
     """
-    if v >= 0:
-        pairs = [(a, c * p ** (v * a)) for a, c in f.terms]
-        shift = 0
-    else:
-        top = f.degree
-        pairs = [(a, c * p ** ((-v) * (top - a))) for a, c in f.terms]
-        shift = -v * top
-    g = SparsePoly(tuple(pairs))
-    g, m = strip_content_p(g, p)
-    if g.is_zero:
-        raise ContentDivisible("polynomial vanished after content removal")
-    return g, shift - m
+    parts = [(a, c // p ** o, o + v * a) for a, c in f.terms for o in [ord_int(c, p)]]
+    m = min(e for _, _, e in parts)
+    top = max(e for _, _, e in parts) - m
+    if top * math.log2(p) > MAX_RESCALE_BITS:
+        raise BudgetExceeded(f"valuation {v} needs {p}^{top}, over {MAX_RESCALE_BITS} bits")
+    return SparsePoly(tuple((a, u * p ** (e - m)) for a, u, e in parts))

@@ -283,11 +283,12 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL) -> SolveResult:
     """Count and approximate all roots in Q_p of c1 + c2 x^a2 + c3 x^a3.
 
     The constant term is nonzero, so 0 is never a root; solve_sparse
-    validates the mode and handles a factor x^a1.  A valuation that holds
+    validates the mode and handles a factor x^a1.  Candidate valuations
+    are taken in polygon order: rescale (BudgetExceeded past
+    MAX_RESCALE_BITS), plan, then build the ladder.  A valuation that holds
     a degenerate root never gets a mature tree (stabilized_tree), so its
-    ladder runs to the cap; a cap above K_BUILD_LIMIT raises
-    BudgetExceeded, checked before any other valuation is rescaled, since
-    rescaling alone can be out of reach at large degree.
+    ladder runs to the cap; a cap above K_BUILD_LIMIT raises BudgetExceeded
+    before that ladder is built.
     """
     p = inp.p
     if mode == MODE_SMALL_GCD:
@@ -305,24 +306,17 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL) -> SolveResult:
     if mode == MODE_RESTRICTED:
         roots = _msd_one(roots)
 
-    def rescaled(v: int) -> tuple[SparsePoly, int]:
-        g, _shift = rescale_for_valuation(body, p, v)
-        return g, precision_plan(inp, report, height=g.max_abs_coeff()).k
-
-    ready = {}
-    if roots:  # every root of x^r = T has the valuation ord_p(T) / r
-        v = roots[0].valuation
-        ready[v] = rescaled(v)
-        if ready[v][1] > K_BUILD_LIMIT:
-            raise BudgetExceeded(
-                f"valuation {v} holds a degenerate root and needs k = {ready[v][1]}"
-                f" > {K_BUILD_LIMIT}"
-            )
-
+    # every root of x^r = T has the valuation ord_p(T) / r
+    degenerate_v = roots[0].valuation if roots else None
     candidates = integral_valuation_candidates(body, p)
     root_digits = "one" if mode == MODE_RESTRICTED else "nonzero"
     for v, _mult in candidates:
-        g, k_cap = ready.get(v) or rescaled(v)
+        g = rescale_for_valuation(body, p, v)
+        k_cap = precision_plan(inp, report, height=g.max_abs_coeff()).k
+        if v == degenerate_v and k_cap > K_BUILD_LIMIT:
+            raise BudgetExceeded(
+                f"valuation {v} holds a degenerate root and needs k = {k_cap} > {K_BUILD_LIMIT}"
+            )
         got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, min(6, k_cap))
         roots.extend(got)
         outcomes.append(outcome)

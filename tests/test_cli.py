@@ -1,7 +1,10 @@
+import ast
 import json
+import time
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from padicroots.cli import main
 from padicroots.sparsepoly import parse_poly, parse_poly_json
@@ -54,6 +57,15 @@ def test_polygon_subcommand(capsys):
     assert [e["length"] for e in payload["edges"]] == [1, 1, 3]
 
 
+def test_polygon_arch_needs_no_p(capsys):
+    # the README example, verbatim
+    code, out, _ = run_cli(capsys, "polygon", "--arch", "x^5 - 64*x^2 + 32*x - 4")
+    assert code == 0
+    assert [ast.literal_eval(line)["length"] for line in out.splitlines()] == [1, 1, 3]
+    # the p-adic polygon still needs p
+    assert run_cli(capsys, "polygon", "x^5 - 64*x^2 + 32*x - 4")[0] == 2
+
+
 def test_tree_subcommand(capsys):
     code, out, _ = run_cli(capsys, "tree", "--p", "17", "--k", "3", "1 - x^340", "--json")
     payload = json.loads(out)
@@ -79,6 +91,15 @@ def test_bounds_subcommand(capsys):
     assert payload["degenerate_gap_log"] > 900
 
 
+@pytest.mark.parametrize(
+    "p, d, H", [("3", "1", "738"), ("3", "20", "0"), ("4", "20", "738")]
+)
+def test_bounds_rejects_params_outside_the_domain(capsys, p, d, H):
+    code, out, err = run_cli(capsys, "bounds", "--p", p, "--d", d, "--H", H)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_tetra_subcommand(capsys):
     code, out, _ = run_cli(capsys, "tetra", "--p", "3", "--h", "3", "--d", "4", "--json")
     payload = json.loads(out)
@@ -91,6 +112,31 @@ def test_oracle_subcommand(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("oracle.json"))
     assert payload["count"] == 6
+
+
+def test_oracle_rejects_non_prime(capsys):
+    code, _, err = run_cli(capsys, "oracle", "--p", "4", "x^2-7")
+    assert code == 1 and "not prime" in err
+
+
+def test_long_coefficient_is_an_error_not_a_crash(capsys):
+    # a coefficient over the interpreter's 4300-digit string limit
+    poly = "1 + " + "7" * 5000 + "*x + x^2"
+    code, out, err = run_cli(capsys, "count", "--p", "5", poly)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "count", "--p", "5", poly, "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_huge_rescale_is_refused_at_once(capsys):
+    # the v = 1 rescale would need 3^(2^30 - 2); refused before it is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--p", "3", "9 - x^2 + x^1073741824", "--json")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert json.loads(out)["error"] == "BudgetExceeded"
 
 
 def test_exit_codes(capsys):
@@ -112,3 +158,8 @@ def test_removed_options_are_usage_errors(capsys):
 
 def test_usage_error_on_missing_p(capsys):
     assert run_cli(capsys, "solve", "x^2 - 1")[0] == 2
+
+
+def test_usage_error_on_digits_below_one(capsys):
+    for digits in ("0", "-2"):
+        assert run_cli(capsys, "solve", "--p", "17", "1 - x^340", "--digits", digits)[0] == 2

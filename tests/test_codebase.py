@@ -66,3 +66,16 @@ def test_every_definition_is_used():
             ):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_oracle_shares_only_arith_errors_and_container():
+    """The oracle is an independent check: it imports nothing of the
+    solver, only `arith`, `errors` and the `SparsePoly` container."""
+    found = set()
+    for node in ast.walk(_parsed()["oracle.py"]):
+        if isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    package = {name for name in found if name.startswith((".", "padicroots"))}
+    assert package <= {".arith", ".errors", ".sparsepoly"}, package

@@ -240,7 +240,7 @@ def test_mature_tree_is_exact(rng):
             # p-power coefficients push s-values and digit chains up
             f = SparsePoly(tuple((a, c * p ** rng.choice([0, 0, 1, 3])) for a, c in f.terms))
         for v, _ in integral_valuation_candidates(f, p):
-            g, _ = rescale_for_valuation(f, p, v)
+            g = rescale_for_valuation(f, p, v)
             for k in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24):
                 tree = build_tree(g, PAdicContext(p, k), root_digits="nonzero")
                 if tree.immature:

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicroots.arith import PAdicContext
-from padicroots.errors import ParseError
+from padicroots.arith import PAdicContext, ord_int
+from padicroots.errors import BudgetExceeded, ParseError
+from padicroots.newton_polygon import integral_valuation_candidates
 from padicroots.sparsepoly import (
     SparsePoly,
     parse_poly,
     parse_poly_json,
+    rescale_for_valuation,
     shift_rescale,
     taylor_coeffs_mod,
 )
@@ -35,6 +37,16 @@ def test_parse_rejects_garbage():
     for bad in ["", "x +", "3*y", "x^", "x^2^3", "0"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+def test_parse_long_coefficient_is_a_parse_error():
+    # past the interpreter's 4300-digit string limit int() raises ValueError
+    with pytest.raises(ParseError):
+        parse_poly("1 + " + "7" * 5000 + "*x + x^2")
+    with pytest.raises(ParseError):
+        parse_poly("1 + x^" + "7" * 5000)
+    with pytest.raises(ParseError):
+        parse_poly_json({"terms": [[0, "7" * 5000]]})
 
 
 def test_text_json_round_trip(rng):
@@ -122,3 +134,43 @@ def test_shift_then_eval_matches_direct(p, digit, data):
         lhs = p ** s * shifted.eval_mod(x, ctx.modulus) % ctx.modulus
         rhs = f.eval_mod(digit + p * x, ctx.modulus)
         assert (lhs - rhs) % p ** k == 0
+
+
+def _build_then_strip(f, p, v):
+    """Reference rescale: build f(p^v x), times p^(-v deg f) when v < 0, at
+    full size, then divide out the p-part of the content."""
+    if v >= 0:
+        pairs = [(a, c * p ** (v * a)) for a, c in f.terms]
+    else:
+        pairs = [(a, c * p ** (-v * (f.degree - a))) for a, c in f.terms]
+    m = min(ord_int(c, p) for _, c in pairs)
+    return SparsePoly(tuple((a, c // p ** m) for a, c in pairs))
+
+
+def test_rescale_matches_build_then_strip():
+    """g = sum u_i p^(e_i - m) x^(a_i) is the integral, content-free g with
+    g(x) p^m = f(p^v x), at the polygon's valuations of both signs."""
+    rng = random.Random(0x5CA1E)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for _ in range(2400):
+        p = rng.choice([2, 3, 5, 7, 11])
+        exps = sorted(rng.sample(range(0, 30), rng.randint(1, 4)))
+        f = SparsePoly(tuple(
+            (a, rng.choice([-1, 1]) * rng.randint(1, 60) * p ** rng.choice([0, 0, 1, 2, 4, 7]))
+            for a in exps
+        ))
+        for v in [v for v, _ in integral_valuation_candidates(f, p)] + [rng.randint(-3, 3)]:
+            g = rescale_for_valuation(f, p, v)
+            assert g == _build_then_strip(f, p, v), (f.to_text(), p, v)
+            assert g.content_p(p) == 0
+            signs[(v > 0) - (v < 0)] += 1
+    assert min(signs.values()) > 800
+
+
+def test_rescale_budget():
+    # 3^(2^30) has about 1.7e9 bits: refused before anything is built
+    f = parse_poly("9 - x^2 + x^1073741824")
+    with pytest.raises(BudgetExceeded):
+        rescale_for_valuation(f, 3, 1)
+    g = rescale_for_valuation(parse_poly("3 - x + x^1000000"), 3, 0)
+    assert g.terms == ((0, 3), (1, -1), (1000000, 1))
