@@ -5,7 +5,7 @@ by an integrality test on the coefficient valuations and a single power
 test in Z/(p^(2*ell+1)) with ell = ord_p d.  Start points come from a
 brute-force coset ladder in F_p*, plus one exact digit-correction step when
 p | d, and are refined until they carry at least two certified digits of
-their Newton target.
+their Newton target.  A count-only solve stops after the power test.
 """
 
 from __future__ import annotations
@@ -100,8 +100,15 @@ def _first_digits(c1u: int, c2u: int, d: int, p: int) -> list[int]:
     return binomial_coset_roots(c_res, gamma, p)
 
 
-def solve_binomial(inp: BinomialInput) -> BinomialSolveResult:
-    """Certified approximate roots for all roots of c1 + c2 x^d in Q_p."""
+def solve_binomial(
+    inp: BinomialInput, msd_one: bool = False, certify: bool = True
+) -> BinomialSolveResult:
+    """Certified approximate roots for all roots of c1 + c2 x^d in Q_p.
+
+    msd_one keeps only the roots of the form p^j(1 + O(p)).  With
+    certify=False the roots are counted, not found: the result has the
+    count and the reason, no roots, and costs the one power test.
+    """
     p = inp.p
     check_prime_cap(p)
     c1, c2, d, inverted = _normalized(inp)
@@ -110,6 +117,16 @@ def solve_binomial(inp: BinomialInput) -> BinomialSolveResult:
         return BinomialSolveResult(count=0, roots=[], reason=reason)
     gamma = math.gcd(d, p - 1) if p > 2 else math.gcd(d, 2)
     c1u, c2u = c1 // p ** v1, c2 // p ** v2
+    if not certify:
+        if msd_one and p > 2:
+            # the unit roots y are y0 times the gamma-th roots of unity, so
+            # they reduce to gamma distinct solutions of c1u + c2u y^d = 0
+            # in F_p, which has no others: one root has first digit 1
+            # exactly when y = 1 solves it mod p (1/y, an inverted root's
+            # unit part, has first digit 1 when y does).  At p = 2 every
+            # unit has first digit 1.
+            gamma = 1 if (c1u + c2u) % p == 0 else 0
+        return BinomialSolveResult(count=gamma, roots=[], reason=None)
     # unit root of c1u + c2u y^d; true root is y * p^((v1 - v2)/d), then
     # inverted when the original degree was negative
     val = (v1 - v2) // d
@@ -143,6 +160,8 @@ def solve_binomial(inp: BinomialInput) -> BinomialSolveResult:
                 inverted=inverted,
             )
         )
+    if msd_one:
+        roots = [rt for rt in roots if rt.unit_digits(1) == (1,)]
     return BinomialSolveResult(count=len(roots), roots=roots, reason=None)
 
 

@@ -62,7 +62,8 @@ def _solve_json(res, f: SparsePoly, digits: int | None):
 
 def _cmd_solve(args) -> int:
     f = parse_poly(args.poly)
-    res = solve_sparse(f, args.p, mode=args.mode)
+    # count prints no roots, so it certifies none
+    res = solve_sparse(f, args.p, mode=args.mode, certify=not args.count_only)
     if args.count_only:
         payload = {"p": res.p, "count": res.root_count, "mode": res.mode}
         print(json.dumps(payload) if args.json else f"{res.root_count}")

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import is_prime, ord_int, xgcd
-from .errors import (
-    BudgetExceeded, ContentDivisible, CriterionFailed, InvalidParams, InvariantViolated,
-)
+from .errors import BudgetExceeded, CriterionFailed, InvalidParams, InvariantViolated
 from .sparsepoly import SparsePoly
 
 DEFAULT_BUDGET = 10 ** 8
+MAX_POWER_BITS = 2 ** 23  # largest power, in bits, that the oracle builds
 HARD_K_CAP = 64
 
 
@@ -154,20 +153,19 @@ def _certify_count(
 
 
 def _rescale(f: SparsePoly, p: int, v: int) -> SparsePoly:
-    """Content-free integerization of f(p^v x) (oracle-local copy)."""
-    if v >= 0:
-        pairs = [(a, c * p ** (v * a)) for a, c in f.terms]
-    else:
-        top = f.degree
-        pairs = [(a, c * p ** ((-v) * (top - a))) for a, c in f.terms]
-    g = SparsePoly(tuple(pairs))
-    m = g.content_p(p)
-    if m:
-        q = p ** m
-        g = SparsePoly(tuple((a, c // q) for a, c in g.terms))
-    if g.is_zero:
-        raise ContentDivisible("rescaled polynomial vanished")
-    return g
+    """Content-free integerization of f(p^v x) (oracle-local copy).
+
+    Built from the coefficients' orders: c_a = u_a p^(o_a) with p not
+    dividing u_a gives the term u_a p^(o_a + v a - m) x^a, m the least of
+    the o_a + v a, for either sign of v.  A power of p over
+    MAX_POWER_BITS raises BudgetExceeded before any term is built.
+    """
+    terms = [(a, c, ord_int(c, p)) for a, c in f.terms]
+    m = min(o + v * a for a, _, o in terms)
+    top = max(o + v * a for a, _, o in terms) - m
+    if top * math.log2(p) > MAX_POWER_BITS:
+        raise BudgetExceeded(f"rescale to valuation {v} needs {p}^{top}, over {MAX_POWER_BITS} bits")
+    return SparsePoly(tuple((a, c // p ** o * p ** (o + v * a - m)) for a, c, o in terms))
 
 
 def _integral_valuations(f: SparsePoly, p: int) -> list[int]:
@@ -181,6 +179,24 @@ def _integral_valuations(f: SparsePoly, p: int) -> list[int]:
             if rem == 0 and oi + v * ai == min(o + v * a for a, o in pts):
                 found.add(v)
     return sorted(found, reverse=True)
+
+
+def _powers_equal(x: int, m: int, y: int, n: int) -> bool:
+    """x^m == y^n for x, y, m, n >= 1.
+
+    x >= 2 gives x^m a bit length in [m(bl(x) - 1) + 1, m bl(x)], so
+    disjoint ranges decide without a power; equal powers over
+    MAX_POWER_BITS raise BudgetExceeded instead of being built.
+    """
+    if x == 1 or y == 1:
+        return x == y
+    if m * x.bit_length() < n * (y.bit_length() - 1) + 1 or (
+        n * y.bit_length() < m * (x.bit_length() - 1) + 1
+    ):
+        return False
+    if m * x.bit_length() > MAX_POWER_BITS:
+        raise BudgetExceeded(f"degeneracy check needs a power of {m * x.bit_length()} bits")
+    return x ** m == y ** n
 
 
 def _degenerate_binomial(f: SparsePoly) -> tuple[int, Fraction] | None:
@@ -198,7 +214,12 @@ def _degenerate_binomial(f: SparsePoly) -> tuple[int, Fraction] | None:
     B = Fraction(c1 * a2, (a3 - a2) * c3)  # tau^a3
     if A == 0 or B == 0:
         return None
-    if A ** ab3 != B ** ab2:
+    # A^ab3 == B^ab2, sign, numerator and denominator apart
+    if not (
+        (A > 0 or ab3 % 2 == 0) == (B > 0 or ab2 % 2 == 0)
+        and _powers_equal(abs(A.numerator), ab3, abs(B.numerator), ab2)
+        and _powers_equal(A.denominator, ab3, B.denominator, ab2)
+    ):
         return None
     g, alpha, beta = xgcd(a2, a3)
     if g != r:  # xgcd lives in arith, outside the oracle; check it independently

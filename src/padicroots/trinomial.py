@@ -5,7 +5,9 @@ through an exact binomial encoding x^r = T; non-degenerate roots per
 valuation through digit trees built at doubling precision until one is
 mature, capped by the worst-case precision plan.
 Every emitted root carries a Newton certificate; totals match the number
-of distinct roots of f in Q_p.
+of distinct roots of f in Q_p.  A count-only solve (certify=False) gives
+the same totals from the binomial power test and the trees' simple mod-p
+roots, and certifies nothing.
 
 Degeneracy is decided exactly at every degree.  A repeated root tau != 0
 has tau^a2 = A and tau^a3 = B, two rationals fixed by the coefficients, so
@@ -21,7 +23,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arith import is_prime, ord_int
-from .binomial import REASON_NO_INTEGRAL_VALUATION, BinomialInput, solve_binomial
+from .binomial import (
+    REASON_NO_INTEGRAL_VALUATION, BinomialInput, BinomialSolveResult, solve_binomial,
+)
 from .bounds import trinomial_separation_bound
 from .errors import BudgetExceeded, InvalidParams, InvariantViolated, ModeHypothesisViolated
 from .fp import gcd_with_frobenius
@@ -161,14 +165,18 @@ def discriminant_tri(inp: TrinomialInput) -> DiscriminantReport:
     return DiscriminantReport(T=T, r=r, abar2=ab2, abar3=ab3)
 
 
-def degenerate_roots_qp(inp: TrinomialInput, report: DiscriminantReport) -> list[ApproximateRoot]:
-    """All degenerate roots of f in Q_p, each of multiplicity 2: the roots
-    of the encoding binomial x^r = T, solved over Q_p."""
+def degenerate_roots_qp(
+    inp: TrinomialInput, report: DiscriminantReport, msd_one: bool = False, certify: bool = True
+) -> BinomialSolveResult:
+    """The degenerate roots of f in Q_p, each of multiplicity 2: the roots
+    of the encoding binomial x^r = T, solved over Q_p (solve_binomial's
+    msd_one and certify)."""
     if report.T is None:
-        return []
+        return BinomialSolveResult(count=0, roots=[], reason=None)
     enc = BinomialInput(c1=-report.T.numerator, c2=report.T.denominator, d=report.r, p=inp.p)
-    res = solve_binomial(enc)
-    return [replace(root, degenerate=True, multiplicity=2) for root in res.roots]
+    res = solve_binomial(enc, msd_one=msd_one, certify=certify)
+    roots = [replace(root, degenerate=True, multiplicity=2) for root in res.roots]
+    return replace(res, roots=roots)
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,7 @@ class CandidateOutcome:
 class SolveResult:
     p: int
     root_count: int
-    roots: list[ApproximateRoot]
+    roots: list[ApproximateRoot]  # empty when solved with certify=False
     mode: str
     zero_root_multiplicity: int = 0
     # trinomials only
@@ -241,11 +249,12 @@ class SolveResult:
 
 
 def _harvest_tree(
-    g: SparsePoly, p: int, v: int, k_cap: int, root_digits: str, k_start: int
+    g: SparsePoly, p: int, v: int, k_cap: int, root_digits: str, k_start: int, certify: bool
 ) -> tuple[list[ApproximateRoot], CandidateOutcome]:
-    """Non-degenerate valuation-v roots from the digit tree of g."""
+    """Non-degenerate valuation-v roots from the digit tree of g: one per
+    simple root of a node's reduction, certified only when certify is set."""
     st = stabilized_tree(g, p, k_start=k_start, k_cap=k_cap, root_digits=root_digits)
-    roots = []
+    roots, count = [], 0
     for node in st.tree.root.walk():
         if node.depth >= 1:
             # dual-route check: Frobenius gcd count vs the exhaustive scan
@@ -255,6 +264,9 @@ def _harvest_tree(
                 raise InvariantViolated(
                     f"root-count cross-check failed at {node.digits(p)}: {distinct} != {found}"
                 )
+        count += node.n_p
+        if not certify:
+            continue
         i = node.depth
         for z in node.nondegenerate_roots:
             start = node.mu + z * p ** i
@@ -269,17 +281,12 @@ def _harvest_tree(
                 )
             )
     outcome = CandidateOutcome(
-        valuation=v, k_used=st.k_used, stabilized=st.stabilized, count=len(roots)
+        valuation=v, k_used=st.k_used, stabilized=st.stabilized, count=count
     )
     return roots, outcome
 
 
-def _msd_one(roots: list[ApproximateRoot]) -> list[ApproximateRoot]:
-    """The roots of the form p^j(1 + O(p)): most significant digit 1."""
-    return [rt for rt in roots if rt.unit_digits(1) == (1,)]
-
-
-def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL) -> SolveResult:
+def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = True) -> SolveResult:
     """Count and approximate all roots in Q_p of c1 + c2 x^a2 + c3 x^a3.
 
     The constant term is nonzero, so 0 is never a root; solve_sparse
@@ -288,7 +295,8 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL) -> SolveResult:
     MAX_RESCALE_BITS), plan, then build the ladder.  A valuation that holds
     a degenerate root never gets a mature tree (stabilized_tree), so its
     ladder runs to the cap; a cap above K_BUILD_LIMIT raises BudgetExceeded
-    before that ladder is built.
+    before that ladder is built.  certify=False counts without
+    certificates (solve_sparse).
     """
     p = inp.p
     if mode == MODE_SMALL_GCD:
@@ -302,14 +310,16 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL) -> SolveResult:
     outcomes: list[CandidateOutcome] = []
 
     report = discriminant_tri(inp)
-    roots = degenerate_roots_qp(inp, report)
-    if mode == MODE_RESTRICTED:
-        roots = _msd_one(roots)
+    msd_one = mode == MODE_RESTRICTED
+    degenerate = degenerate_roots_qp(inp, report, msd_one=msd_one, certify=certify)
+    roots, count = degenerate.roots, degenerate.count
 
-    # every root of x^r = T has the valuation ord_p(T) / r
-    degenerate_v = roots[0].valuation if roots else None
+    degenerate_v = None
+    if count:  # every root of x^r = T has the valuation ord_p(T) / r
+        T = report.T
+        degenerate_v = (ord_int(T.numerator, p) - ord_int(T.denominator, p)) // report.r
     candidates = integral_valuation_candidates(body, p)
-    root_digits = "one" if mode == MODE_RESTRICTED else "nonzero"
+    root_digits = "one" if msd_one else "nonzero"
     for v, _mult in candidates:
         g = rescale_for_valuation(body, p, v)
         k_cap = precision_plan(inp, report, height=g.max_abs_coeff()).k
@@ -317,14 +327,15 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL) -> SolveResult:
             raise BudgetExceeded(
                 f"valuation {v} holds a degenerate root and needs k = {k_cap} > {K_BUILD_LIMIT}"
             )
-        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, min(6, k_cap))
+        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, min(6, k_cap), certify)
         roots.extend(got)
+        count += outcome.count
         outcomes.append(outcome)
 
     roots.sort(key=lambda rt: (rt.valuation, rt.unit_residue % rt.p, rt.unit_residue))
     return SolveResult(
         p=p,
-        root_count=len(roots),
+        root_count=count,
         roots=roots,
         mode=mode,
         candidates=outcomes,
@@ -343,13 +354,23 @@ def refine_root(root: ApproximateRoot, steps: int, buffer: int = 4) -> Approxima
     return replace(root, unit_residue=z, precision=got)
 
 
-def solve_sparse(f: SparsePoly, p: int, mode: str = MODE_FULL) -> SolveResult:
+def solve_sparse(
+    f: SparsePoly, p: int, mode: str = MODE_FULL, certify: bool = True
+) -> SolveResult:
     """Count and approximate the roots in Q_p of a 1-, 2- or 3-term polynomial.
 
     The one entry point that validates p and mode.  It strips x^a1, solves
     the body (a nonzero constant, a binomial or a trinomial) and counts 0
     as one more root when a1 > 0.  Restricted mode never counts 0, which
     is not of the form p^j(1 + O(p)); zero_root_multiplicity still reports it.
+
+    certify=False counts only: the result is the certifying one with roots
+    empty, and each input raises the same error type.  A binomial, and the
+    degenerate encoding x^r = T, costs one power test; a digit tree counts
+    the simple roots of its nodes' reductions.  Nothing is Newton-certified
+    and no F_p coset is walked; restricted mode reads each root's first
+    digit from the tree (root_digits="one") or from the binomial's residue
+    test (is 1 a root mod p?).
     """
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
@@ -362,17 +383,20 @@ def solve_sparse(f: SparsePoly, p: int, mode: str = MODE_FULL) -> SolveResult:
         )
     if body.term_count == 3:
         inp, _ = TrinomialInput.from_poly(body, p)
-        res = solve_trinomial(inp, mode=mode)
+        res = solve_trinomial(inp, mode=mode, certify=certify)
     else:
-        roots, reason = [], None
+        sol = BinomialSolveResult(count=0, roots=[], reason=None)
         if body.term_count == 2:
             (_, c1), (d, c2) = body.terms
-            sol = solve_binomial(BinomialInput(c1=c1, c2=c2, d=d, p=p))
-            roots = _msd_one(sol.roots) if mode == MODE_RESTRICTED else sol.roots
-            reason = sol.reason
-        res = SolveResult(p=p, root_count=len(roots), roots=roots, mode=mode, reason=reason)
+            sol = solve_binomial(
+                BinomialInput(c1=c1, c2=c2, d=d, p=p),
+                msd_one=mode == MODE_RESTRICTED,
+                certify=certify,
+            )
+        res = SolveResult(p=p, root_count=sol.count, roots=sol.roots, mode=mode, reason=sol.reason)
     res.zero_root_multiplicity = a1
-    res.root_count = len(res.roots) + (1 if a1 and mode != MODE_RESTRICTED else 0)
+    if a1 and mode != MODE_RESTRICTED:
+        res.root_count += 1
     if res.root_count:
         res.reason = None
     return res

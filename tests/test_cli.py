@@ -139,6 +139,26 @@ def test_huge_rescale_is_refused_at_once(capsys):
     assert json.loads(out)["error"] == "BudgetExceeded"
 
 
+def test_oracle_rescale_is_budgeted(capsys):
+    # built from the coefficients' orders, 1 + ... + 3^99999 x^100000 at v = 1
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "oracle", "--p", "3", "3 - x + x^100000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and json.loads(out)["count"] == 1
+    # the v = 1 rescale would need 3^(2^30 - 2); refused before it is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--p", "3", "9 - x^2 + x^1073741824", "--json")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and json.loads(out)["error"] == "BudgetExceeded"
+
+
+def test_prime_cap_on_both_paths(capsys):
+    # count certifies nothing, yet refuses the same p that solve refuses
+    for command in ("solve", "count"):
+        code, out, _ = run_cli(capsys, command, "--p", "100003", "1 - x^2", "--json")
+        assert code == 1 and json.loads(out)["error"] == "PrimeTooLarge"
+
+
 def test_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "solve", "--p", "4", "x^2 - 1")
     assert code == 1  # 4 is not prime -> computational error path

@@ -1,5 +1,6 @@
 """Seeded fuzz gate over the documented domain: every input gets the
-oracle's count or a typed PadicError, never a Python crash or a wrong count.
+oracle's count or a typed PadicError, never a Python crash or a wrong count,
+from the certifying solve and from the count-only one alike.
 
 InvariantViolated is a PadicError too, but it means the solver caught
 itself in a contradiction, so it fails the gate.  The inputs are fixed by
@@ -73,20 +74,26 @@ def _inputs(rng):
 
 
 def _check(f, p, seen):
+    """Both paths, certifying and count-only, against the oracle: the same
+    count, or the same PadicError type on both."""
     try:
         want = count_qp_roots(f, p).qp_count
     except BudgetExceeded:
         seen["skipped"] += 1
         return None
-    try:
-        got = solve_sparse(f, p).root_count
-    except InvariantViolated as exc:
-        return repr(exc)
-    except PadicError:
+    got = []
+    for certify in (True, False):
+        try:
+            got.append(solve_sparse(f, p, certify=certify).root_count)
+        except InvariantViolated as exc:
+            return repr(exc)
+        except PadicError as exc:
+            got.append(type(exc))
+    if isinstance(got[0], type) and got[0] == got[1]:
         seen["typed"] += 1
         return None
     seen["compared"] += 1
-    return None if got == want else f"count {got}, oracle {want}"
+    return None if got == [want, want] else f"count {got[0]}, count-only {got[1]}, oracle {want}"
 
 
 def test_fuzz_gate_matches_oracle():

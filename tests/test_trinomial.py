@@ -153,7 +153,7 @@ def test_discriminant_not_fooled_by_a_modular_false_zero():
     assert all(delta_tri(inp) % q == 0 for q in pool) and delta_tri(inp) != 0
     rep = discriminant_tri(inp)
     assert not rep.is_zero
-    assert degenerate_roots_qp(inp, rep) == []
+    assert degenerate_roots_qp(inp, rep).roots == []
     f = inp.poly
     assert [solve_sparse(f, p).root_count for p in (3, 5, 7)] == [0, 1, 1]
 
@@ -177,12 +177,14 @@ def test_discriminant_not_fooled_by_a_modular_false_zero():
 def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
     """Each gives the oracle's count or BudgetExceeded: (a) and (d) from the
     rescale, whose power of p is above MAX_RESCALE_BITS, (b) and (f) because
-    the valuation of their degenerate root needs a ladder above K_BUILD_LIMIT."""
-    if want == "oracle":
-        assert solve_sparse(f, p).root_count == count_qp_roots(f, p).qp_count
-    else:
-        with pytest.raises(want):
-            solve_sparse(f, p)
+    the valuation of their degenerate root needs a ladder above K_BUILD_LIMIT.
+    The count-only path (`padicroots count`) gives the same outcome."""
+    for certify in (True, False):
+        if want == "oracle":
+            assert solve_sparse(f, p, certify=certify).root_count == count_qp_roots(f, p).qp_count
+        else:
+            with pytest.raises(want):
+                solve_sparse(f, p, certify=certify)
 
 
 @pytest.mark.parametrize("d", [100_000, 1_000_000])
@@ -200,13 +202,13 @@ def test_rescale_cost_does_not_grow_with_degree(d):
 
 def test_degenerate_roots_examples():
     inp = TrinomialInput(1, -2, 1, 1, 2, 5)
-    roots = degenerate_roots_qp(inp, discriminant_tri(inp))
+    roots = degenerate_roots_qp(inp, discriminant_tri(inp)).roots
     assert len(roots) == 1 and roots[0].value == 1 and roots[0].multiplicity == 2
     inp = TrinomialInput(4, -4, 1, 1, 2, 7)
-    roots = degenerate_roots_qp(inp, discriminant_tri(inp))
+    roots = degenerate_roots_qp(inp, discriminant_tri(inp)).roots
     assert len(roots) == 1 and roots[0].value == 2
     inp = TrinomialInput(1, -2, 1, 3, 6, 7)  # (x^3 - 1)^2
-    roots = degenerate_roots_qp(inp, discriminant_tri(inp))
+    roots = degenerate_roots_qp(inp, discriminant_tri(inp)).roots
     assert sorted(r.unit_digits(1)[0] for r in roots) == [1, 2, 4]
     assert all(r.degenerate for r in roots)
 
