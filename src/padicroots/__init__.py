@@ -3,7 +3,7 @@ sparse integer polynomials (binomials and trinomials, with an adversarial
 tetranomial generator), validated against a brute-force oracle."""
 
 from .arith import PAdicContext, ord_int, ord_rat, mod_pow, mod_inv, log_height
-from .binomial import BinomialInput, count_binomial_roots, separation_binomial, solve_binomial
+from .binomial import BinomialInput, separation_binomial, solve_binomial
 from .newton import ApproximateRoot
 from .newton_polygon import build_arch, build_padic, integral_valuation_candidates
 from .nodal_tree import build_tree, count_nondegenerate_roots, s_value, stabilized_tree
@@ -40,7 +40,6 @@ __all__ = [
     "build_padic",
     "build_tree",
     "collision_order",
-    "count_binomial_roots",
     "count_nondegenerate_roots",
     "count_qp_roots",
     "degenerate_roots_qp",

@@ -2,10 +2,12 @@
 
 The count is 0 or gcd(d, p-1) for odd p (0 or gcd(d, 2) for p = 2), decided
 by an integrality test on the coefficient valuations and a single power
-test in Z/(p^(2*ell+1)) with ell = ord_p d.  Start points come from a
-brute-force coset ladder in F_p*, plus one exact digit-correction step when
-p | d, and are refined until they carry at least two certified digits of
-their Newton target.  A count-only solve stops after the power test.
+test in Z/(p^(2*ell+1)) with ell = ord_p d.  The roots' first digits are
+the solutions of x^d = t in F_p*, found in one coset walk; restricted mode
+walks nothing, since its one candidate digit, 1, is tested directly.  When
+p | d one Newton step fixes the next digit, and each start is refined until
+it carries at least two certified digits of its Newton target.  A
+count-only solve stops before any root is found.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from .arith import is_prime, ord_int
 from .errors import InvalidParams
 from .fp import binomial_coset_roots, check_prime_cap
-from .newton import ApproximateRoot, certified_residue
+from .newton import ApproximateRoot, certified_residue, newton_step
 from .sparsepoly import SparsePoly
 
 REASON_NO_INTEGRAL_VALUATION = "no-integral-valuation"
@@ -79,27 +81,6 @@ def _feasible(c1: int, c2: int, d: int, p: int) -> tuple[bool, str | None, int, 
     return True, None, v1, v2, ell
 
 
-def count_binomial_roots(inp: BinomialInput) -> int:
-    """Exact number of roots of c1 + c2 x^d in Q_p."""
-    c1, c2, d, _ = _normalized(inp)
-    ok, _, _, _, _ = _feasible(c1, c2, d, inp.p)
-    if not ok:
-        return 0
-    return math.gcd(d, inp.p - 1) if inp.p > 2 else math.gcd(d, 2)
-
-
-def _first_digits(c1u: int, c2u: int, d: int, p: int) -> list[int]:
-    """Mod-p roots of c1u + c2u x^d via the generator coset ladder (odd p)."""
-    gamma = math.gcd(d, p - 1)
-    t = -c1u * pow(c2u, -1, p) % p  # x^d = t over F_p*
-    n = (p - 1) // gamma
-    # invert d/gamma mod (p-1)/gamma, then roots of x^d = t are the
-    # gamma-th roots of t^r
-    r = pow(d // gamma % n if n > 1 else 0, -1, n) if n > 1 else 0
-    c_res = pow(t, r, p) if n > 1 else t
-    return binomial_coset_roots(c_res, gamma, p)
-
-
 def solve_binomial(
     inp: BinomialInput, msd_one: bool = False, certify: bool = True
 ) -> BinomialSolveResult:
@@ -115,40 +96,35 @@ def solve_binomial(
     ok, reason, v1, v2, ell = _feasible(c1, c2, d, p)
     if not ok:
         return BinomialSolveResult(count=0, roots=[], reason=reason)
-    gamma = math.gcd(d, p - 1) if p > 2 else math.gcd(d, 2)
     c1u, c2u = c1 // p ** v1, c2 // p ** v2
+    if p == 2:  # every unit has first digit 1
+        first_digits = [1, 3][: math.gcd(d, 2)]
+    elif msd_one:
+        # the unit roots y are y0 times the gamma-th roots of unity, so
+        # they reduce to gamma distinct solutions of c1u + c2u y^d = 0
+        # in F_p, which has no others: one root has first digit 1
+        # exactly when y = 1 solves it mod p (1/y, an inverted root's
+        # unit part, has first digit 1 when y does)
+        first_digits = [1] if (c1u + c2u) % p == 0 else []
+    elif not certify:
+        return BinomialSolveResult(count=math.gcd(d, p - 1), roots=[], reason=None)
+    else:
+        first_digits = binomial_coset_roots(-c1u * pow(c2u, -1, p), d, p)
     if not certify:
-        if msd_one and p > 2:
-            # the unit roots y are y0 times the gamma-th roots of unity, so
-            # they reduce to gamma distinct solutions of c1u + c2u y^d = 0
-            # in F_p, which has no others: one root has first digit 1
-            # exactly when y = 1 solves it mod p (1/y, an inverted root's
-            # unit part, has first digit 1 when y does).  At p = 2 every
-            # unit has first digit 1.
-            gamma = 1 if (c1u + c2u) % p == 0 else 0
-        return BinomialSolveResult(count=gamma, roots=[], reason=None)
+        return BinomialSolveResult(count=len(first_digits), roots=[], reason=None)
     # unit root of c1u + c2u y^d; true root is y * p^((v1 - v2)/d), then
     # inverted when the original degree was negative
     val = (v1 - v2) // d
     target = SparsePoly.from_terms([(0, c1u), (d, c2u)])
-
-    if p == 2:
-        digit_roots = [1] if gamma == 1 else [1, 3]
-    else:
-        digit_roots = _first_digits(c1u, c2u, d, p)
     # enough certified digits that Newton on the (nodal) target gains a full
     # 2^i digits per i iterations: depth + 2 where depth = (ell >= 1)
     want = 3 if ell >= 1 else 2
     roots = []
-    for x in digit_roots:
-        z = x
+    for z in first_digits:
         if p > 2 and ell >= 1:
-            # exact next-digit correction in Z/p^2: divide the shared p^ell
-            # out of f and f' on integer representatives, then one update
-            work = p ** (ell + 2)
-            fv = (c1u + c2u * pow(x, d, work)) % work
-            dv = d * c2u * pow(x, d - 1, work) % work
-            z = (x - (fv // p ** ell) * pow(dv // p ** ell, -1, p * p)) % (p * p)
+            # ord f(z) > ell = ord f'(z): one exact Newton step fixes digit
+            # 1; at precision ell + 2 it still sees f'(z) when ell is large
+            z = newton_step(target, p, z, ell + 2)
         z, prec = certified_residue(target, p, z, want)
         roots.append(
             ApproximateRoot(
@@ -160,8 +136,6 @@ def solve_binomial(
                 inverted=inverted,
             )
         )
-    if msd_one:
-        roots = [rt for rt in roots if rt.unit_digits(1) == (1,)]
     return BinomialSolveResult(count=len(roots), roots=roots, reason=None)
 
 

@@ -8,6 +8,7 @@ Diagnostics go to stderr; results to stdout, as text or JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from . import bounds as bounds_mod
@@ -200,6 +201,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser unchanged; building it costs ~1 ms
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="padicroots",

@@ -2,12 +2,17 @@
 
 Exhaustive scans replace asymptotically-fast finite-field factoring; below
 p ~ 10^5 this is faster in practice and keeps the module dependency-free.
-The change affects running time only, never correctness.
+The change affects running time only, never correctness.  A binomial
+x^d = t is not evaluated on all of F_p: one power test decides it, and its
+roots, one coset of the gamma-th roots of unity with gamma = gcd(d, p-1),
+come from a scan of (p-1)/gamma coset representatives.
 """
 
 from __future__ import annotations
 
-from .errors import ContentDivisible, PrimeTooLarge
+import math
+
+from .errors import ContentDivisible, InvariantViolated, PrimeTooLarge
 from .sparsepoly import SparsePoly
 
 DESK_PRIME_CAP = 100_000
@@ -111,32 +116,29 @@ def generator_fp(p: int) -> int:
     raise ArithmeticError(f"no generator found for p={p}")  # unreachable for prime p
 
 
-def binomial_coset_roots(c_res: int, gamma: int, p: int) -> list[int]:
-    """All solutions of x^gamma = c_res in F_p*, or [] if there are none.
+def binomial_coset_roots(t: int, d: int, p: int) -> list[int]:
+    """All solutions of x^d = t in F_p*, sorted, or [] if there are none.
 
-    Brute-forces the first root over {g^0, ..., g^((p-1)/gamma - 1)}, then
-    walks the coset by multiplying with g^((p-1)/gamma); there are exactly
-    0 or gamma solutions.
+    With gamma = gcd(d, p-1) there are exactly 0 or gamma: t must pass the
+    power test t^((p-1)/gamma) = 1.  The first root is brute-forced over
+    the coset representatives {g^0, ..., g^((p-1)/gamma - 1)}, then the
+    coset is walked by multiplying with g^((p-1)/gamma).
     """
     check_prime_cap(p)
-    c_res %= p
-    if c_res == 0 or (p - 1) % gamma != 0:
-        return []
-    if pow(c_res, (p - 1) // gamma, p) != 1:
-        return []
-    if p == 2:
-        return [1]
-    g = generator_fp(p)
+    t %= p
+    gamma = math.gcd(d, p - 1)
     step = (p - 1) // gamma
-    x = None
-    t = 1
-    for _ in range(step):
-        if pow(t, gamma, p) == c_res:
-            x = t
-            break
-        t = t * g % p
-    if x is None:  # cannot happen once the power test passed
+    if t == 0 or pow(t, step, p) != 1:
         return []
+    g = generator_fp(p)
+    e = d % (p - 1)
+    x = 1
+    for _ in range(step):
+        if pow(x, e, p) == t:
+            break
+        x = x * g % p
+    else:
+        raise InvariantViolated(f"x^{d} = {t} passed the power test mod {p} but has no root")
     mult = pow(g, step, p)
     out = [x]
     for _ in range(gamma - 1):

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .arith import is_prime, ord_int
+from .arith import is_prime, ord_int, ord_rat
 from .binomial import (
     REASON_NO_INTEGRAL_VALUATION, BinomialInput, BinomialSolveResult, solve_binomial,
 )
@@ -316,8 +316,7 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
 
     degenerate_v = None
     if count:  # every root of x^r = T has the valuation ord_p(T) / r
-        T = report.T
-        degenerate_v = (ord_int(T.numerator, p) - ord_int(T.denominator, p)) // report.r
+        degenerate_v = ord_rat(report.T, p) // report.r
     candidates = integral_valuation_candidates(body, p)
     root_digits = "one" if msd_one else "nonzero"
     for v, _mult in candidates:

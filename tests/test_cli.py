@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from padicroots.cli import main
+from padicroots.cli import build_parser, main
 from padicroots.sparsepoly import parse_poly, parse_poly_json
 
 
@@ -183,3 +183,14 @@ def test_usage_error_on_missing_p(capsys):
 def test_usage_error_on_digits_below_one(capsys):
     for digits in ("0", "-2"):
         assert run_cli(capsys, "solve", "--p", "17", "1 - x^340", "--digits", digits)[0] == 2
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """main reuses one parser: a usage error leaves nothing behind that
+    changes the next call."""
+    build_parser.cache_clear()
+    alone = run_cli(capsys, "count", "--p", "17", "1 - x^397")
+    assert alone == (0, "1\n", "")
+    assert run_cli(capsys, "solve", "--p", "17", "1 - x^340", "--digits", "0")[0] == 2
+    assert run_cli(capsys, "count", "--p", "17", "1 - x^397") == alone
+    assert build_parser() is build_parser()

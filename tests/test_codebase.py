@@ -79,3 +79,18 @@ def test_oracle_shares_only_arith_errors_and_container():
             found.update(alias.name for alias in node.names)
     package = {name for name in found if name.startswith((".", "padicroots"))}
     assert package <= {".arith", ".errors", ".sparsepoly"}, package
+
+
+def test_exports_are_the_imported_names():
+    """padicroots.__all__ lists exactly the names __init__.py imports, so a
+    deleted function cannot stay exported."""
+    import padicroots
+
+    tree = _parsed()["__init__.py"]
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(padicroots.__all__) == sorted(imported)

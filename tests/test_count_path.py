@@ -10,7 +10,7 @@ import padicroots.binomial
 import padicroots.trinomial
 from padicroots.cli import main
 from padicroots.errors import PadicError
-from padicroots.sparsepoly import SparsePoly
+from padicroots.sparsepoly import SparsePoly, parse_poly
 from padicroots.trinomial import MODES, solve_sparse
 from perfbench.workloads import cycles, load_count_pins
 from tests.conftest import random_binomial, random_trinomial
@@ -123,3 +123,13 @@ def test_count_certifies_nothing(certificate_calls, capsys, text, p, want):
     assert certificate_calls == {"certified_residue": 0, "binomial_coset_roots": 0}
     assert main(["solve", "--p", str(p), text]) == 0
     assert certificate_calls["certified_residue"] >= want
+
+
+@pytest.mark.parametrize("text, p", [("1 - x^340", 17), ("1 - x^99990", 99991)])
+def test_restricted_solve_certifies_only_digit_one(certificate_calls, text, p):
+    """Restricted mode picks first digit 1 before any root is found: one
+    certificate and no coset walk, however many roots the binomial has."""
+    res = solve_sparse(parse_poly(text), p, mode="restricted-root")
+    assert certificate_calls == {"certified_residue": 1, "binomial_coset_roots": 0}
+    assert res.root_count == 1
+    assert [rt.unit_digits(1) for rt in res.roots] == [(1,)]

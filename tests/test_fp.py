@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from padicroots.arith import is_prime
@@ -56,15 +58,20 @@ def test_coset_roots():
 
 
 def test_coset_roots_all_or_nothing(rng):
-    for _ in range(200):
-        p = rng.choice([3, 5, 7, 11, 13, 17, 19])
+    """x^d = t in F_p* has gamma = gcd(d, p-1) solutions when t is a d-th
+    power and none otherwise, for d that divide p-1 and d that do not."""
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 101, 229])
         divisors = [g for g in range(1, p) if (p - 1) % g == 0]
-        gamma = rng.choice(divisors)
-        c = rng.randint(1, p - 1)
-        roots = binomial_coset_roots(c, gamma, p)
-        assert len(roots) in (0, gamma)
-        for x in roots:
-            assert pow(x, gamma, p) == c
+        d = rng.choice(divisors) if rng.random() < 0.3 else rng.randint(1, 10 ** 6)
+        power = rng.random() < 0.5
+        t = pow(rng.randint(1, p - 1), d, p) if power else rng.randint(1, p - 1)
+        roots = binomial_coset_roots(t, d, p)
+        assert roots == [x for x in range(1, p) if pow(x, d, p) == t]
+        if power:
+            assert len(roots) == math.gcd(d, p - 1)
+    # the power test runs on t itself: -214/100 mod 229 is no 936711-th power
+    assert binomial_coset_roots(-214 * pow(100, -1, 229), 936711, 229) == []
 
 
 def test_frobenius_gcd_examples():
