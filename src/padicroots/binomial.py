@@ -4,10 +4,10 @@ The count is 0 or gcd(d, p-1) for odd p (0 or gcd(d, 2) for p = 2), decided
 by an integrality test on the coefficient valuations and a single power
 test in Z/(p^(2*ell+1)) with ell = ord_p d.  The roots' first digits are
 the solutions of x^d = t in F_p*, found in one coset walk; restricted mode
-walks nothing, since its one candidate digit, 1, is tested directly.  When
-p | d one Newton step fixes the next digit, and each start is refined until
-it carries at least two certified digits of its Newton target.  A
-count-only solve stops before any root is found.
+walks nothing, since its one candidate digit, 1, is tested directly.  Each
+first digit is a start for certified_residue, which refines it until it
+carries at least two certified digits of its Newton target (three when
+p | d).  A count-only solve stops before any root is found.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .arith import is_prime, ord_int
 from .errors import InvalidParams
 from .fp import binomial_coset_roots, check_prime_cap
-from .newton import ApproximateRoot, certified_residue, newton_step
+from .newton import ApproximateRoot, certified_residue
 from .sparsepoly import SparsePoly
 
 REASON_NO_INTEGRAL_VALUATION = "no-integral-valuation"
@@ -121,10 +121,6 @@ def solve_binomial(
     want = 3 if ell >= 1 else 2
     roots = []
     for z in first_digits:
-        if p > 2 and ell >= 1:
-            # ord f(z) > ell = ord f'(z): one exact Newton step fixes digit
-            # 1; at precision ell + 2 it still sees f'(z) when ell is large
-            z = newton_step(target, p, z, ell + 2)
         z, prec = certified_residue(target, p, z, want)
         roots.append(
             ApproximateRoot(

@@ -9,10 +9,6 @@ conservative, which the oracle suite validates empirically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import InvariantViolated
 
 # 256 e^2, the base constant of the linear-forms-in-p-adic-logs estimate
 C256E2 = 256 * math.e ** 2
@@ -21,33 +17,6 @@ HEIGHT_FLOOR = 1 / (16 * math.e ** 2)
 # log(2) * log(4) * 2^(5/2) * (256 e^2)^3 < 36791093348: the two-term
 # specialization of the valuation bound, with the log p factors absorbed
 TWO_TERM_VALUATION_CONSTANT = math.log(2) * math.log(4) * 2 ** 2.5 * C256E2 ** 3
-
-
-def yu_bound(alphas: list[Fraction], bs: list[int], p: int) -> float:
-    """Strict upper bound on ord_p(alpha_1^b_1 * ... * alpha_n^b_n - 1).
-
-    Valid whenever the product differs from 1; n >= 2, alphas nonzero
-    reduced rationals, bs integers not all zero.
-    """
-    n = len(alphas)
-    if n < 2 or len(bs) != n:
-        raise ValueError("need n >= 2 rationals with matching exponent list")
-    if any(a == 0 for a in alphas) or all(b == 0 for b in bs):
-        raise ValueError("alphas must be nonzero and some b_i nonzero")
-    B = max(3, max(abs(b) for b in bs))
-    prod = 1.0
-    for a in alphas:
-        r, s = abs(a.numerator), a.denominator
-        prod *= max(math.log(r) if r > 1 else 0.0, math.log(s) if s > 1 else 0.0, HEIGHT_FLOOR)
-    return (
-        math.log(2)
-        * (math.log(2 * n) / math.log(p))
-        * n ** 2.5
-        * C256E2 ** (n + 1)
-        * p
-        * (math.log(B) / math.log(p))
-        * prod
-    )
 
 
 def two_term_valuation_bound(d: int, H: int, p: int) -> float:
@@ -67,43 +36,6 @@ def mahler_bound(d: int, H: int) -> float:
     if d < 2 or H < 1:
         raise ValueError("need d >= 2 and H >= 1")
     return 0.5 * math.log(3) - (d + 0.5) * math.log(d + 1) - (d - 1) * math.log(H)
-
-
-@dataclass(frozen=True)
-class AuxPolys:
-    """q(x) = (a3-a2) - a3 x^a2 + a2 x^a3 and its cofactor against (x-1)^2."""
-
-    q: list[int]  # dense, degree abar3
-    Q: list[int]  # dense, degree abar3 - 2
-    q_at_one_cofactor: int  # Q(1) = abar2*abar3*(abar3-abar2)/2
-
-
-def aux_polys(abar2: int, abar3: int) -> AuxPolys:
-    """Build Q with q = Q * (x-1)^2 verified by exact multiplication."""
-    if not (1 <= abar2 < abar3) or math.gcd(abar2, abar3) != 1:
-        raise ValueError("need 1 <= abar2 < abar3 coprime")
-    diff = abar3 - abar2
-    Q = [0] * (abar3 - 1)
-    for j in range(1, abar2):  # (a3-a2) * sum j x^(j-1)
-        Q[j - 1] += diff * j
-    for j in range(abar2 - 1, abar3 - 1):  # a2 * sum (a3-1-j) x^j
-        Q[j] += abar2 * (abar3 - 1 - j)
-    q = [0] * (abar3 + 1)
-    q[0] = diff
-    q[abar2] = -abar3
-    q[abar3] += abar2
-    # exact check: Q(x) * (x^2 - 2x + 1) == q(x)
-    conv = [0] * (len(Q) + 2)
-    for i, c in enumerate(Q):
-        conv[i] += c
-        conv[i + 1] -= 2 * c
-        conv[i + 2] += c
-    if conv != q:
-        raise InvariantViolated("cofactor identity q = Q*(x-1)^2 failed")
-    q1 = abar2 * abar3 * diff
-    if q1 % 2 or sum(Q) != q1 // 2:
-        raise InvariantViolated(f"cofactor value Q(1) = {sum(Q)} is not {q1}/2")
-    return AuxPolys(q=q, Q=Q, q_at_one_cofactor=q1 // 2)
 
 
 def trinomial_separation_bound(

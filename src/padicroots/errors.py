@@ -45,10 +45,6 @@ class ExponentOverflow(PadicError):
     """Exponent does not fit in 63 bits."""
 
 
-class ModeHypothesisViolated(PadicError):
-    """Input does not satisfy the hypothesis of the requested fast mode."""
-
-
 class ParseError(PadicError):
     """Polynomial text or JSON could not be parsed."""
 

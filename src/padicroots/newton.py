@@ -7,7 +7,9 @@ residue, and the count of certified digits.  Iterating Newton on a nodal
 polynomial p^(-s) f(mu + p^i x) coincides with iterating the Newton map of
 the rescaled polynomial itself on the composite residue mu + p^i w, so
 refinement always works on one integer polynomial with exact p-power
-division of f/f'.
+division of f/f'.  One function, derivative_order, reads ord_p f'(z) for
+every step and certificate: its probe doubles until f'(z) shows, so a
+derivative divisible by p^20 (x^d with 3^20 | d) is read, not refused.
 """
 
 from __future__ import annotations
@@ -19,16 +21,28 @@ from .arith import ord_int
 from .errors import DerivativeNotInvertible
 from .sparsepoly import SparsePoly
 
+# the deepest probe of f'(z), in digits; vanishing there, f'(z) is taken as 0
+MAX_PROBE_DIGITS = 1 << 20
 
-def residual_orders(f: SparsePoly, p: int, z: int, probe_k: int) -> tuple[int, int]:
-    """(ord f(z), ord f'(z)) measured mod p^probe_k; probe_k stands for 'at
-    least probe_k' when the value vanishes at that precision."""
-    m = p ** probe_k
-    fv = f.eval_mod(z, m)
-    dv = f.deriv_mod(z, m)
-    ordf = ord_int(fv, p) if fv else probe_k
-    ordd = ord_int(dv, p) if dv else probe_k
-    return ordf, ordd
+
+def derivative_order(f: SparsePoly, p: int, z: int, prec: int) -> tuple[int, int]:
+    """(ell, f'(z) mod p^(prec + ell)) with ell = ord_p f'(z).
+
+    The one probe of f'(z): it is read mod p^(prec + 8), and the probe
+    doubles while f'(z) vanishes there.  Past MAX_PROBE_DIGITS it raises
+    DerivativeNotInvertible.
+    """
+    k = prec + 8
+    while True:
+        dv = f.deriv_mod(z, p ** k)
+        if dv:
+            ell = ord_int(dv, p)
+            if prec + ell > k:
+                dv = f.deriv_mod(z, p ** (prec + ell))
+            return ell, dv % p ** (prec + ell)
+        if k > MAX_PROBE_DIGITS:
+            raise DerivativeNotInvertible("derivative vanished at every probe")
+        k *= 2
 
 
 def newton_step(f: SparsePoly, p: int, z: int, prec: int) -> int:
@@ -38,13 +52,8 @@ def newton_step(f: SparsePoly, p: int, z: int, prec: int) -> int:
     representatives before inverting, so positive derivative valuations are
     fine as long as ord f(z) > 2 ord f'(z) (Hensel's regime).
     """
-    probe = p ** (prec + 8)
-    dv = f.deriv_mod(z, probe)
-    if dv == 0:
-        raise DerivativeNotInvertible("derivative vanished at working precision")
-    ell = ord_int(dv, p)
-    work = p ** (prec + ell)
-    fv = f.eval_mod(z, work)
+    ell, dv = derivative_order(f, p, z, prec)
+    fv = f.eval_mod(z, p ** (prec + ell))
     if fv == 0:
         return z % p ** prec
     # f/f' must at least be p-integral with room to move one digit; the
@@ -54,7 +63,7 @@ def newton_step(f: SparsePoly, p: int, z: int, prec: int) -> int:
             f"non-contracting Newton step: ord f = {ord_int(fv, p)}, ord f' = {ell}"
         )
     num = fv // p ** ell
-    den = (dv % work) // p ** ell
+    den = dv // p ** ell
     step = num * pow(den, -1, p ** prec) % p ** prec
     return (z - step) % p ** prec
 
@@ -67,17 +76,11 @@ def certified_residue(f: SparsePoly, p: int, z: int, want: int) -> tuple[int, in
     (residue mod p^want, want).
     """
     for _ in range(64):
-        probe_k = want + 16
-        while True:
-            ordf, ordd = residual_orders(f, p, z, probe_k)
-            if ordd < probe_k and (ordf < probe_k or ordf >= want + ordd):
-                break
-            if probe_k > 1 << 20:
-                raise DerivativeNotInvertible("residual valuation unreachable")
-            probe_k *= 2
-        certified = ordf - ordd
-        if certified >= want:
+        ordd, _ = derivative_order(f, p, z, want)
+        fv = f.eval_mod(z, p ** (want + ordd))
+        if fv == 0:  # ord f(z) >= want + ord f'(z)
             return z % p ** want, want
+        certified = ord_int(fv, p) - ordd
         z = newton_step(f, p, z, 2 * max(certified, 1) + ordd + 4)
     raise DerivativeNotInvertible("certification did not converge")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import PAdicContext, ord_int
-from .errors import ContentDivisible, InvariantViolated
+from .errors import InvariantViolated
 from .fp import roots_fp_exhaustive
 from .sparsepoly import SparsePoly, shift_rescale, taylor_coeffs_mod
 
@@ -91,9 +91,6 @@ class NodalTree:
     p: int
     k: int
     root: NodalNode
-
-    def nodes(self):
-        return list(self.root.walk())
 
     @property
     def depth(self) -> int:
@@ -226,22 +223,3 @@ def stabilized_tree(
         if k >= k_cap:
             return StabilizedTree(tree=tree, k_used=k, stabilized=False)
         k = min(2 * k, k_cap)
-
-
-def reconstruct_node_poly(f: SparsePoly, p: int, node: NodalNode) -> SparsePoly:
-    """Recompute p^(-s) f(mu + p^i x) mod p^k_local from scratch (test hook)."""
-    i = node.depth
-    if i == 0:
-        return f
-    k = node.k_local + node.s_consumed
-    m = p ** k
-    u = taylor_coeffs_mod(f, node.mu, p, k, min(f.degree, k - 1))
-    m_out = p ** node.k_local
-    ps = p ** node.s_consumed
-    coeffs = []
-    for j, uj in enumerate(u):
-        c = uj * pow(p, i * j, m) % m
-        if c % ps:
-            raise ContentDivisible("reconstruction: claimed s does not divide")
-        coeffs.append(c // ps % m_out)
-    return SparsePoly.from_dense(coeffs)

@@ -73,12 +73,6 @@ class SparsePoly:
     def max_abs_coeff(self) -> int:
         return max(abs(c) for _, c in self.terms) if self.terms else 0
 
-    def content_p(self, p: int) -> int:
-        """min ord_p over coefficients (the p-part of the content)."""
-        if not self.terms:
-            return 0
-        return min(ord_int(c, p) for _, c in self.terms)
-
     def eval_mod(self, x: int, m: int) -> int:
         """f(x) mod m; exponentiation by squaring per term."""
         total = 0

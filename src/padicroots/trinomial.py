@@ -27,7 +27,7 @@ from .binomial import (
     REASON_NO_INTEGRAL_VALUATION, BinomialInput, BinomialSolveResult, solve_binomial,
 )
 from .bounds import trinomial_separation_bound
-from .errors import BudgetExceeded, InvalidParams, InvariantViolated, ModeHypothesisViolated
+from .errors import BudgetExceeded, InvalidParams, InvariantViolated
 from .fp import gcd_with_frobenius
 from .newton import ApproximateRoot, certified_residue, newton_step
 from .newton_polygon import integral_valuation_candidates
@@ -40,8 +40,7 @@ K_BUILD_LIMIT = 100_000
 
 MODE_FULL = "full"
 MODE_RESTRICTED = "restricted-root"
-MODE_SMALL_GCD = "small-gcd-assume"
-MODES = (MODE_FULL, MODE_RESTRICTED, MODE_SMALL_GCD)
+MODES = (MODE_FULL, MODE_RESTRICTED)
 
 
 @dataclass(frozen=True)
@@ -299,13 +298,6 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     certificates (solve_sparse).
     """
     p = inp.p
-    if mode == MODE_SMALL_GCD:
-        g = math.gcd(inp.a2 * inp.a3 * (inp.a3 - inp.a2), (p - 1) * p)
-        if g > 2:
-            raise ModeHypothesisViolated(
-                f"gcd(a2 a3 (a3-a2), (p-1)p) = {g} > 2; use mode=full"
-            )
-
     body = inp.poly
     outcomes: list[CandidateOutcome] = []
 
@@ -343,12 +335,13 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     )
 
 
-def refine_root(root: ApproximateRoot, steps: int, buffer: int = 4) -> ApproximateRoot:
-    """n literal Newton steps on the certificate target at doubling precision."""
+def refine_root(root: ApproximateRoot, steps: int) -> ApproximateRoot:
+    """`steps` literal Newton steps on the certificate target at doubling
+    precision, then a certificate for precision * 2^steps digits."""
     z, prec = root.unit_residue, root.precision
     for _ in range(steps):
         prec = 2 * prec
-        z = newton_step(root.target, root.p, z, prec + buffer)
+        z = newton_step(root.target, root.p, z, prec + 4)
     z, got = certified_residue(root.target, root.p, z, prec)
     return replace(root, unit_residue=z, precision=got)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padicroots.newton import certified_residue
+from padicroots.newton import certified_residue, newton_step
 from padicroots.oracle import lift_root
 from padicroots.sparsepoly import SparsePoly
 
@@ -37,7 +37,7 @@ def smale_gains(rt, steps: int = 4):
     out = []
     for _ in range(steps):
         step_prec = min(K, max(2 * e_prev + 8, e0 + 24))
-        z = newton_step_for_tests(rt.target, p, z, step_prec)
+        z = newton_step(rt.target, p, z, step_prec)
         ei = ord_int((z - true) % p ** K, p)
         if ei >= step_prec:
             out.append(None)  # converged beyond the window
@@ -45,12 +45,6 @@ def smale_gains(rt, steps: int = 4):
         out.append(ei)
         e_prev = ei
     return e0, out
-
-
-def newton_step_for_tests(target, p, z, prec):
-    from padicroots.newton import newton_step
-
-    return newton_step(target, p, z, prec)
 
 
 def random_trinomial(rng: random.Random, d_max: int = 40, h_max: int = 50) -> SparsePoly:

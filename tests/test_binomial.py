@@ -46,7 +46,8 @@ def test_solve_digit_examples():
     )
     res = solve_binomial(BinomialInput(8, -1, 3, 5))
     assert res.count == 1 and res.roots[0].value == 2
-    # ord_p d >= 10: the Newton step that fixes digit 1 still sees f'(z)
+    # ord_p d >= 10: certified_residue starts from the first digit alone and
+    # its Newton steps read f'(z) past p^10
     res = solve_binomial(BinomialInput(1 + 3 ** 11, -1, 3 ** 10, 3))
     assert [r.digits for r in res.roots] == [(1, 1, 1)]
     res = solve_binomial(BinomialInput(1 + 5 ** 11, -1, 5 ** 10, 5))

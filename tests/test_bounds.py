@@ -7,13 +7,12 @@ import pytest
 from padicroots.bounds import (
     C256E2,
     HEIGHT_FLOOR,
-    aux_polys,
     degenerate_valuation_gap_cap,
     mahler_bound,
     trinomial_separation_bound,
     two_term_valuation_bound,
-    yu_bound,
 )
+from tests.reference import aux_polys, yu_bound
 
 
 def test_constant_sanity():

@@ -174,6 +174,9 @@ def test_removed_options_are_usage_errors(capsys):
     assert run_cli(capsys, "bench", "--p-list", "3", "--d-list", "10")[0] == 2
     # one exact discriminant test at every degree
     assert run_cli(capsys, "solve", "--p", "5", "x^2 - 1", "--exact")[0] == 2
+    # two solve modes: full and restricted-root
+    for cmd in ("solve", "count"):
+        assert run_cli(capsys, cmd, "--p", "5", "x^2 - 1", "--mode", "small-gcd-assume")[0] == 2
 
 
 def test_usage_error_on_missing_p(capsys):

@@ -15,14 +15,12 @@ from padicroots.errors import (
     BudgetExceeded,
     InvalidParams,
     InvariantViolated,
-    ModeHypothesisViolated,
 )
 from padicroots.oracle import count_qp_roots
 from padicroots.sparsepoly import SparsePoly, parse_poly, strip_zero_root
 from padicroots.trinomial import (
     MODE_FULL,
     MODE_RESTRICTED,
-    MODE_SMALL_GCD,
     TrinomialInput,
     degenerate_roots_qp,
     delta_tri,
@@ -357,16 +355,6 @@ def test_restricted_mode_subset(rng):
         assert restr_keys == {k for k in full_keys if k[1][0] == 1}
 
 
-def test_small_gcd_mode():
-    # gcd(1*3*2, 4*5) = 2 <= 2: accepted and agrees with full
-    f = parse_poly("2 + 3*x + 5*x^3")
-    assert math.gcd(1 * 3 * 2, 4 * 5) == 2
-    assert solve_sparse(f, 5, mode=MODE_SMALL_GCD).root_count == solve_sparse(f, 5).root_count
-    # violated hypothesis errors out
-    with pytest.raises(ModeHypothesisViolated):
-        solve_sparse(parse_poly("1 + x^2 + x^4"), 5, mode=MODE_SMALL_GCD)
-
-
 def test_degenerate_repulsion_inequality(rng):
     """|ord(z - tau)| <= log_p((d-r) d^3 H / (8 r^4)) on degenerate families."""
     checked = 0
@@ -411,6 +399,18 @@ def test_refine_root_doubles_digits():
     assert refined.precision >= rt.precision * 4
     true = oracle_reference_lift(rt, refined.precision + 8)
     assert (refined.unit_residue - true) % 17 ** refined.precision == 0
+
+
+def test_refine_root_reads_a_deep_derivative():
+    """3^20 | d, so ord_3 f'(z) = 20: refine_root probes f'(z) as deep as
+    the certificate does, and agrees with ApproximateRoot.refine."""
+    res = solve_sparse(parse_poly("10460353204 - x^3486784401"), 3)
+    (rt,) = res.roots
+    refined = refine_root(rt, 2)
+    assert refined.precision >= 12
+    same = rt.refine(refined.precision - rt.precision)
+    assert same.precision == refined.precision
+    assert same.unit_residue == refined.unit_residue
 
 
 def test_smale_certificates_on_solver_outputs(rng):
