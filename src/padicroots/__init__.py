@@ -2,13 +2,13 @@
 sparse integer polynomials (binomials and trinomials, with an adversarial
 tetranomial generator), validated against a brute-force oracle."""
 
-from .arith import PAdicContext, ord_int, ord_rat, mod_pow, mod_inv, log_height
+from .arith import PAdicContext, ord_int, ord_rat
 from .binomial import BinomialInput, separation_binomial, solve_binomial
 from .newton import ApproximateRoot
 from .newton_polygon import build_arch, build_padic, integral_valuation_candidates
-from .nodal_tree import build_tree, count_nondegenerate_roots, s_value, stabilized_tree
-from .oracle import count_qp_roots, lift_root, roots_mod_pk
-from .sparsepoly import SparsePoly, parse_poly, parse_poly_json
+from .nodal_tree import build_tree, s_value, stabilized_tree
+from .oracle import count_qp_roots, lift_root
+from .sparsepoly import SparsePoly, parse_poly
 from .tetranomial import TetraFamilyParams, collision_order, generate
 from .trinomial import (
     DiscriminantReport,
@@ -16,7 +16,6 @@ from .trinomial import (
     SolveResult,
     TrinomialInput,
     degenerate_roots_qp,
-    delta_tri,
     discriminant_tri,
     precision_plan,
     refine_root,
@@ -40,24 +39,17 @@ __all__ = [
     "build_padic",
     "build_tree",
     "collision_order",
-    "count_nondegenerate_roots",
     "count_qp_roots",
     "degenerate_roots_qp",
-    "delta_tri",
     "discriminant_tri",
     "generate",
     "integral_valuation_candidates",
     "lift_root",
-    "log_height",
-    "mod_inv",
-    "mod_pow",
     "ord_int",
     "ord_rat",
     "parse_poly",
-    "parse_poly_json",
     "precision_plan",
     "refine_root",
-    "roots_mod_pk",
     "s_value",
     "separation_binomial",
     "solve_binomial",

@@ -1,8 +1,8 @@
 """Exact p-adic integer and modular arithmetic.
 
-Everything here is pure and immutable: valuations, arithmetic mod p^k,
-modular inverse/exponentiation, and rational heights.  Valuations are exact
-(`int`/`Fraction`), never floats; ``math.inf`` is the valuation of 0.
+Everything here is pure and immutable: primality, valuations and the
+extended gcd.  Valuations are exact (`int`/`Fraction`), never floats;
+``math.inf`` is the valuation of 0.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParams, NotInvertible
+from .errors import InvalidParams
 
 INFINITY = math.inf
 
@@ -65,10 +65,6 @@ class PAdicContext:
         if not is_prime(self.p):
             raise InvalidParams(f"{self.p} is not prime")
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.k
-
 
 def ord_int(n: int, p: int) -> int | float:
     """Largest e with p^e | n; +infinity for n = 0."""
@@ -89,22 +85,6 @@ def ord_rat(q: Fraction, p: int) -> int | float:
     return ord_int(q.numerator, p) - ord_int(q.denominator, p)
 
 
-def mod_pow(base: int, exp: int, ctx: PAdicContext) -> int:
-    """base^exp mod p^k by binary exponentiation (exp >= 0)."""
-    if exp < 0:
-        raise InvalidParams("negative exponent; use mod_inv first")
-    return pow(base % ctx.modulus, exp, ctx.modulus)
-
-
-def mod_inv(r: int, ctx: PAdicContext) -> int:
-    """Inverse of r mod p^k; raises NotInvertible when p | r."""
-    m = ctx.modulus
-    r %= m
-    if r % ctx.p == 0:
-        raise NotInvertible(f"{r} is divisible by {ctx.p}")
-    return pow(r, -1, m)
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s*a + t*b (extended Euclid)."""
     old_r, r = a, b
@@ -116,10 +96,3 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def log_height(q: Fraction) -> float:
-    """Logarithmic height log max(|numerator|, denominator); 0 for q = 0."""
-    if q == 0:
-        return 0.0
-    return math.log(max(abs(q.numerator), q.denominator))

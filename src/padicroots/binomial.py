@@ -29,12 +29,12 @@ REASON_POWER_TEST_FAILED = "power-test-failed"
 class BinomialInput:
     c1: int
     c2: int
-    d: int  # nonzero; negative degrees mean c1 + c2 x^d with d < 0
+    d: int  # >= 1
     p: int
 
     def __post_init__(self):
-        if self.c1 == 0 or self.c2 == 0 or self.d == 0:
-            raise InvalidParams("need c1, c2, d all nonzero")
+        if self.c1 == 0 or self.c2 == 0 or self.d < 1:
+            raise InvalidParams(f"need c1, c2 nonzero and d >= 1, got d = {self.d}")
         if not is_prime(self.p):
             raise InvalidParams(f"{self.p} is not prime")
 
@@ -48,13 +48,6 @@ class BinomialSolveResult:
     count: int
     roots: list[ApproximateRoot]
     reason: str | None  # set when count = 0
-
-
-def _normalized(inp: BinomialInput) -> tuple[int, int, int, bool]:
-    """(c1, c2, d, inverted) with d > 0; x^d f(1/x) swaps the coefficients."""
-    if inp.d > 0:
-        return inp.c1, inp.c2, inp.d, False
-    return inp.c2, inp.c1, -inp.d, True
 
 
 def _feasible(c1: int, c2: int, d: int, p: int) -> tuple[bool, str | None, int, int, int]:
@@ -90,9 +83,8 @@ def solve_binomial(
     certify=False the roots are counted, not found: the result has the
     count and the reason, no roots, and costs the one power test.
     """
-    p = inp.p
+    c1, c2, d, p = inp.c1, inp.c2, inp.d, inp.p
     check_prime_cap(p)
-    c1, c2, d, inverted = _normalized(inp)
     ok, reason, v1, v2, ell = _feasible(c1, c2, d, p)
     if not ok:
         return BinomialSolveResult(count=0, roots=[], reason=reason)
@@ -103,8 +95,7 @@ def solve_binomial(
         # the unit roots y are y0 times the gamma-th roots of unity, so
         # they reduce to gamma distinct solutions of c1u + c2u y^d = 0
         # in F_p, which has no others: one root has first digit 1
-        # exactly when y = 1 solves it mod p (1/y, an inverted root's
-        # unit part, has first digit 1 when y does)
+        # exactly when y = 1 solves it mod p
         first_digits = [1] if (c1u + c2u) % p == 0 else []
     elif not certify:
         return BinomialSolveResult(count=math.gcd(d, p - 1), roots=[], reason=None)
@@ -112,8 +103,7 @@ def solve_binomial(
         first_digits = binomial_coset_roots(-c1u * pow(c2u, -1, p), d, p)
     if not certify:
         return BinomialSolveResult(count=len(first_digits), roots=[], reason=None)
-    # unit root of c1u + c2u y^d; true root is y * p^((v1 - v2)/d), then
-    # inverted when the original degree was negative
+    # unit root of c1u + c2u y^d; true root is y * p^((v1 - v2)/d)
     val = (v1 - v2) // d
     target = SparsePoly.from_terms([(0, c1u), (d, c2u)])
     # enough certified digits that Newton on the (nodal) target gains a full
@@ -129,7 +119,6 @@ def solve_binomial(
                 unit_residue=z,
                 precision=prec,
                 target=target,
-                inverted=inverted,
             )
         )
     return BinomialSolveResult(count=len(roots), roots=roots, reason=None)

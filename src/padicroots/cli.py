@@ -31,7 +31,6 @@ def _root_json(rt, digits: int | None):
         "digits": list(rt.unit_digits(m)),
         "degenerate": rt.degenerate,
         "multiplicity": rt.multiplicity,
-        "inverted": rt.inverted,
     }
 
 

@@ -5,10 +5,6 @@ class PadicError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotInvertible(PadicError):
-    """Residue is divisible by p, so it has no inverse mod p^k."""
-
-
 class DivisibilityViolation(PadicError):
     """A claimed power of p does not divide the value it should."""
 
@@ -46,7 +42,7 @@ class ExponentOverflow(PadicError):
 
 
 class ParseError(PadicError):
-    """Polynomial text or JSON could not be parsed."""
+    """Polynomial text could not be parsed."""
 
 
 class InvariantViolated(PadicError):

@@ -90,7 +90,7 @@ class ApproximateRoot:
     """Start point converging quadratically to one root of the target.
 
     The associated true root of the original polynomial is
-    (unit * p^valuation)^(+-1) where unit is the target's root certified by
+    unit * p^valuation, where unit is the target's root certified by
     unit_residue to `precision` base-p digits.
     """
 
@@ -99,19 +99,12 @@ class ApproximateRoot:
     unit_residue: int  # mod p^precision, every digit certified
     precision: int
     target: SparsePoly
-    inverted: bool = False
     degenerate: bool = False
     multiplicity: int = 1
 
     @property
-    def digits(self) -> tuple[int, ...]:
-        r = self.unit_residue
-        return tuple((r // self.p ** i) % self.p for i in range(self.precision))
-
-    @property
     def value(self) -> Fraction:
-        v = Fraction(self.unit_residue) * Fraction(self.p) ** self.valuation
-        return 1 / v if self.inverted else v
+        return Fraction(self.unit_residue) * Fraction(self.p) ** self.valuation
 
     def refine(self, extra_digits: int) -> "ApproximateRoot":
         """Extend the certificate by at least extra_digits digits."""
@@ -123,6 +116,4 @@ class ApproximateRoot:
         """First m base-p digits of the unit part of the true root."""
         root = self if self.precision >= m else self.refine(m - self.precision)
         r = root.unit_residue % root.p ** m
-        if self.inverted:
-            r = pow(r, -1, root.p ** m)
         return tuple((r // root.p ** i) % root.p for i in range(m))

@@ -9,10 +9,11 @@ edge is annotated with whether its slope is log(3)-isolated from the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import ord_int
+from .arith import is_prime, ord_int
+from .errors import InvalidParams
 from .sparsepoly import SparsePoly
 
 # Tolerance for float hull construction; near-ties are re-checked exactly
@@ -28,8 +29,6 @@ class LowerEdge:
 
     slope: Fraction | float
     horizontal_length: int
-    left: tuple[int, Fraction | float]
-    right: tuple[int, Fraction | float]
     log3_isolated: bool | None = None  # Archimedean only
     collinearity_uncertain: bool = False  # Archimedean only
 
@@ -39,38 +38,38 @@ class LowerEdge:
         return -self.slope
 
 
-def _lower_hull(points):
-    """Monotone-chain lower hull; points must be sorted by x, distinct x."""
+def _lower_hull(points, drop):
+    """Monotone-chain lower hull of points sorted by distinct x; drop(a, b, c)
+    says whether the middle point b leaves the hull."""
     hull = []
     for pt in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point when it is on or above the chord
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
+        while len(hull) >= 2 and drop(hull[-2], hull[-1], pt):
+            hull.pop()
         hull.append(pt)
     return hull
 
 
-def build_padic(f: SparsePoly, p: int) -> list[LowerEdge]:
-    """Lower edges of Newt_p(f), collinear points merged, slopes exact."""
+def _on_or_above_chord(a, b, c) -> bool:
+    """b is on or above the chord ac; exact on integer points."""
+    return (b[1] - a[1]) * (c[0] - a[0]) >= (c[1] - a[1]) * (b[0] - a[0])
+
+
+def _padic_hull(f: SparsePoly, p: int) -> list[tuple[int, int]]:
+    """Vertices of the lower hull of the integer points (a_i, ord_p c_i)."""
     if f.is_zero:
         raise ValueError("Newton polygon of the zero polynomial")
-    pts = [(a, Fraction(ord_int(c, p))) for a, c in f.terms]
-    hull = _lower_hull(pts)
-    edges = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        edges.append(
-            LowerEdge(
-                slope=Fraction(y2 - y1, x2 - x1),
-                horizontal_length=x2 - x1,
-                left=(x1, y1),
-                right=(x2, y2),
-            )
-        )
-    return edges
+    if not is_prime(p):
+        raise InvalidParams(f"{p} is not prime")
+    return _lower_hull([(a, ord_int(c, p)) for a, c in f.terms], _on_or_above_chord)
+
+
+def build_padic(f: SparsePoly, p: int) -> list[LowerEdge]:
+    """Lower edges of Newt_p(f), collinear points merged, slopes exact."""
+    hull = _padic_hull(f, p)
+    return [
+        LowerEdge(slope=Fraction(y2 - y1, x2 - x1), horizontal_length=x2 - x1)
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+    ]
 
 
 def _chord_side_exact(f: SparsePoly, i: int, j: int, k: int) -> int | None:
@@ -99,59 +98,39 @@ def build_arch(f: SparsePoly) -> list[LowerEdge]:
     """Lower edges of Newt_infinity(f) with log(3)-isolation annotations."""
     if f.is_zero:
         raise ValueError("Newton polygon of the zero polynomial")
-    pts = [(a, -math.log(abs(c))) for a, c in f.terms]
     index_of = {a: i for i, (a, _) in enumerate(f.terms)}
-
-    hull = []
     uncertain_after: set[int] = set()
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            cross = (y2 - y1) * (pt[0] - x1) - (pt[1] - y1) * (x2 - x1)
-            scale = max(1.0, abs(y1), abs(y2), abs(pt[1])) * (pt[0] - x1)
-            if cross > ARCH_EPS * scale:
-                hull.pop()
-            elif cross >= -ARCH_EPS * scale:
-                # numerically ambiguous: decide exactly when we can
-                side = _chord_side_exact(f, index_of[x1], index_of[x2], index_of[pt[0]])
-                if side is None:
-                    uncertain_after.add(x1)
-                    hull.pop()
-                elif side >= 0:
-                    hull.pop()
-                else:
-                    break
-            else:
-                break
-        hull.append(pt)
 
-    edges = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        edges.append(
-            LowerEdge(
-                slope=(y2 - y1) / (x2 - x1),
-                horizontal_length=x2 - x1,
-                left=(x1, y1),
-                right=(x2, y2),
-                collinearity_uncertain=x1 in uncertain_after,
-            )
+    def drop(a, b, c):
+        (x1, y1), (x2, y2), (x3, y3) = a, b, c
+        cross = (y2 - y1) * (x3 - x1) - (y3 - y1) * (x2 - x1)
+        scale = max(1.0, abs(y1), abs(y2), abs(y3)) * (x3 - x1)
+        if cross > ARCH_EPS * scale:
+            return True
+        if cross < -ARCH_EPS * scale:
+            return False
+        # numerically ambiguous: decide exactly when we can
+        side = _chord_side_exact(f, index_of[x1], index_of[x2], index_of[x3])
+        if side is None:
+            uncertain_after.add(x1)
+            return True
+        return side >= 0
+
+    hull = _lower_hull([(a, -math.log(abs(c))) for a, c in f.terms], drop)
+    edges = [
+        LowerEdge(
+            slope=(y2 - y1) / (x2 - x1),
+            horizontal_length=x2 - x1,
+            collinearity_uncertain=x1 in uncertain_after,
         )
-    annotated = []
-    for i, e in enumerate(edges):
-        isolated = all(
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+    ]
+    return [
+        replace(e, log3_isolated=all(
             abs(e.slope - other.slope) >= LOG3 for j, other in enumerate(edges) if j != i
-        )
-        annotated.append(
-            LowerEdge(
-                slope=e.slope,
-                horizontal_length=e.horizontal_length,
-                left=e.left,
-                right=e.right,
-                log3_isolated=isolated,
-                collinearity_uncertain=e.collinearity_uncertain,
-            )
-        )
-    return annotated
+        ))
+        for i, e in enumerate(edges)
+    ]
 
 
 def integral_valuation_candidates(f: SparsePoly, p: int) -> list[tuple[int, int]]:
@@ -159,9 +138,10 @@ def integral_valuation_candidates(f: SparsePoly, p: int) -> list[tuple[int, int]
 
     These are the only valuations a root in Q_p can have.
     """
+    hull = _padic_hull(f, p)
     out = []
-    for e in build_padic(f, p):
-        v = -e.slope
-        if v.denominator == 1:
-            out.append((int(v), e.horizontal_length))
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        v, rem = divmod(y1 - y2, x2 - x1)
+        if not rem:
+            out.append((v, x2 - x1))
     return out

@@ -93,10 +93,6 @@ class NodalTree:
     root: NodalNode
 
     @property
-    def depth(self) -> int:
-        return max(n.depth for n in self.root.walk())
-
-    @property
     def node_count(self) -> int:
         return sum(1 for _ in self.root.walk())
 
@@ -165,14 +161,6 @@ def build_tree(f: SparsePoly, ctx: PAdicContext, root_digits: str = "all") -> No
             node.children.append(child)
             stack.append(child)
     return NodalTree(p=p, k=k, root=root)
-
-
-def count_nondegenerate_roots(tree: NodalTree) -> int:
-    """Sum of non-degenerate mod-p root counts over all nodes.
-
-    Each one lifts to a distinct Z_p root once the precision is stable.
-    """
-    return sum(n.n_p for n in tree.root.walk())
 
 
 @dataclass

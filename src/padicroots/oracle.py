@@ -1,6 +1,6 @@
-"""Brute-force ground truth for roots in Z/(p^k), Z_p and Q_p.
+"""Brute-force ground truth for the roots of a polynomial in Q_p.
 
-Deliberately slow and simple.  Root sets mod p^k are enumerated layer by
+Deliberately slow and simple.  Unit roots are sought mod p^k layer by
 layer (a root mod p^(j+1) reduces to a root mod p^j), residue classes are
 certified alive via Hensel's criterion or pronounced dead when they stop
 extending, and roots in Q_p are counted by sweeping the integral candidate
@@ -21,31 +21,6 @@ from .sparsepoly import SparsePoly
 DEFAULT_BUDGET = 10 ** 8
 MAX_POWER_BITS = 2 ** 23  # largest power, in bits, that the oracle builds
 HARD_K_CAP = 64
-
-
-def roots_mod_pk(f: SparsePoly, p: int, k: int, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """All x in [0, p^k) with f(x) = 0 mod p^k, by exhaustive layering."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    work = 0
-    frontier = []
-    for x in range(p):
-        work += 1
-        if f.eval_mod(x, p) == 0:
-            frontier.append(x)
-    for j in range(1, k):
-        m = p ** (j + 1)
-        nxt = []
-        work += len(frontier) * p
-        if work > budget:
-            raise BudgetExceeded(f"root enumeration work {work} exceeds budget {budget}")
-        for r in frontier:
-            for t in range(p):
-                x = r + t * p ** j
-                if f.eval_mod(x, m) == 0:
-                    nxt.append(x)
-        frontier = nxt
-    return sorted(frontier)
 
 
 def lift_root(f: SparsePoly, p: int, residue: int, target_k: int) -> int:

@@ -8,7 +8,6 @@ empty term tuple.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -88,7 +87,7 @@ class SparsePoly:
                 total = (total + a * c * pow(x, a - 1, m)) % m
         return total
 
-    # -- text / JSON round trips ------------------------------------------
+    # -- text and JSON output ---------------------------------------------
 
     def to_text(self) -> str:
         if not self.terms:
@@ -157,16 +156,6 @@ def parse_poly(text: str) -> SparsePoly:
     if poly.is_zero:
         raise ParseError("polynomial is identically zero")
     return poly
-
-
-def parse_poly_json(obj) -> SparsePoly:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        pairs = [(int(a), int(c)) for a, c in obj["terms"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad JSON polynomial: {exc}") from exc
-    return SparsePoly.from_terms(pairs)
 
 
 # -- evaluation and calculus ----------------------------------------------

@@ -95,18 +95,6 @@ class DiscriminantReport:
         return self.T is not None
 
 
-def delta_tri(inp: TrinomialInput) -> int:
-    """The trinomial discriminant
-    abar3^abar3 c1^(abar3-abar2) c3^abar2 - abar2^abar2 (abar3-abar2)^(abar3-abar2) (-c2)^abar3,
-    in full: the reference discriminant_tri is checked against."""
-    r = math.gcd(inp.a2, inp.a3)
-    ab2, ab3 = inp.a2 // r, inp.a3 // r
-    return (
-        ab3 ** ab3 * inp.c1 ** (ab3 - ab2) * inp.c3 ** ab2
-        - ab2 ** ab2 * (ab3 - ab2) ** (ab3 - ab2) * (-inp.c2) ** ab3
-    )
-
-
 def _int_root(n: int, k: int) -> int | None:
     """The y >= 0 with y^k = n, for n >= 0 and k >= 1; None if there is none."""
     if n < 2 or k == 1:

@@ -1,9 +1,10 @@
 """Reference computations the tests compare the solver against.
 
 None of these is on the solver's path: each restates a quantity of the
-paper (Yu's bound, the cofactor of q against (x-1)^2, a node polynomial
-rebuilt from scratch, the p-part of the content) so a test can check the
-package's own numbers against it.
+paper (Yu's bound, the cofactor of q against (x-1)^2, the trinomial
+discriminant in full, a node polynomial rebuilt from scratch, the p-part
+of the content, a rational's height) so a test can check the package's
+own numbers against it.
 """
 
 import math
@@ -15,6 +16,7 @@ from padicroots.bounds import C256E2, HEIGHT_FLOOR
 from padicroots.errors import ContentDivisible, InvariantViolated
 from padicroots.nodal_tree import NodalNode
 from padicroots.sparsepoly import SparsePoly, taylor_coeffs_mod
+from padicroots.trinomial import TrinomialInput
 
 
 def yu_bound(alphas: list[Fraction], bs: list[int], p: int) -> float:
@@ -81,6 +83,18 @@ def aux_polys(abar2: int, abar3: int) -> AuxPolys:
     return AuxPolys(q=q, Q=Q, q_at_one_cofactor=q1 // 2)
 
 
+def delta_tri(inp: TrinomialInput) -> int:
+    """The trinomial discriminant
+    abar3^abar3 c1^(abar3-abar2) c3^abar2 - abar2^abar2 (abar3-abar2)^(abar3-abar2) (-c2)^abar3,
+    in full: the reference discriminant_tri is checked against."""
+    r = math.gcd(inp.a2, inp.a3)
+    ab2, ab3 = inp.a2 // r, inp.a3 // r
+    return (
+        ab3 ** ab3 * inp.c1 ** (ab3 - ab2) * inp.c3 ** ab2
+        - ab2 ** ab2 * (ab3 - ab2) ** (ab3 - ab2) * (-inp.c2) ** ab3
+    )
+
+
 def reconstruct_node_poly(f: SparsePoly, p: int, node: NodalNode) -> SparsePoly:
     """Recompute p^(-s) f(mu + p^i x) mod p^k_local from scratch."""
     i = node.depth
@@ -105,3 +119,10 @@ def content_p(f: SparsePoly, p: int) -> int:
     if not f.terms:
         return 0
     return min(ord_int(c, p) for _, c in f.terms)
+
+
+def log_height(q: Fraction) -> float:
+    """Logarithmic height log max(|numerator|, denominator); 0 for q = 0."""
+    if q == 0:
+        return 0.0
+    return math.log(max(abs(q.numerator), q.denominator))

@@ -33,14 +33,14 @@ from padicroots.sparsepoly import (
     taylor_coeffs_mod,
 )
 from padicroots.tetranomial import TetraFamilyParams, collision_order, generate
-from padicroots.trinomial import TrinomialInput, delta_tri, discriminant_tri, solve_sparse
+from padicroots.trinomial import TrinomialInput, discriminant_tri, solve_sparse
 from tests.conftest import (
     degenerate_trinomial,
     random_binomial,
     random_trinomial,
     smale_gains,
 )
-from tests.reference import aux_polys, content_p, reconstruct_node_poly
+from tests.reference import aux_polys, content_p, delta_tri, reconstruct_node_poly
 
 TRINOMIAL_CORPUS_SIZE = 3000
 BINOMIAL_CORPUS_SIZE = 2000
@@ -105,7 +105,8 @@ def test_criterion_1_worked_examples():
     assert reduced == [0, 0, 2, 1]  # x^3 + 2x^2
     for p in (2, 3, 5):
         tree = build_tree(SparsePoly(((2, 1),)), PAdicContext(p, 9))
-        assert tree.depth == 4 and tree.node_count == 5  # chain of length 4
+        depth = max(n.depth for n in tree.root.walk())
+        assert depth == 4 and tree.node_count == 5  # chain of length 4
     elapsed = time.time() - t0
     assert _report("criterion 1 (worked-example reproduction)", elapsed < 5.0, f"{elapsed:.2f}s")
     assert elapsed < 5.0
@@ -189,7 +190,8 @@ def test_criterion_5_tree_invariants():
             continue
         k = rng.randint(3, 12)
         tree = build_tree(f, PAdicContext(p, k))  # depth/degree asserted inside
-        assert tree.depth <= (k - 1) // 2
+        depth = max(n.depth for n in tree.root.walk())
+        assert depth <= (k - 1) // 2
         cap = nodal_degree_cap(p)
         for n in tree.root.walk():
             if n.depth >= 1 and n.mu % p != 0:
@@ -199,7 +201,7 @@ def test_criterion_5_tree_invariants():
                 assert rebuilt == n.poly
         if f.coefficient(0) % p:
             nu = len(tree.root.degenerate_roots)
-            assert tree.node_count <= 1 + max(2 * tree.depth - 1, 0) * nu
+            assert tree.node_count <= 1 + max(2 * depth - 1, 0) * nu
         trees += 1
     _report("criterion 5 (tree invariants)", True, f"{trees} trees checked")
     assert trees > 150
@@ -331,9 +333,7 @@ def test_criterion_7_separation_soundness(corpus):
                     a = tau.refine(40)
                     b = z.refine(40)
                     m = p ** min(a.precision, b.precision)
-                    u1 = pow(a.unit_residue, -1, m) if a.inverted else a.unit_residue % m
-                    u2 = pow(b.unit_residue, -1, m) if b.inverted else b.unit_residue % m
-                    gap = tau.valuation + ord_int((u1 - u2) % m, p)
+                    gap = tau.valuation + ord_int((a.unit_residue - b.unit_residue) % m, p)
                 if abs(gap) > cap + 1e-9:
                     violations.append((f.to_text(), p, "degenerate-gap", gap, cap))
                 gap_checked += 1

@@ -2,20 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from padicroots.arith import (
-    INFINITY,
-    PAdicContext,
-    is_prime,
-    log_height,
-    mod_inv,
-    mod_pow,
-    ord_int,
-    ord_rat,
-)
-from padicroots.errors import InvalidParams, NotInvertible
+from padicroots.arith import INFINITY, PAdicContext, is_prime, ord_int, ord_rat
+from padicroots.errors import InvalidParams
+from tests.reference import log_height
 
 PRIMES_TO_100 = [p for p in range(2, 101) if is_prime(p)]
 
@@ -32,24 +24,6 @@ def test_ord_rat_examples():
     assert ord_rat(Fraction(0), 7) == INFINITY
 
 
-def test_mod_pow_examples():
-    assert mod_pow(2, 10, PAdicContext(3, 2)) == 1024 % 9 == 7
-    assert mod_pow(11, 0, PAdicContext(7, 3)) == 1
-    # against a repeated-multiplication loop
-    ctx = PAdicContext(17, 3)
-    acc = 1
-    for _ in range(85):
-        acc = acc * 16 % ctx.modulus
-    assert mod_pow(16, 85, ctx) == acc
-
-
-def test_mod_inv_examples():
-    assert mod_inv(1, PAdicContext(11, 4)) == 1
-    assert mod_inv(2, PAdicContext(5, 2)) == 13
-    with pytest.raises(NotInvertible):
-        mod_inv(5, PAdicContext(5, 2))
-
-
 def test_log_height():
     assert log_height(Fraction(3, 7)) == math.log(7)
     assert log_height(Fraction(0)) == 0.0
@@ -61,7 +35,7 @@ def test_context_validation():
         PAdicContext(4, 2)
     with pytest.raises(InvalidParams):
         PAdicContext(7, 0)
-    assert PAdicContext(2, 5).modulus == 32
+    assert PAdicContext(2, 5) == PAdicContext(p=2, k=5)
 
 
 @given(
@@ -83,32 +57,6 @@ def test_ultrametric(a, b, p):
     assert vs >= min(va, vb)
     if va != vb:
         assert vs == min(va, vb)
-
-
-@given(
-    b=st.integers(min_value=0, max_value=10 ** 6),
-    e1=st.integers(min_value=0, max_value=200),
-    e2=st.integers(min_value=0, max_value=200),
-    p=st.sampled_from([2, 3, 5, 7, 11]),
-    k=st.integers(min_value=1, max_value=6),
-)
-@settings(max_examples=80)
-def test_mod_pow_additive(b, e1, e2, p, k):
-    ctx = PAdicContext(p, k)
-    assert mod_pow(b, e1 + e2, ctx) == mod_pow(b, e1, ctx) * mod_pow(b, e2, ctx) % ctx.modulus
-
-
-def test_mod_inv_exhaustive_small_moduli():
-    # every prime power p^k <= 3125
-    for p in PRIMES_TO_100:
-        k = 1
-        while p ** k <= 3125:
-            ctx = PAdicContext(p, k)
-            for r in range(1, ctx.modulus):
-                if r % p == 0:
-                    continue
-                assert mod_inv(r, ctx) * r % ctx.modulus == 1
-            k += 1
 
 
 def test_is_prime_desk_scale():

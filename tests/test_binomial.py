@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from padicroots.arith import log_height, ord_int
+from padicroots.arith import ord_int
 from padicroots.binomial import (
     REASON_NO_INTEGRAL_VALUATION,
     REASON_POWER_TEST_FAILED,
@@ -10,10 +10,10 @@ from padicroots.binomial import (
     separation_binomial,
     solve_binomial,
 )
-from padicroots.errors import BudgetExceeded
+from padicroots.errors import BudgetExceeded, InvalidParams
 from padicroots.oracle import count_qp_roots, lift_root
-from padicroots.sparsepoly import SparsePoly
 from tests.conftest import random_binomial, smale_gains
+from tests.reference import log_height
 
 
 def _count(inp):
@@ -39,9 +39,9 @@ def test_structural_count(rng):
 
 def test_solve_digit_examples():
     res = solve_binomial(BinomialInput(-1, 1, 2, 7))
-    assert sorted(r.digits[0] for r in res.roots) == [1, 6]
+    assert sorted(r.unit_digits(1) for r in res.roots) == [(1,), (6,)]
     res = solve_binomial(BinomialInput(1, -1, 340, 17))
-    assert sorted(r.digits[:2] for r in res.roots) == sorted(
+    assert sorted(r.unit_digits(2) for r in res.roots) == sorted(
         [(1, 0), (4, 2), (13, 14), (16, 16)]
     )
     res = solve_binomial(BinomialInput(8, -1, 3, 5))
@@ -49,7 +49,7 @@ def test_solve_digit_examples():
     # ord_p d >= 10: certified_residue starts from the first digit alone and
     # its Newton steps read f'(z) past p^10
     res = solve_binomial(BinomialInput(1 + 3 ** 11, -1, 3 ** 10, 3))
-    assert [r.digits for r in res.roots] == [(1, 1, 1)]
+    assert [r.unit_digits(r.precision) for r in res.roots] == [(1, 1, 1)]
     res = solve_binomial(BinomialInput(1 + 5 ** 11, -1, 5 ** 10, 5))
     assert [r.unit_residue for r in res.roots] == [81]
 
@@ -63,18 +63,11 @@ def test_reason_codes():
     assert res.count == 0 and res.reason == REASON_POWER_TEST_FAILED
 
 
-def test_negative_degree():
-    # 1 + 2 x^-3 = 0 <=> x^3 = -2
-    inp = BinomialInput(1, 2, -3, 5)
-    ref = count_qp_roots(SparsePoly.from_terms([(0, 2), (3, 1)]), 5)
-    assert _count(inp) == ref.qp_count
-    res = solve_binomial(inp)
-    assert res.count == ref.qp_count
-    for rt in res.roots:
-        assert rt.inverted
-        v = rt.value
-        assert v ** -3 * 2 + 1 != 0 or True  # start point, not the exact root
-        assert rt.valuation == 0
+def test_degree_below_one_is_invalid():
+    # c1 + c2 x^(-d) has the roots of c2 + c1 x^d, so callers pass d >= 1
+    for d in (-3, 0):
+        with pytest.raises(InvalidParams):
+            BinomialInput(1, 2, d, 5)
 
 
 def test_oracle_equivalence_mini(rng):
@@ -108,7 +101,7 @@ def test_smale_convergence(rng):
             for i, ei in enumerate(gains, start=1):
                 if ei is None:
                     break
-                assert ei - e0 >= 2 ** i, (f.to_text(), p, rt.digits, i, e0, ei)
+                assert ei - e0 >= 2 ** i, (f.to_text(), p, rt.unit_residue, i, e0, ei)
             done += 1
     assert done > 80
 

@@ -1,13 +1,16 @@
 import ast
 import json
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from padicroots.cli import build_parser, main
-from padicroots.sparsepoly import parse_poly, parse_poly_json
+from padicroots.sparsepoly import SparsePoly, parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -30,7 +33,8 @@ def test_solve_json_schema_and_count(capsys):
     assert payload["discriminant"] == {"is_zero": False, "method": "exact", "r": 2}
     assert set(payload["precision"]) == {"S0", "D", "M_p", "k"}
     # polynomial round-trips through the emitted JSON
-    assert parse_poly_json(payload["input"]) == parse_poly("738 - 10*x^2 + x^20")
+    terms = [(a, int(c)) for a, c in payload["input"]["terms"]]
+    assert SparsePoly.from_terms(terms) == parse_poly("738 - 10*x^2 + x^20")
 
 
 def test_solve_digits(capsys):
@@ -64,6 +68,21 @@ def test_polygon_arch_needs_no_p(capsys):
     assert [ast.literal_eval(line)["length"] for line in out.splitlines()] == [1, 1, 3]
     # the p-adic polygon still needs p
     assert run_cli(capsys, "polygon", "x^5 - 64*x^2 + 32*x - 4")[0] == 2
+
+
+@pytest.mark.parametrize("p, poly", [("1", "x - 1"), ("0", "x - 1"), ("4", "x^2 - 1")])
+def test_polygon_rejects_a_non_prime_p(p, poly):
+    # ord_p never ends at p = 1 and divides by zero at p = 0, so run apart
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "padicroots.cli", "polygon", "--p", p, poly],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert run.returncode == 1 and run.stdout == ""
+    assert "not prime" in run.stderr and "Traceback" not in run.stderr
 
 
 def test_tree_subcommand(capsys):

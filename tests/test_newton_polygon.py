@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
-from padicroots.errors import BudgetExceeded
+import pytest
+
+from padicroots.arith import is_prime
+from padicroots.errors import BudgetExceeded, InvalidParams
 from padicroots.newton_polygon import build_arch, build_padic, integral_valuation_candidates
-from padicroots.oracle import count_qp_roots
+from padicroots.oracle import _integral_valuations, count_qp_roots
 from padicroots.sparsepoly import SparsePoly, parse_poly, strip_zero_root
 from tests.conftest import random_trinomial
 
@@ -55,6 +59,15 @@ def test_arch_shifted_tetranomial_two_edges():
     assert edges[0].horizontal_length == 2
 
 
+def test_arch_exact_collinearity_and_its_limit():
+    # exactly collinear: the tolerance test is ambiguous, the exact test merges
+    edges = build_arch(parse_poly("1 + 2*x + 4*x^2"))
+    assert [(e.horizontal_length, e.collinearity_uncertain) for e in edges] == [(2, False)]
+    # coefficients past 2^63 are beyond the exact test: merged, and flagged
+    edges = build_arch(SparsePoly(((0, 1), (1, 2 ** 64), (2, 2 ** 128))))
+    assert [(e.horizontal_length, e.collinearity_uncertain) for e in edges] == [(2, True)]
+
+
 def test_arch_log3_isolation_flags():
     edges = build_arch(parse_poly("x^2 - 1"))
     assert edges[0].log3_isolated is True
@@ -66,6 +79,30 @@ def test_integral_candidates_examples():
     assert integral_valuation_candidates(parse_poly("1 + x + 5*x^2"), 5) == [(0, 1), (-1, 1)]
     assert integral_valuation_candidates(parse_poly("-5 + x^2"), 5) == []
     assert integral_valuation_candidates(parse_poly("1 - x^397"), 17) == [(0, 397)]
+
+
+@pytest.mark.parametrize("p", [-3, 0, 4])  # p = 1: test_cli, under a timeout
+def test_non_prime_p_is_refused(p):
+    f = parse_poly("x^2 - 1")
+    for build in (build_padic, integral_valuation_candidates):
+        with pytest.raises(InvalidParams):
+            build(f, p)
+
+
+def test_valuation_sweep_matches_the_oracles():
+    """The hull's integral slopes are the oracle's own pairwise sweep, an
+    independent implementation; the edges carry at most deg f roots."""
+    rng = random.Random(0x5A1E)
+    primes = [p for p in range(98) if is_prime(p)]
+    for _ in range(20_000):
+        p = rng.choice(primes)
+        f = SparsePoly.from_terms(
+            (a, rng.choice([-1, 1]) * rng.randint(1, 60) * p ** rng.randint(0, 6))
+            for a in rng.sample(range(300), rng.randint(1, 5))
+        )
+        found = integral_valuation_candidates(f, p)
+        assert [v for v, _ in found] == _integral_valuations(f, p), (f.to_text(), p)
+        assert sum(m for _, m in found) <= f.degree
 
 
 def test_lengths_sum_and_convexity(rng):

@@ -6,7 +6,6 @@ from padicroots.errors import ContentDivisible
 from padicroots.nodal_tree import (
     NodalNode,
     build_tree,
-    count_nondegenerate_roots,
     nodal_degree_cap,
     s_value,
     stabilized_tree,
@@ -77,21 +76,21 @@ def _multiplicity_mod_p(f, z, p, bound=30):
 def test_chain_for_x_squared():
     for p in (2, 3, 5):
         t = build_tree(SparsePoly(((2, 1),)), PAdicContext(p, 9))
-        assert t.depth == 4  # floor((9-1)/2)
+        assert max(n.depth for n in t.root.walk()) == 4  # floor((9-1)/2)
         assert t.node_count == 5
-        assert count_nondegenerate_roots(t) == 0
+        assert sum(n.n_p for n in t.root.walk()) == 0
 
 
 def test_single_node_for_x397():
     t = build_tree(parse_poly("1 - x^397"), PAdicContext(17, 5))
     assert t.node_count == 1
-    assert count_nondegenerate_roots(t) == 1  # 1 is a simple root of the reduction...
+    assert sum(n.n_p for n in t.root.walk()) == 1  # 1 is a simple root of the reduction...
 
 
 def test_tree_1_minus_x340():
     t = build_tree(parse_poly("1 - x^340"), PAdicContext(17, 3))
-    assert t.depth == 1 and len(t.root.children) == 4
-    assert count_nondegenerate_roots(t) == 4
+    assert max(n.depth for n in t.root.walk()) == 1 and len(t.root.children) == 4
+    assert sum(n.n_p for n in t.root.walk()) == 4
     mods = sorted(tuple(ch.mod_p_coeffs(17)) for ch in t.root.children)
     assert mods == sorted([(0, 14), (10, 12), (15, 5), (3, 3)])
     for k in (1, 2):
@@ -101,7 +100,7 @@ def test_tree_1_minus_x340():
 
 def test_tree_q2_example():
     t = build_tree(parse_poly("x^10 + 11*x^2 - 12"), PAdicContext(2, 8))
-    assert count_nondegenerate_roots(t) == 6
+    assert sum(n.n_p for n in t.root.walk()) == 6
     depth2 = [n for n in t.root.walk() if n.depth == 2]
     contributing = [n for n in depth2 if n.nondegenerate_roots]
     assert len(contributing) == 3
@@ -112,7 +111,7 @@ def test_tree_q2_example():
 
 def test_tree_q3_example():
     t = build_tree(parse_poly("738 - 10*x^2 + x^20"), PAdicContext(3, 7))
-    assert count_nondegenerate_roots(t) == 8
+    assert sum(n.n_p for n in t.root.walk()) == 8
     by_path = {(n.depth, n.mu): n.n_p for n in t.root.walk() if n.n_p}
     assert sum(by_path.values()) == 8
     assert len(by_path) == 5  # five root-bearing nodes
@@ -187,12 +186,12 @@ def test_content_rejected():
 def test_stabilized_examples():
     st = stabilized_tree(parse_poly("1 - x^340"), 17, k_start=1, k_cap=64)
     assert st.stabilized and st.k_used >= 3
-    assert count_nondegenerate_roots(st.tree) == 4
+    assert sum(n.n_p for n in st.tree.root.walk()) == 4
     st2 = stabilized_tree(parse_poly("x^2 - 1"), 5, k_start=1, k_cap=64)
-    assert st2.stabilized and count_nondegenerate_roots(st2.tree) == 2
+    assert st2.stabilized and sum(n.n_p for n in st2.tree.root.walk()) == 2
     assert st2.tree.root.n_p == 2
     st3 = stabilized_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, k_start=1, k_cap=64)
-    assert st3.stabilized and count_nondegenerate_roots(st3.tree) == 6
+    assert st3.stabilized and sum(n.n_p for n in st3.tree.root.walk()) == 6
 
 
 def test_stabilized_cap_flag():
@@ -216,7 +215,7 @@ def test_ladder_ends_at_first_mature_tree(monkeypatch):
     built.clear()
     st = stabilized_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, k_start=1, k_cap=8)
     assert built == [1, 2, 4, 8] and st.stabilized and st.k_used == 8
-    assert count_nondegenerate_roots(st.tree) == 6
+    assert sum(n.n_p for n in st.tree.root.walk()) == 6
 
 
 def _shape(tree):
@@ -261,7 +260,7 @@ def test_invariants_on_random_corpus(rng):
         k = rng.randint(3, 12)
         tree = build_tree(f, PAdicContext(p, k))
         nodes = list(tree.root.walk())
-        assert tree.depth <= (k - 1) // 2
+        assert max(n.depth for n in tree.root.walk()) <= (k - 1) // 2
         cap = nodal_degree_cap(p)
         for n in nodes:
             if n.depth >= 1 and n.mu % p != 0:
@@ -272,7 +271,7 @@ def test_invariants_on_random_corpus(rng):
         # node count cap for trinomials with p not dividing the constant term
         if f.coefficient(0) % p:
             nu = len(tree.root.degenerate_roots)
-            depth = tree.depth
+            depth = max(n.depth for n in tree.root.walk())
             assert tree.node_count <= 1 + max(2 * depth - 1, 0) * nu
 
 

@@ -2,33 +2,9 @@ import pytest
 
 from padicroots.arith import ord_int
 from padicroots.errors import BudgetExceeded, CriterionFailed
-from padicroots.oracle import count_qp_roots, lift_root, roots_mod_pk
+from padicroots.oracle import count_qp_roots, lift_root
 from padicroots.sparsepoly import SparsePoly, parse_poly
 from tests.conftest import random_trinomial
-
-
-def test_roots_mod_pk_examples():
-    assert roots_mod_pk(parse_poly("x^2 - 1"), 3, 2) == [1, 8]
-    assert roots_mod_pk(SparsePoly(((2, 1),)), 5, 3) == [0, 25, 50, 75, 100]
-    # the four Z_17 roots of 1 - x^340 truncate into the mod-289 root set
-    rs = set(roots_mod_pk(parse_poly("1 - x^340"), 17, 2))
-    for prefix in (1 + 0 * 17, 4 + 2 * 17, 13 + 14 * 17, 16 + 16 * 17):
-        assert prefix in rs
-
-
-def test_roots_mod_pk_projection(rng):
-    for _ in range(60):
-        f = random_trinomial(rng, d_max=12, h_max=20)
-        p = rng.choice([2, 3, 5])
-        k = rng.randint(1, 5)
-        upper = roots_mod_pk(f, p, k + 1)
-        lower = set(roots_mod_pk(f, p, k))
-        assert {x % p ** k for x in upper} <= lower
-
-
-def test_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        roots_mod_pk(SparsePoly(((2, 1),)), 2, 60, budget=10_000)
 
 
 def test_count_examples():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicroots.arith import PAdicContext, ord_int
+from padicroots.arith import ord_int
 from padicroots.errors import BudgetExceeded, ParseError
 from padicroots.newton_polygon import integral_valuation_candidates
 from padicroots.sparsepoly import (
     SparsePoly,
     parse_poly,
-    parse_poly_json,
     rescale_for_valuation,
     shift_rescale,
     taylor_coeffs_mod,
@@ -46,8 +45,6 @@ def test_parse_long_coefficient_is_a_parse_error():
         parse_poly("1 + " + "7" * 5000 + "*x + x^2")
     with pytest.raises(ParseError):
         parse_poly("1 + x^" + "7" * 5000)
-    with pytest.raises(ParseError):
-        parse_poly_json({"terms": [[0, "7" * 5000]]})
 
 
 def test_text_json_round_trip(rng):
@@ -60,7 +57,8 @@ def test_text_json_round_trip(rng):
             continue
         f = SparsePoly.from_terms(pairs)
         assert parse_poly(f.to_text()) == f
-        assert parse_poly_json(json.dumps(f.to_json_obj())) == f
+        obj = json.loads(json.dumps(f.to_json_obj()))
+        assert SparsePoly.from_terms((a, int(c)) for a, c in obj["terms"]) == f
 
 
 def test_evaluate_mod_examples():
@@ -122,7 +120,7 @@ def test_shift_then_eval_matches_direct(p, digit, data):
     f = SparsePoly.from_terms(list(terms.items()))
     if f.is_zero:
         return
-    ctx = PAdicContext(p, k)
+    m = p ** k
     from padicroots.nodal_tree import s_value
 
     u = taylor_coeffs_mod(f, digit, p, k, min(f.degree, k - 1))
@@ -131,9 +129,9 @@ def test_shift_then_eval_matches_direct(p, digit, data):
     shifted = SparsePoly.from_dense(coeffs)
     rng = random.Random(f"{p}:{digit}:{k}:{sorted(terms.items())}")
     for _ in range(20):
-        x = rng.randrange(ctx.modulus)
-        lhs = p ** s * shifted.eval_mod(x, ctx.modulus) % ctx.modulus
-        rhs = f.eval_mod(digit + p * x, ctx.modulus)
+        x = rng.randrange(m)
+        lhs = p ** s * shifted.eval_mod(x, m) % m
+        rhs = f.eval_mod(digit + p * x, m)
         assert (lhs - rhs) % p ** k == 0
 
 
