@@ -4,7 +4,9 @@ A node holds a truncated polynomial g mod p^k_local reached by fixing base-p
 digits zeta_0, ..., zeta_{i-1}: g = p^(-s) f(zeta_0 + ... + p^i x) with s the
 precision consumed so far.  Children hang off degenerate roots of the mod-p
 reduction whose s-value lies in {2, ..., k_local - 1}; non-degenerate roots
-are harvested at every node and Hensel-lift to distinct Z_p roots of f.
+are harvested at every node and Hensel-lift to distinct Z_p roots of f.  A
+degenerate digit whose prefix a RepeatedRootCut covers gets no child: its
+prefix sits on the digit chain of a repeated root, where no simple root is.
 """
 
 from __future__ import annotations
@@ -39,6 +41,30 @@ def s_value(u: list[int], p: int, k: int) -> int:
         if contribution < best:
             best = contribution
     return best
+
+
+@dataclass(frozen=True)
+class RepeatedRootCut:
+    """Digit prefixes of at least `depth` digits that agree with a Z_p root
+    of h(y) = den y^r - num (num, den units, ell = ord_p r) in every digit.
+
+    Hensel at ord_p h' = ell: for n >= ell + 1 digits, h(prefix) = 0 mod
+    p^(n + ell) exactly when the prefix agrees with a root of h in n digits,
+    so one residue test decides it.
+    """
+
+    depth: int
+    num: int
+    den: int
+    r: int
+    ell: int
+
+    def covers(self, prefix: int, n: int, p: int) -> bool:
+        """prefix, read as n digits, lies on a root of h (needs depth > ell)."""
+        if n < self.depth:
+            return False
+        m = p ** (n + self.ell)
+        return (self.den * pow(prefix, self.r, m) - self.num) % m == 0
 
 
 @dataclass
@@ -102,13 +128,17 @@ class NodalTree:
         return any(n.blocked for n in self.root.walk())
 
 
-def build_tree(f: SparsePoly, ctx: PAdicContext, root_digits: str = "all") -> NodalTree:
+def build_tree(
+    f: SparsePoly, ctx: PAdicContext, root_digits: str = "all", cut: RepeatedRootCut | None = None
+) -> NodalTree:
     """Construct the full tree at precision k.
 
     root_digits='nonzero' restricts depth-0 expansion and harvesting to
     digits != 0 (the valuation-0 root sweep); 'one' restricts depth 0 to
     the digit 1 (most-significant-digit-1 roots); deeper digits are never
-    restricted.  Each degenerate digit costs one Taylor expansion, which
+    restricted.  A degenerate digit whose prefix `cut` covers is listed in
+    degenerate_roots but gets neither a child nor a blocked entry.  Every
+    other degenerate digit costs one Taylor expansion, which
     gives both its s-value and its child.  The depth and s-sum invariants,
     and for trinomial inputs the degree collapse below a nonzero first
     digit, are checked as each child is made (InvariantViolated).  The root
@@ -133,6 +163,9 @@ def build_tree(f: SparsePoly, ctx: PAdicContext, root_digits: str = "all") -> No
                 node.nondegenerate_roots.append(z)
                 continue
             node.degenerate_roots.append(z)
+            prefix = node.mu + z * p ** node.depth
+            if cut is not None and cut.covers(prefix, node.depth + 1, p):
+                continue
             # the index-k_local coefficient can never bring s below k_local
             u = taylor_coeffs_mod(node.poly, z, p, k_local, min(node.poly.degree, k_local - 1))
             s = s_value(u, p, k_local)
@@ -141,7 +174,7 @@ def build_tree(f: SparsePoly, ctx: PAdicContext, root_digits: str = "all") -> No
                     node.blocked.append((z, s))
                 continue
             child = NodalNode(
-                mu=node.mu + z * p ** node.depth,
+                mu=prefix,
                 depth=node.depth + 1,
                 poly=SparsePoly.from_dense(shift_rescale(u, s, p, k_local)),
                 k_local=k_local - s,
@@ -176,6 +209,7 @@ def stabilized_tree(
     k_start: int = 4,
     k_cap: int = 4096,
     root_digits: str = "all",
+    cut: RepeatedRootCut | None = None,
 ) -> StabilizedTree:
     """Double k from k_start until the tree is mature, or k_cap is hit.
 
@@ -185,27 +219,41 @@ def stabilized_tree(
     it truncates at k_local, and the Taylor indices it drops, are all at
     least k_local.  Every node polynomial is known mod p^k_local with
     k_local >= 1, so its mod-p reduction, its F_p roots and their
-    degenerate/simple split are exact.  At any larger k the same digits
-    therefore give the same s-values, children and root lists; no node is
-    added, because no site was blocked.  The count is exact too.  A
-    degenerate digit with a Z_p root above it has s >= 2 (s = 1 leaves a
-    unit constant term), so along the digit path of a simple root each
-    degenerate digit either is blocked, which a mature tree rules out, or
-    makes a child with k_local smaller by s.  The path therefore ends at a
-    simple root of some node's reduction, which Hensel-lifts to that root
-    alone.
+    degenerate/simple split are exact.  The cut test reads only the digit
+    prefix.  At any larger k the same digits therefore give the same
+    s-values, children, cuts and root lists; no node is added, because no
+    site was blocked.  The count is exact too.  A degenerate digit with a
+    Z_p root above it has s >= 2 (s = 1 leaves a unit constant term), so
+    along the digit path of a simple root each degenerate digit either is
+    blocked, which a mature tree rules out, or is cut, which the next
+    paragraph rules out, or makes a child with k_local smaller by s.  The
+    path therefore ends at a simple root of some node's reduction, which
+    Hensel-lifts to that root alone.
 
-    A repeated Z_p root keeps its digit chain blocked at every k, so trees
-    of such f never mature: they run to k_cap and return with
-    stabilized=False.  Their count is exact when k_cap is the k of
-    precision_plan, the paper's worst-case precision: S0 caps the s-value
-    of the first digit, M_p that of each later one, and D the number of
-    digits two simple roots can share, so at that k every simple root is
-    harvested and blocked sites lie only on the chains of repeated roots.
+    A repeated Z_p root tau keeps its digit chain blocked at every k, so
+    without a cut such trees never mature: they run to k_cap.  The cut
+    ends that chain.  solve_trinomial cuts the valuation v that holds the
+    repeated roots, all roots of x^r = T, at depth N_v = max(C + max(0, -v)
+    + 1, ell + 1), with C = floor(log_p((d-r) d^3 H / (8 r^4))) and ell =
+    ord_p r.  Their unit parts tau p^(-v) are the roots of h(y) = den y^r -
+    num, where num/den = T p^(-r v).  The cut is sound: by the paper's
+    repulsion bound a simple root z has ord_p(z - tau) <= C, so its unit
+    part agrees with tau p^(-v) in at most C - v < N_v digits, whatever
+    the sign of v; since N_v >= ell + 1, RepeatedRootCut's Hensel test
+    covers a prefix of n >= N_v digits exactly when it agrees with a root
+    of h in n digits, so no simple root lies above a cut digit.  Every
+    chain then ends, and the ladder matures once k covers the s-values down
+    to depth N_v, at least about 2 N_v; stabilized=False is left to ladders
+    whose cap comes first.  Their count is exact when k_cap
+    is the k of precision_plan, the paper's worst-case precision: S0 caps
+    the s-value of the first digit, M_p that of each later one, and D the
+    number of digits two simple roots can share, so at that k every simple
+    root is harvested and blocked sites lie only on the chains of repeated
+    roots.
     """
     k = max(1, k_start)
     while True:
-        tree = build_tree(f, PAdicContext(p, k), root_digits=root_digits)
+        tree = build_tree(f, PAdicContext(p, k), root_digits=root_digits, cut=cut)
         if not tree.immature:
             return StabilizedTree(tree=tree, k_used=k, stabilized=True)
         if k >= k_cap:

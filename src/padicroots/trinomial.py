@@ -26,17 +26,20 @@ from .arith import is_prime, ord_int, ord_rat
 from .binomial import (
     REASON_NO_INTEGRAL_VALUATION, BinomialInput, BinomialSolveResult, solve_binomial,
 )
-from .bounds import trinomial_separation_bound
+from .bounds import degenerate_valuation_gap_cap, trinomial_separation_bound
 from .errors import BudgetExceeded, InvalidParams, InvariantViolated
 from .fp import gcd_with_frobenius
 from .newton import ApproximateRoot, certified_residue, newton_step
 from .newton_polygon import integral_valuation_candidates
-from .nodal_tree import nodal_degree_cap, stabilized_tree
+from .nodal_tree import RepeatedRootCut, nodal_degree_cap, stabilized_tree
 from .sparsepoly import SparsePoly, rescale_for_valuation, strip_zero_root
 
-# largest ladder cap a valuation holding a degenerate root may run to: its
-# trees never mature, so its ladder always climbs to the cap
+# a valuation holding a degenerate root is refused when its ladder cap is
+# above K_BUILD_LIMIT and its cut depth N_v above CUT_DEPTH_LIMIT: the cut
+# trees mature at k of about 2 N_v, and at p = 3 N_v = 529 took 12 s to reach
+# on a 2-vCPU VM
 K_BUILD_LIMIT = 100_000
+CUT_DEPTH_LIMIT = 256
 
 MODE_FULL = "full"
 MODE_RESTRICTED = "restricted-root"
@@ -214,6 +217,22 @@ def precision_plan(
     return PrecisionPlan(S0=s0, D=D, M_p=m_p, k=k)
 
 
+def cut_depth(v: int, d: int, H: int, r: int, p: int) -> int:
+    """N_v = max(C + max(0, -v) + 1, ord_p r + 1): the digit depth from which
+    a unit-part prefix on the chain of a valuation-v repeated root holds no
+    simple root (stabilized_tree), with C = floor(log_p((d-r) d^3 H / (8 r^4))),
+    the paper's cap on ord_p(z - tau), or 0 when that log is negative."""
+    c = int(degenerate_valuation_gap_cap(d, H, r) / math.log(p))
+    # exact, because the float quotient can fall just short of an integer
+    # (log(243) / log(3) is 4.999...)
+    bound, unit = (d - r) * d ** 3 * H, 8 * r ** 4
+    while c > 0 and unit * p ** c > bound:
+        c -= 1
+    while unit * p ** (c + 1) <= bound:
+        c += 1
+    return max(c + max(0, -v) + 1, ord_int(r, p) + 1)
+
+
 @dataclass
 class CandidateOutcome:
     valuation: int
@@ -236,11 +255,13 @@ class SolveResult:
 
 
 def _harvest_tree(
-    g: SparsePoly, p: int, v: int, k_cap: int, root_digits: str, k_start: int, certify: bool
+    g: SparsePoly, p: int, v: int, k_cap: int, root_digits: str, k_start: int, certify: bool,
+    cut: RepeatedRootCut | None,
 ) -> tuple[list[ApproximateRoot], CandidateOutcome]:
     """Non-degenerate valuation-v roots from the digit tree of g: one per
-    simple root of a node's reduction, certified only when certify is set."""
-    st = stabilized_tree(g, p, k_start=k_start, k_cap=k_cap, root_digits=root_digits)
+    simple root of a node's reduction, certified only when certify is set.
+    cut ends the digit chains of the repeated roots at valuation v."""
+    st = stabilized_tree(g, p, k_start=k_start, k_cap=k_cap, root_digits=root_digits, cut=cut)
     roots, count = [], 0
     for node in st.tree.root.walk():
         if node.depth >= 1:
@@ -279,11 +300,14 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     The constant term is nonzero, so 0 is never a root; solve_sparse
     validates the mode and handles a factor x^a1.  Candidate valuations
     are taken in polygon order: rescale (BudgetExceeded past
-    MAX_RESCALE_BITS), plan, then build the ladder.  A valuation that holds
-    a degenerate root never gets a mature tree (stabilized_tree), so its
-    ladder runs to the cap; a cap above K_BUILD_LIMIT raises BudgetExceeded
-    before that ladder is built.  certify=False counts without
-    certificates (solve_sparse).
+    MAX_RESCALE_BITS), plan, then build the ladder.  At the valuation v
+    that holds the degenerate roots, the ladder's trees cut every digit on
+    their chains from depth N_v = cut_depth(...) on, so they mature at k of
+    about 2 N_v instead of running to the cap (stabilized_tree).  That ladder
+    raises BudgetExceeded before it is built when its cap is above
+    K_BUILD_LIMIT and N_v is above CUT_DEPTH_LIMIT.  The cut is one residue
+    test and the same with and without certify; certify=False counts
+    without certificates (solve_sparse).
     """
     p = inp.p
     body = inp.poly
@@ -294,19 +318,30 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     degenerate = degenerate_roots_qp(inp, report, msd_one=msd_one, certify=certify)
     roots, count = degenerate.roots, degenerate.count
 
-    degenerate_v = None
+    degenerate_v = cut = None
     if count:  # every root of x^r = T has the valuation ord_p(T) / r
-        degenerate_v = ord_rat(report.T, p) // report.r
+        r = report.r
+        degenerate_v = ord_rat(report.T, p) // r
+        unit = report.T / Fraction(p) ** (r * degenerate_v)
+        cut = RepeatedRootCut(
+            depth=cut_depth(degenerate_v, inp.d, inp.height, r, p),
+            num=unit.numerator,
+            den=unit.denominator,
+            r=r,
+            ell=ord_int(r, p),
+        )
     candidates = integral_valuation_candidates(body, p)
     root_digits = "one" if msd_one else "nonzero"
     for v, _mult in candidates:
         g = rescale_for_valuation(body, p, v)
         k_cap = precision_plan(inp, report, height=g.max_abs_coeff()).k
-        if v == degenerate_v and k_cap > K_BUILD_LIMIT:
+        v_cut = cut if v == degenerate_v else None
+        if v_cut is not None and k_cap > K_BUILD_LIMIT and v_cut.depth > CUT_DEPTH_LIMIT:
             raise BudgetExceeded(
-                f"valuation {v} holds a degenerate root and needs k = {k_cap} > {K_BUILD_LIMIT}"
+                f"valuation {v} holds a degenerate root: its ladder cap k = {k_cap} is above"
+                f" {K_BUILD_LIMIT} and its cut depth {v_cut.depth} above {CUT_DEPTH_LIMIT}"
             )
-        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, min(6, k_cap), certify)
+        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, min(6, k_cap), certify, v_cut)
         roots.extend(got)
         count += outcome.count
         outcomes.append(outcome)

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 import time
@@ -76,7 +77,7 @@ def test_polygon_rejects_a_non_prime_p(p, poly):
     src = str(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run(
         [sys.executable, "-m", "padicroots.cli", "polygon", "--p", p, poly],
-        env={"PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=10,

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from padicroots.trinomial import (
     MODE_FULL,
     MODE_RESTRICTED,
     TrinomialInput,
+    cut_depth,
     degenerate_roots_qp,
     discriminant_tri,
     precision_plan,
@@ -163,7 +165,7 @@ def test_discriminant_not_fooled_by_a_modular_false_zero():
         # MAX_RESCALE_BITS, and v = 1 comes first in polygon order
         (SparsePoly.from_terms([(0, 2 ** 30 - 1), (2, -(2 ** 30 + 1)), (2 ** 30 + 1, 2)]), 3,
          BudgetExceeded),
-        (SparsePoly.from_terms([(0, 9999), (2, -10001), (10001, 2)]), 3, BudgetExceeded),
+        (SparsePoly.from_terms([(0, 9999), (2, -10001), (10001, 2)]), 3, "oracle"),
         (_q(2, 4001, 2, 2), 5, "oracle"),  # x^2 = 1/2 has no root in Q_5
         (SparsePoly.from_terms([(0, 10 ** 6), (1, -(10 ** 6 + 1)), (10 ** 6 + 1, 1)]), 5,
          BudgetExceeded),
@@ -174,9 +176,12 @@ def test_discriminant_not_fooled_by_a_modular_false_zero():
 )
 def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
     """Each gives the oracle's count or BudgetExceeded: (a) and (d) from the
-    rescale, whose power of p is above MAX_RESCALE_BITS, (b) and (f) because
-    the valuation of their degenerate root needs a ladder above K_BUILD_LIMIT.
-    The count-only path (`padicroots count`) gives the same outcome."""
+    rescale, whose power of p is above MAX_RESCALE_BITS, (f) because the
+    valuation of its degenerate root has a ladder cap above K_BUILD_LIMIT and
+    a cut depth N_v = 1442 above CUT_DEPTH_LIMIT.  (b) has a cap above
+    K_BUILD_LIMIT too, but its N_v is 41: its cut trees mature at k = 96 and
+    it gets the oracle's count, 2.  The count-only path (`padicroots count`)
+    gives the same outcome."""
     for certify in (True, False):
         if want == "oracle":
             assert solve_sparse(f, p, certify=certify).root_count == count_qp_roots(f, p).qp_count
@@ -209,6 +214,29 @@ def test_degenerate_roots_examples():
     roots = degenerate_roots_qp(inp, discriminant_tri(inp)).roots
     assert sorted(r.unit_digits(1)[0] for r in roots) == [1, 2, 4]
     assert all(r.degenerate for r in roots)
+
+
+def test_cut_depth_exact_values():
+    """N_v = max(C + max(0, -v) + 1, ord_p r + 1), C = floor(log_p((d-r) d^3 H / (8 r^4)))."""
+    # (1 - 3x)^2 = 1 - 6x + 9x^2 at p = 3: C = log_3 9 = 2, and its double
+    # root 1/3 has v = -1, so a simple root's unit part may share 3 digits
+    assert cut_depth(-1, 2, 9, 1, 3) == 4
+    assert cut_depth(-3, 2, 9, 1, 3) == 6
+    assert cut_depth(0, 2, 9, 1, 3) == 3
+    assert cut_depth(1, 2, 9, 1, 3) == 3  # (x - 3)^2: v > 0 shares at most C - v digits
+    # (x - 1)^2 at p = 3: (d-r) d^3 H / (8 r^4) = 2 < 3, so C = 0
+    assert cut_depth(0, 2, 2, 1, 3) == 1
+    # C is exact where log(243) / log(3) = 4.999... in floats
+    assert math.log(243) / math.log(3) < 5
+    assert cut_depth(0, 2, 243, 1, 3) == 6
+    # the ell + 1 floor: (1 - x^r)^2 with r = 3^10 has C = 0 at p = 3 and
+    # ord_3 r = 10
+    r = 3 ** 10
+    assert cut_depth(0, 2 * r, 2, r, 3) == 11
+    assert cut_depth(-2, 2 * r, 2, r, 3) == 11
+    assert cut_depth(-12, 2 * r, 2, r, 3) == 13
+    # log_7(4000 * 4001^3 / 8) = 15.98, and H = 7^50 adds 50 to C
+    assert cut_depth(0, 4001, 7 ** 50, 1, 7) == 66
 
 
 def test_precision_plan_cases():
@@ -272,10 +300,14 @@ def test_p_and_mode_checked_for_every_shape(text):
     ],
 )
 def test_p2_digit_chain_deeper_than_recursion_limit(text):
-    # the ladder runs to the proven cap and the digit chain toward the
-    # degenerate root gets deeper than Python's recursion limit
+    # Without the cut at N_v the ladder ran to the proven cap and the digit
+    # chain toward the degenerate root got deeper than Python's recursion
+    # limit.  The chain now ends at depth N_v and every tree matures;
+    # test_nodal_tree.py::test_walk_is_preorder_at_any_depth covers deep walks.
     f = parse_poly(text)
-    assert solve_sparse(f, 2).root_count == count_qp_roots(f, 2).qp_count == 1
+    res = solve_sparse(f, 2)
+    assert res.root_count == count_qp_roots(f, 2).qp_count == 1
+    assert all(c.stabilized for c in res.candidates)
 
 
 _OFF_BY_ONE_SCRIPT = """
@@ -305,7 +337,7 @@ def test_failed_cross_check_raises_invariant_violated(monkeypatch):
     src = str(Path(padicroots.trinomial.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-O", "-c", _OFF_BY_ONE_SCRIPT],
-        env={"PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=120,
