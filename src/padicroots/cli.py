@@ -116,6 +116,11 @@ def _cmd_tree(args) -> int:
     f = parse_poly(args.poly)
     ctx = PAdicContext(args.p, args.k)
     tree = build_tree(f, ctx)
+    # each node's reduction as sparse [exponent, coefficient mod p] pairs:
+    # the root node keeps the input's degree, which may be near 2^63
+    def mod_p(n):
+        return [[a, c % args.p] for a, c in n.poly.terms if c % args.p]
+
     if args.json:
         nodes = [
             {
@@ -124,7 +129,7 @@ def _cmd_tree(args) -> int:
                 "k_local": n.k_local,
                 "s_value": n.s_step,
                 "s_consumed": n.s_consumed,
-                "poly_mod_p": n.mod_p_coeffs(args.p),
+                "poly_mod_p": mod_p(n),
                 "nondegenerate_roots": n.nondegenerate_roots,
                 "degenerate_roots": n.degenerate_roots,
             }
@@ -137,7 +142,7 @@ def _cmd_tree(args) -> int:
         print(
             f"{pad}path={list(n.digits(args.p))} k={n.k_local} "
             f"s={n.s_step}/{n.s_consumed} "
-            f"mod-p={n.mod_p_coeffs(args.p)} simple={n.nondegenerate_roots} "
+            f"mod-p={mod_p(n)} simple={n.nondegenerate_roots} "
             f"degenerate={n.degenerate_roots}"
         )
     return 0

@@ -243,8 +243,14 @@ def stabilized_tree(
     covers a prefix of n >= N_v digits exactly when it agrees with a root
     of h in n digits, so no simple root lies above a cut digit.  Every
     chain then ends, and the ladder matures once k covers the s-values down
-    to depth N_v, at least about 2 N_v; stabilized=False is left to ladders
-    whose cap comes first.  Their count is exact when k_cap
+    to depth N_v, at least about 2 N_v, so solve_trinomial starts that
+    ladder at k_start = max(6, 2 N_v + 4), at most k_cap; the other ladders
+    start at 6.  The start cannot change a count: by the paragraph above a
+    tree mature at k is mature, and node for node the same tree, at every
+    larger k, so every start that reaches a mature rung ends at the same
+    tree, and the tree at k_cap is mature exactly when some rung is.  Only
+    k_used moves.  stabilized=False is left to ladders whose cap comes first.
+    Their count is exact when k_cap
     is the k of precision_plan, the paper's worst-case precision: S0 caps
     the s-value of the first digit, M_p that of each later one, and D the
     number of digits two simple roots can share, so at that k every simple

@@ -36,8 +36,8 @@ from .sparsepoly import SparsePoly, rescale_for_valuation, strip_zero_root
 
 # a valuation holding a degenerate root is refused when its ladder cap is
 # above K_BUILD_LIMIT and its cut depth N_v above CUT_DEPTH_LIMIT: the cut
-# trees mature at k of about 2 N_v, and at p = 3 N_v = 529 took 12 s to reach
-# on a 2-vCPU VM
+# trees mature at k of about 2 N_v, and at p = 3 the cut ladder took 0.65 s
+# at N_v = 274 and 6.3 s at N_v = 529 on a 2-vCPU VM
 K_BUILD_LIMIT = 100_000
 CUT_DEPTH_LIMIT = 256
 
@@ -304,6 +304,9 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     that holds the degenerate roots, the ladder's trees cut every digit on
     their chains from depth N_v = cut_depth(...) on, so they mature at k of
     about 2 N_v instead of running to the cap (stabilized_tree).  That ladder
+    starts at k = max(6, 2 N_v + 4), at most the cap, and so builds one tree
+    where doubling from 6 built several; since a mature tree is the same at
+    every larger k, the start moves k_used and no count.  It
     raises BudgetExceeded before it is built when its cap is above
     K_BUILD_LIMIT and N_v is above CUT_DEPTH_LIMIT.  The cut is one residue
     test and the same with and without certify; certify=False counts
@@ -341,7 +344,8 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
                 f"valuation {v} holds a degenerate root: its ladder cap k = {k_cap} is above"
                 f" {K_BUILD_LIMIT} and its cut depth {v_cut.depth} above {CUT_DEPTH_LIMIT}"
             )
-        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, min(6, k_cap), certify, v_cut)
+        k_start = min(k_cap, 6 if v_cut is None else max(6, 2 * v_cut.depth + 4))
+        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, k_start, certify, v_cut)
         roots.extend(got)
         count += outcome.count
         outcomes.append(outcome)

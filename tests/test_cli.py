@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -94,6 +95,28 @@ def test_tree_subcommand(capsys):
     assert sorted(n["digit_path"] for n in payload["nodes"] if n["depth"] == 1) == [
         [1], [4], [13], [16]
     ]
+
+
+def test_tree_at_degree_2_to_the_40():
+    """The root node keeps the input's degree, so its reduction is printed
+    from its terms; a dense list of 2^40 + 1 entries cannot be built.  Run
+    apart, under a 2 GB address-space limit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    t0 = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "padicroots.cli", "tree", "2 + x + x^1099511627776",
+         "--p", "3", "--k", "4", "--json"],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert time.perf_counter() - t0 < 1
+    assert run.returncode == 0, run.stderr
+    payload = json.loads(run.stdout)
+    jsonschema.validate(payload, load_schema("tree.json"))
+    assert payload["nodes"][0]["poly_mod_p"] == [[0, 2], [1, 1], [2 ** 40, 1]]
 
 
 def test_bounds_subcommand(capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import padicroots.binomial
+import padicroots.nodal_tree
 import padicroots.trinomial
 from padicroots.cli import main
 from padicroots.errors import PadicError
@@ -40,6 +41,17 @@ def _disagreements(inputs):
     return bad
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Replace module.name by a wrapper that adds 1 to calls[name] per call."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def _corpus():
     """3300 trinomials, then 2200 binomials, at p <= 13 (seed 0xACCE97)."""
     rng = random.Random(0xACCE97)
@@ -67,13 +79,20 @@ def test_count_path_agrees_on_the_corpus():
     assert _disagreements(_corpus()) == []
 
 
-def test_count_path_agrees_on_a_degenerate_cycle():
+def test_count_path_agrees_on_a_degenerate_cycle(monkeypatch):
     ops = next(cycles("degenerate", 1))
     assert len(ops) == 1512
     assert _disagreements((op.poly, op.p) for op in ops) == []
+    calls = {"build_tree": 0, "stabilized_tree": 0}
+    _count_calls(monkeypatch, calls, padicroots.nodal_tree, "build_tree")
+    _count_calls(monkeypatch, calls, padicroots.trinomial, "stabilized_tree")
     # the cut at N_v lets degenerate ladders mature: at most 1% rest on the cap
     outcomes = [c for op in ops for c in solve_sparse(op.poly, op.p, certify=False).candidates]
     assert sum(not c.stabilized for c in outcomes) <= 0.01 * len(outcomes)
+    # and a cut ladder starts near its maturity, so almost every ladder
+    # builds one tree
+    assert calls["stabilized_tree"] == len(outcomes)
+    assert calls["build_tree"] <= 1.01 * calls["stabilized_tree"]
 
 
 def test_count_path_agrees_on_the_count_pins():
@@ -96,19 +115,9 @@ def certificate_calls(monkeypatch):
     """Counts calls to certified_residue and binomial_coset_roots made
     through the modules that call them."""
     calls = {"certified_residue": 0, "binomial_coset_roots": 0}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(padicroots.trinomial, "certified_residue")
-    counted(padicroots.binomial, "certified_residue")
-    counted(padicroots.binomial, "binomial_coset_roots")
+    _count_calls(monkeypatch, calls, padicroots.trinomial, "certified_residue")
+    _count_calls(monkeypatch, calls, padicroots.binomial, "certified_residue")
+    _count_calls(monkeypatch, calls, padicroots.binomial, "binomial_coset_roots")
     return calls
 
 

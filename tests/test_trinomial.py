@@ -179,9 +179,9 @@ def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
     rescale, whose power of p is above MAX_RESCALE_BITS, (f) because the
     valuation of its degenerate root has a ladder cap above K_BUILD_LIMIT and
     a cut depth N_v = 1442 above CUT_DEPTH_LIMIT.  (b) has a cap above
-    K_BUILD_LIMIT too, but its N_v is 41: its cut trees mature at k = 96 and
-    it gets the oracle's count, 2.  The count-only path (`padicroots count`)
-    gives the same outcome."""
+    K_BUILD_LIMIT too, but its N_v is 41: its cut ladder starts at k = 86,
+    where its tree is mature, and it gets the oracle's count, 2.  The
+    count-only path (`padicroots count`) gives the same outcome."""
     for certify in (True, False):
         if want == "oracle":
             assert solve_sparse(f, p, certify=certify).root_count == count_qp_roots(f, p).qp_count
