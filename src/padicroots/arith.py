@@ -7,6 +7,7 @@ extended gcd.  Valuations are exact (`int`/`Fraction`), never floats;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +22,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+@functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial division + fixed-base Miller-Rabin)."""
+    """Deterministic primality test (trial division + fixed-base Miller-Rabin).
+
+    Cached: one solve checks its p in several places.
+    """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

@@ -1,15 +1,19 @@
 """Root finding and auxiliary algebra in F_p at desk scale.
 
-Exhaustive scans replace asymptotically-fast finite-field factoring; below
-p ~ 10^5 this is faster in practice and keeps the module dependency-free.
-The change affects running time only, never correctness.  A binomial
+Roots in F_p are found by an exhaustive scan: p-1 points of F_p*, walked
+along a primitive root, at one modular multiplication per term per point.
+Asymptotically fast splitting (Cantor-Zassenhaus) is sub-linear in p and
+would be much faster at these primes; it waits until the benchmark bounds
+the oracle check of its large-p workload, which grows with solver speed.
+The scan affects running time only, never correctness.  A binomial
 x^d = t is not evaluated on all of F_p: one power test decides it, and its
 roots, one coset of the gamma-th roots of unity with gamma = gcd(d, p-1),
-come from a scan of (p-1)/gamma coset representatives.
+come from a walk over (p-1)/gamma coset representatives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import ContentDivisible, InvariantViolated, PrimeTooLarge
@@ -23,69 +27,51 @@ def check_prime_cap(p: int):
         raise PrimeTooLarge(f"p = {p} exceeds the exhaustive-scan cap {DESK_PRIME_CAP}")
 
 
-def _reduce_exponent_unit(a: int, p: int) -> int:
-    """Reduce a positive exponent mod p-1 into {1, ..., p-1} (unit arguments)."""
-    if a == 0 or p == 2:
-        return min(a, 1) if p == 2 else a
-    e = a % (p - 1)
-    return e if e else p - 1
-
-
-def fp_terms(f: SparsePoly, p: int) -> list[tuple[int, int]]:
-    """(reduced exponent, coefficient mod p) pairs, zero coefficients dropped.
-
-    Valid for evaluation at nonzero arguments; exponent 0 stays 0.
-    """
-    acc: dict[int, int] = {}
-    for a, c in f.terms:
-        c %= p
-        if c == 0:
-            continue
-        e = _reduce_exponent_unit(a, p)
-        acc[e] = (acc.get(e, 0) + c) % p
-    return [(e, c) for e, c in sorted(acc.items()) if c]
-
-
-def fp_derivative_terms(f: SparsePoly, p: int) -> list[tuple[int, int]]:
-    """Reduced terms of f' mod p, for evaluation at nonzero arguments."""
-    acc: dict[int, int] = {}
-    for a, c in f.terms:
-        ac = (a % p) * c % p
-        if ac == 0 or a == 0:
-            continue
-        e = _reduce_exponent_unit(a - 1, p) if a > 1 else 0
-        acc[e] = (acc.get(e, 0) + ac) % p
-    return [(e, c) for e, c in sorted(acc.items()) if c]
-
-
 def roots_fp_exhaustive(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
     """All roots of f mod p with a degeneracy flag (f(z) = f'(z) = 0 mod p).
 
-    Note the reduced term list may be empty even for f != 0 mod p when
-    exponent reduction cancels terms; the function then vanishes on all of
-    F_p* (e.g. x^20 + 2x^2 mod 3).
+    F_p* is walked along the primitive root g: at the i-th point z = g^i
+    each term c z^e is the previous one times g^e, one multiplication per
+    term, and the exponents are reduced mod p-1.  The reduced terms may
+    cancel even for f != 0 mod p; f then vanishes on all of F_p* (e.g.
+    x^20 + 2x^2 mod 3).  f' is evaluated at the roots only.
     """
     check_prime_cap(p)
-    if all(c % p == 0 for _, c in f.terms):
+    acc: dict[int, int] = {}  # reduced exponent -> coefficient mod p
+    for a, c in f.terms:
+        if c % p:
+            e = a % (p - 1)
+            acc[e] = (acc.get(e, 0) + c) % p
+    if not acc:
         raise ContentDivisible("f is identically 0 mod p")
-    fterms = fp_terms(f, p)
-    dterms = fp_derivative_terms(f, p)
-
     roots = []
-    f0 = f.coefficient(0) % p
-    if f0 == 0:
-        d0 = f.coefficient(1) % p
-        roots.append((0, d0 == 0))
-    for z in range(1, p):
-        fv = 0
-        for e, c in fterms:
-            fv = (fv + c * pow(z, e, p)) % p
-        if fv:
-            continue
-        dv = 0
-        for e, c in dterms:
-            dv = (dv + c * pow(z, e, p)) % p
-        roots.append((z, dv == 0))
+    if f.coefficient(0) % p == 0:
+        roots.append((0, f.coefficient(1) % p == 0))
+    t = -acc.pop(0, 0) % p  # the terms sum to t at a root
+    g = generator_fp(p)
+    ws = [c for c in acc.values() if c]
+    ms = [pow(g, e, p) for e, c in acc.items() if c]
+    # zero terms pad to two, so the tight loop takes every f with at most
+    # two nonconstant terms: a trinomial's root node and most nodes below it
+    pad = 2 - len(ws)
+    ws += [0] * pad
+    ms += [1] * pad
+    found = []
+    if len(ws) == 2:
+        (w1, w2), (m1, m2), tp = ws, ms, t + p
+        for i in range(p - 1):
+            s = w1 + w2
+            if s == t or s == tp:
+                found.append(i)
+            w1 = w1 * m1 % p
+            w2 = w2 * m2 % p
+    else:
+        for i in range(p - 1):
+            if sum(ws) % p == t:
+                found.append(i)
+            ws = [w * m % p for w, m in zip(ws, ms)]
+    for z in sorted(pow(g, i, p) for i in found):
+        roots.append((z, f.deriv_mod(z, p) == 0))
     return roots
 
 
@@ -104,6 +90,7 @@ def _factor_trial(n: int) -> list[int]:
     return out
 
 
+@functools.cache
 def generator_fp(p: int) -> int:
     """Smallest primitive root mod p, verified against the factors of p-1."""
     check_prime_cap(p)
@@ -131,15 +118,14 @@ def binomial_coset_roots(t: int, d: int, p: int) -> list[int]:
     if t == 0 or pow(t, step, p) != 1:
         return []
     g = generator_fp(p)
-    e = d % (p - 1)
-    x = 1
-    for _ in range(step):
-        if pow(x, e, p) == t:
+    y, m = 1, pow(g, d, p)  # y = x^d at x = g^i
+    for i in range(step):
+        if y == t:
             break
-        x = x * g % p
+        y = y * m % p
     else:
         raise InvariantViolated(f"x^{d} = {t} passed the power test mod {p} but has no root")
-    mult = pow(g, step, p)
+    x, mult = pow(g, i, p), pow(g, step, p)
     out = [x]
     for _ in range(gamma - 1):
         x = x * mult % p

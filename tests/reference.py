@@ -3,8 +3,8 @@
 None of these is on the solver's path: each restates a quantity of the
 paper (Yu's bound, the cofactor of q against (x-1)^2, the trinomial
 discriminant in full, a node polynomial rebuilt from scratch, the p-part
-of the content, a rational's height) so a test can check the package's
-own numbers against it.
+of the content, a rational's height, the roots mod p point by point) so a
+test can check the package's own numbers against it.
 """
 
 import math
@@ -126,3 +126,9 @@ def log_height(q: Fraction) -> float:
     if q == 0:
         return 0.0
     return math.log(max(abs(q.numerator), q.denominator))
+
+
+def roots_fp_pointwise(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
+    """Roots of f mod p, each flagged by f'(z) = 0 mod p: f and f'
+    evaluated with `pow` at every z in F_p, 0 included."""
+    return [(z, f.deriv_mod(z, p) == 0) for z in range(p) if f.eval_mod(z, p) == 0]

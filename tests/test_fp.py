@@ -11,6 +11,7 @@ from padicroots.fp import (
     roots_fp_exhaustive,
 )
 from padicroots.sparsepoly import SparsePoly, parse_poly
+from tests.reference import roots_fp_pointwise
 
 PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
@@ -37,6 +38,36 @@ def test_roots_fp_huge_exponent_reduction():
     assert [r for r, _ in roots] == direct
 
 
+def test_scan_matches_pointwise(rng):
+    """The walk along a primitive root finds the roots and flags that
+    evaluating f and f' at every point of F_p finds.  The pointwise scan
+    costs about 0.2 s per input at the large primes, so those get one
+    random input each and the edge cases run at the small primes."""
+    big = [q for q in range(10 ** 4, 99991) if is_prime(q)]
+    cases = [(parse_poly("x^20 + 2*x^2"), 3)]  # reduced terms cancel: every z is a root
+    for p in [2, 3, 5, 7, 13, 97]:
+        cases += [
+            (parse_poly(f"3 + x^{5 * (p - 1)} + 2*x^7"), p),  # exponent a multiple of p-1
+            (parse_poly(f"x^{p - 1} + x^{3 * (p - 1)} - 2"), p),  # constant 0 on F_p*
+            (parse_poly(f"x^{p - 1} + 4"), p),  # constant on F_p*, nonzero for p > 5
+            (parse_poly(f"5*x^{2 ** 62 + 1} - 3*x^{2 ** 62 - 5} + 1"), p),  # exponents near 2^62
+        ]
+    for p in [2, 3, 5, 7, 13, 97] * 12 + rng.sample(big, 4) + [99991]:
+        big_exponents = p < 100 and rng.random() < 0.5
+        cases.append((SparsePoly.from_terms(
+            [(rng.randint(0, 2 ** 62 if big_exponents else 3 * p), rng.randint(-p, p))
+             for _ in range(rng.randint(1, 5 if p < 100 else 3))]
+        ), p))
+    compared = 0
+    for f, p in cases:
+        if all(c % p == 0 for _, c in f.terms):
+            continue
+        assert roots_fp_exhaustive(f, p) == roots_fp_pointwise(f, p), (f.to_text(), p)
+        compared += 1
+    assert compared > 0.9 * len(cases)
+    assert [r for r, _ in roots_fp_exhaustive(*cases[0])] == [0, 1, 2]
+
+
 def test_generator_examples():
     assert generator_fp(7) == 3
     assert generator_fp(17) == 3
@@ -59,9 +90,11 @@ def test_coset_roots():
 
 def test_coset_roots_all_or_nothing(rng):
     """x^d = t in F_p* has gamma = gcd(d, p-1) solutions when t is a d-th
-    power and none otherwise, for d that divide p-1 and d that do not."""
+    power and none otherwise, for d that divide p-1 and d that do not.
+    At p = 10007, p-1 = 2 * 5003: gamma is mostly 1 or 2, so the walk for
+    the first root is long."""
     for _ in range(400):
-        p = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 101, 229])
+        p = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 101, 229, 10007])
         divisors = [g for g in range(1, p) if (p - 1) % g == 0]
         d = rng.choice(divisors) if rng.random() < 0.3 else rng.randint(1, 10 ** 6)
         power = rng.random() < 0.5

@@ -17,11 +17,12 @@ from padicroots.errors import BudgetExceeded, InvariantViolated, PadicError
 from padicroots.oracle import count_qp_roots
 from padicroots.sparsepoly import SparsePoly
 from padicroots.trinomial import solve_sparse
-from tests.conftest import degenerate_trinomial
+from tests.conftest import degenerate_trinomial, random_trinomial
 
 PRIMES = [q for q in range(2, 98) if is_prime(q)]
 SMALL_PRIMES = [q for q in PRIMES if q <= 19]
 ROUNDS = 400  # each round draws one input of each family
+LARGE_P_INPUTS = 10  # the oracle takes about 0.13 s per input at these primes
 TIME_BOX_S = 20
 
 
@@ -118,3 +119,19 @@ def test_fuzz_gate_matches_oracle():
         signal.signal(signal.SIGALRM, previous)
     assert failures == [], (len(failures), failures[:5])
     assert seen["compared"] > 0.9 * 4 * ROUNDS, seen
+
+
+def test_fuzz_large_primes_match_oracle():
+    """Degree <= 12 trinomials at primes in [10^4, 99991], where the F_p
+    scans walk tens of thousands of points, against the oracle."""
+    rng = random.Random(0xF023)
+    primes = [q for q in range(10 ** 4, 99992) if is_prime(q)]
+    seen = {"compared": 0, "typed": 0, "skipped": 0}
+    failures = []
+    for p in rng.sample(primes, LARGE_P_INPUTS - 1) + [99991]:
+        f = random_trinomial(rng, d_max=12)
+        failure = _check(f, p, seen)
+        if failure:
+            failures.append((f.to_text(), p, failure))
+    assert failures == [], failures
+    assert seen["compared"] >= LARGE_P_INPUTS - 2, seen
