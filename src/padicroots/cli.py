@@ -116,11 +116,8 @@ def _cmd_tree(args) -> int:
     f = parse_poly(args.poly)
     ctx = PAdicContext(args.p, args.k)
     tree = build_tree(f, ctx)
-    # each node's reduction as sparse [exponent, coefficient mod p] pairs:
-    # the root node keeps the input's degree, which may be near 2^63
-    def mod_p(n):
-        return [[a, c % args.p] for a, c in n.poly.terms if c % args.p]
-
+    # each node's reduction as sparse [exponent, coefficient] pairs: the
+    # root node keeps the input's degree, which may be near 2^63
     if args.json:
         nodes = [
             {
@@ -129,7 +126,7 @@ def _cmd_tree(args) -> int:
                 "k_local": n.k_local,
                 "s_value": n.s_step,
                 "s_consumed": n.s_consumed,
-                "poly_mod_p": mod_p(n),
+                "poly_mod_p": n.reduction.terms,
                 "nondegenerate_roots": n.nondegenerate_roots,
                 "degenerate_roots": n.degenerate_roots,
             }
@@ -142,7 +139,7 @@ def _cmd_tree(args) -> int:
         print(
             f"{pad}path={list(n.digits(args.p))} k={n.k_local} "
             f"s={n.s_step}/{n.s_consumed} "
-            f"mod-p={mod_p(n)} simple={n.nondegenerate_roots} "
+            f"mod-p={[list(t) for t in n.reduction.terms]} simple={n.nondegenerate_roots} "
             f"degenerate={n.degenerate_roots}"
         )
     return 0

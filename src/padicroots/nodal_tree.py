@@ -1,12 +1,13 @@
 """The labelled rooted tree of digit-shifted, rescaled polynomials.
 
-A node holds a truncated polynomial g mod p^k_local reached by fixing base-p
-digits zeta_0, ..., zeta_{i-1}: g = p^(-s) f(zeta_0 + ... + p^i x) with s the
-precision consumed so far.  Children hang off degenerate roots of the mod-p
-reduction whose s-value lies in {2, ..., k_local - 1}; non-degenerate roots
-are harvested at every node and Hensel-lift to distinct Z_p roots of f.  A
-degenerate digit whose prefix a RepeatedRootCut covers gets no child: its
-prefix sits on the digit chain of a repeated root, where no simple root is.
+The node at the n-digit prefix mu is h(x) = p^(-S) g(mu + p^n x), g the
+tree's sparse input and S the precision consumed so far.  It stores only
+its reduction h mod p; shift_rescale reads its Taylor data from g itself.
+Children hang off degenerate roots of the reduction whose s-value lies in
+{2, ..., k_local - 1}; non-degenerate roots are harvested at every node and
+Hensel-lift to distinct Z_p roots of g.  A degenerate digit whose prefix a
+RepeatedRootCut covers gets no child: its prefix sits on the digit chain of
+a repeated root, where no simple root is.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import PAdicContext, ord_int
-from .errors import InvariantViolated
+from .errors import DivisibilityViolation, InvariantViolated
 from .fp import roots_fp_exhaustive
-from .sparsepoly import SparsePoly, shift_rescale, taylor_coeffs_mod
+from .sparsepoly import SparsePoly, taylor_coeffs_mod
 
 M_P = {2: 4, 3: 3}  # nodal degree cap by prime; 2 for p >= 5
 
@@ -41,6 +42,29 @@ def s_value(u: list[int], p: int, k: int) -> int:
         if contribution < best:
             best = contribution
     return best
+
+
+def shift_rescale(
+    g: SparsePoly, prefix: int, n: int, S: int, p: int, k: int, jmax: int
+) -> list[int]:
+    """Taylor coefficients u_0..u_jmax mod p^min(jmax + 1, k) of the node
+    h(x) = p^(-S) g(mu + p^n x) at the digit z, prefix = mu + z p^n, k its k_local.
+
+    u_j = U_j p^(n j - S), U_j the Taylor coefficient of g at prefix.  This
+    precision suffices: s_value reads j + ord_p u_j only up to min(jmax, k - 1),
+    and the child's reduction only u_j p^j mod p^(s + 1) with s <= jmax.
+    p^S divides every U_j p^(n j), or DivisibilityViolation: h is integral.
+    """
+    m = min(jmax + 1, k)
+    mod = p ** (S + m)
+    ps = p ** S
+    u = []
+    for j, U in enumerate(taylor_coeffs_mod(g, prefix, p, S + m, jmax)):
+        c = U * pow(p, n * j, mod) % mod
+        if c % ps:
+            raise DivisibilityViolation(f"Taylor coefficient {j} at {prefix} is not 0 mod {p}^{S}")
+        u.append(c // ps)
+    return u
 
 
 @dataclass(frozen=True)
@@ -71,7 +95,7 @@ class RepeatedRootCut:
 class NodalNode:
     mu: int  # the digit prefix zeta_0 + zeta_1 p + ... + zeta_{depth-1} p^(depth-1)
     depth: int
-    poly: SparsePoly  # truncated: coefficients mod p^k_local
+    reduction: SparsePoly  # the node polynomial mod p, coefficients in [0, p)
     k_local: int
     s_consumed: int
     s_step: int = 0  # s-value of the digit that made this node; 0 at the root
@@ -94,12 +118,11 @@ class NodalNode:
             out.append(z)
         return tuple(out)
 
-    def mod_p_coeffs(self, p: int) -> list[int]:
-        out = [0] * (self.poly.degree + 1) if not self.poly.is_zero else []
-        for a, c in self.poly.terms:
-            out[a] = c % p
-        while out and out[-1] == 0:
-            out.pop()
+    def mod_p_coeffs(self) -> list[int]:
+        """The reduction as dense coefficients, lowest degree first."""
+        out = [0] * (self.reduction.degree + 1)
+        for a, c in self.reduction.terms:
+            out[a] = c
         return out
 
     def walk(self):
@@ -138,22 +161,24 @@ def build_tree(
     the digit 1 (most-significant-digit-1 roots); deeper digits are never
     restricted.  A degenerate digit whose prefix `cut` covers is listed in
     degenerate_roots but gets neither a child nor a blocked entry.  Every
-    other degenerate digit costs one Taylor expansion, which
-    gives both its s-value and its child.  The depth and s-sum invariants,
-    and for trinomial inputs the degree collapse below a nonzero first
-    digit, are checked as each child is made (InvariantViolated).  The root
-    node's F_p scan rejects f = 0 mod p and a p over the desk cap.
+    other degenerate digit costs one Taylor expansion of the sparse f at
+    its prefix (shift_rescale), which gives its s-value and its child's
+    reduction.  The depth and s-sum invariants, and for trinomial inputs the
+    degree collapse below a nonzero first digit, are checked as each child
+    is made (InvariantViolated).  The root node's F_p scan rejects
+    f = 0 mod p and a p over the desk cap.
     """
     p, k = ctx.p, ctx.k
     degree_cap = nodal_degree_cap(p) if f.term_count == 3 else None
     max_depth = (k - 1) // 2
 
-    root = NodalNode(mu=0, depth=0, poly=f, k_local=k, s_consumed=0)
+    reduction = SparsePoly(tuple([(a, c % p) for a, c in f.terms if c % p]))
+    root = NodalNode(mu=0, depth=0, reduction=reduction, k_local=k, s_consumed=0)
     stack = [root]
     while stack:
         node = stack.pop()
         k_local = node.k_local
-        roots = roots_fp_exhaustive(node.poly, p)
+        roots = roots_fp_exhaustive(node.reduction, p)
         if node.depth == 0 and root_digits == "nonzero":
             roots = [(z, d) for z, d in roots if z != 0]
         elif node.depth == 0 and root_digits == "one":
@@ -166,17 +191,24 @@ def build_tree(
             prefix = node.mu + z * p ** node.depth
             if cut is not None and cut.covers(prefix, node.depth + 1, p):
                 continue
-            # the index-k_local coefficient can never bring s below k_local
-            u = taylor_coeffs_mod(node.poly, z, p, k_local, min(node.poly.degree, k_local - 1))
+            # s <= the digit's multiplicity <= the reduction's degree (<= s_step
+            # below the root), and indices >= k_local never bring s below k_local
+            jmax = min(node.reduction.degree, k_local - 1)
+            u = shift_rescale(f, prefix, node.depth, node.s_consumed, p, k_local, jmax)
             s = s_value(u, p, k_local)
             if not 2 <= s <= k_local - 1:
                 if s >= k_local:
                     node.blocked.append((z, s))
                 continue
+            # p^(-s) h(z + p x) has coefficients u_j p^(j - s), units only at j <= s
+            ps = p ** s
+            reduction = SparsePoly(
+                tuple((j, c) for j in range(s + 1) if (c := u[j] * p ** j // ps % p))
+            )
             child = NodalNode(
                 mu=prefix,
                 depth=node.depth + 1,
-                poly=SparsePoly.from_dense(shift_rescale(u, s, p, k_local)),
+                reduction=reduction,
                 k_local=k_local - s,
                 s_consumed=node.s_consumed + s,
                 s_step=s,
@@ -185,12 +217,10 @@ def build_tree(
                 raise InvariantViolated(f"depth bound exceeded at {child.digits(p)}")
             if child.s_consumed < 2 * child.depth:
                 raise InvariantViolated(f"s-sum bound violated at {child.digits(p)}")
-            if degree_cap is not None and child.mu % p != 0:
-                degree = len(child.mod_p_coeffs(p)) - 1
-                if degree > degree_cap:
-                    raise InvariantViolated(
-                        f"nodal degree {degree} exceeds cap {degree_cap} at {child.digits(p)}"
-                    )
+            if degree_cap is not None and child.mu % p != 0 and reduction.degree > degree_cap:
+                raise InvariantViolated(
+                    f"nodal degree {reduction.degree} exceeds cap {degree_cap} at {child.digits(p)}"
+                )
             node.children.append(child)
             stack.append(child)
     return NodalTree(p=p, k=k, root=root)
@@ -216,19 +246,19 @@ def stabilized_tree(
     A mature tree (no precision-blocked site) is exact, so the first one
     ends the ladder.  Every s-value it computed is below its node's
     k_local, and there s_value returns the true value: the contributions
-    it truncates at k_local, and the Taylor indices it drops, are all at
-    least k_local.  Every node polynomial is known mod p^k_local with
-    k_local >= 1, so its mod-p reduction, its F_p roots and their
-    degenerate/simple split are exact.  The cut test reads only the digit
-    prefix.  At any larger k the same digits therefore give the same
-    s-values, children, cuts and root lists; no node is added, because no
-    site was blocked.  The count is exact too.  A degenerate digit with a
-    Z_p root above it has s >= 2 (s = 1 leaves a unit constant term), so
-    along the digit path of a simple root each degenerate digit either is
-    blocked, which a mature tree rules out, or is cut, which the next
-    paragraph rules out, or makes a child with k_local smaller by s.  The
-    path therefore ends at a simple root of some node's reduction, which
-    Hensel-lifts to that root alone.
+    it truncates at k_local are at least k_local, and the Taylor indices it
+    drops are at least k_local or above the digit's multiplicity, which
+    bounds s.  Each node's reduction, read off u_j mod p^(s+1), is exact, and
+    so are its F_p roots and their degenerate/simple split.  The cut test
+    reads only the digit prefix.  At any larger k the same digits therefore
+    give the same s-values, children, cuts and root lists; no node is
+    added, because no site was blocked.  The count is exact too.  A
+    degenerate digit with a Z_p root above it has s >= 2 (s = 1 leaves a
+    unit constant term), so along the digit path of a simple root each
+    degenerate digit either is blocked, which a mature tree rules out, or
+    is cut, which the next paragraph rules out, or makes a child with
+    k_local smaller by s.  The path therefore ends at a simple root of some
+    node's reduction, which Hensel-lifts to that root alone.
 
     A repeated Z_p root tau keeps its digit chain blocked at every k, so
     without a cut such trees never mature: they run to k_cap.  The cut

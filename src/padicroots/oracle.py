@@ -3,9 +3,10 @@
 Deliberately slow and simple.  Unit roots are sought mod p^k layer by
 layer (a root mod p^(j+1) reduces to a root mod p^j), residue classes are
 certified alive via Hensel's criterion or pronounced dead when they stop
-extending, and roots in Q_p are counted by sweeping the integral candidate
-valuations.  Shares nothing with the solver pipeline beyond basic p-adic
-arithmetic and the polynomial container.
+extending or one Taylor term fixes ord_p f on them, and roots in Q_p are
+counted by sweeping the integral candidate valuations.  Shares nothing
+with the solver pipeline beyond basic p-adic arithmetic and the
+polynomial container.
 """
 
 from __future__ import annotations
@@ -73,13 +74,21 @@ class OracleRootSet:
     degenerate_count: int = 0
 
 
+def _taylor_coeff(f: SparsePoly, x: int, j: int, m: int) -> int:
+    """f^(j)(x)/j! mod m, term by term (oracle-local)."""
+    return sum(c * math.comb(a, j) * pow(x, a - j, m) for a, c in f.terms if a >= j) % m
+
+
 def _certify_count(
     g: SparsePoly, p: int, skip_prefixes: list[tuple[int, int]], budget: int
 ) -> tuple[int, list[tuple[int, int]]]:
     """Count Z_p roots of valuation 0 of g by certify-or-die sweeping.
 
     skip_prefixes are (residue, k) classes known to hold degenerate roots;
-    they are removed from the frontier (never certifiable by Hensel).
+    they are removed from the frontier (never certifiable by Hensel).  A
+    class x + p^k Z_p with ord_p g(x) < ord_p u_j + jk for all j >= 1, u_j
+    the Taylor coefficients of g at x, holds no root (ord_p g is constant
+    on it) and is dropped: close simple roots keep the frontier small.
     Returns (count, certified (residue, k) list).
     """
     certified: list[tuple[int, int]] = []
@@ -114,7 +123,10 @@ def _certify_count(
                 # uniqueness ball, so it holds exactly one Z_p root
                 if ell is not None and ordf >= 2 * ell + 1 and k >= ell + 1:
                     certified.append((x, k))
-                else:
+                elif fv == 0 or any(  # j with jk > ordf cannot cancel g(x)
+                    ordf >= ord_int(_taylor_coeff(g, x, j, p ** (2 * k + 2)), p) + j * k
+                    for j in range(1, ordf // k + 1)
+                ):
                     nxt.append(x)
         # distinct certified classes at the same level are distinct roots;
         # drop any class refining an already-certified one

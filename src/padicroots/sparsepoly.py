@@ -1,4 +1,4 @@
-"""Sparse integer polynomials and the digit-shift/rescale transform.
+"""Sparse integer polynomials: parsing, evaluation, Taylor coefficients, rescaling.
 
 A polynomial is a tuple of (exponent, coefficient) pairs with strictly
 increasing exponents and nonzero coefficients.  Exponents are capped at
@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .arith import ord_int
-from .errors import BudgetExceeded, DivisibilityViolation, ExponentOverflow, ParseError
+from .errors import BudgetExceeded, ExponentOverflow, ParseError
 
 MAX_EXPONENT = 2 ** 63 - 1
 # largest power of p, in bits, that rescale_for_valuation builds
@@ -44,10 +44,6 @@ class SparsePoly:
         for a, c in pairs:
             acc[a] = acc.get(a, 0) + c
         return cls(tuple(sorted((a, c) for a, c in acc.items() if c != 0)))
-
-    @classmethod
-    def from_dense(cls, coeffs) -> "SparsePoly":
-        return cls(tuple((i, c) for i, c in enumerate(coeffs) if c != 0))
 
     @property
     def is_zero(self) -> bool:
@@ -182,32 +178,6 @@ def taylor_coeffs_mod(f: SparsePoly, zeta: int, p: int, k: int, jmax: int) -> li
         for j in range(top, -1, -1):
             out[j] = (out[j] + c * (math.comb(a, j) % m) * power) % m
             power = power * zeta % m
-    return out
-
-
-def shift_rescale(u: list[int], s: int, p: int, k: int) -> list[int]:
-    """Dense coefficients of p^(-s) * f(digit + p*x) mod p^(k-s), from the
-    Taylor coefficients u of f at the digit mod p^k.
-
-    Precondition: p^s divides every coefficient of f(digit + p*x); this holds
-    when s is the digit's s-value.  Coefficients of x^j with j >= k vanish
-    mod p^(k-s), so u needs only the indices j < k.
-    """
-    if not 0 <= s < k:
-        raise DivisibilityViolation(f"need 0 <= s < k, got s={s}, k={k}")
-    m = p ** k
-    mod_out = p ** (k - s)
-    ps = p ** s
-    out = []
-    for j, uj in enumerate(u):
-        c = uj * p ** j % m
-        if c % ps:
-            raise DivisibilityViolation(
-                f"coefficient of x^{j} in the digit shift is not divisible by {p}^{s}"
-            )
-        out.append(c // ps % mod_out)
-    while out and out[-1] == 0:
-        out.pop()
     return out
 
 

@@ -27,19 +27,12 @@ from .binomial import (
     REASON_NO_INTEGRAL_VALUATION, BinomialInput, BinomialSolveResult, solve_binomial,
 )
 from .bounds import degenerate_valuation_gap_cap, trinomial_separation_bound
-from .errors import BudgetExceeded, InvalidParams, InvariantViolated
+from .errors import InvalidParams, InvariantViolated
 from .fp import gcd_with_frobenius
 from .newton import ApproximateRoot, certified_residue, newton_step
 from .newton_polygon import integral_valuation_candidates
 from .nodal_tree import RepeatedRootCut, nodal_degree_cap, stabilized_tree
 from .sparsepoly import SparsePoly, rescale_for_valuation, strip_zero_root
-
-# a valuation holding a degenerate root is refused when its ladder cap is
-# above K_BUILD_LIMIT and its cut depth N_v above CUT_DEPTH_LIMIT: the cut
-# trees mature at k of about 2 N_v, and at p = 3 the cut ladder took 0.65 s
-# at N_v = 274 and 6.3 s at N_v = 529 on a 2-vCPU VM
-K_BUILD_LIMIT = 100_000
-CUT_DEPTH_LIMIT = 256
 
 MODE_FULL = "full"
 MODE_RESTRICTED = "restricted-root"
@@ -266,7 +259,7 @@ def _harvest_tree(
     for node in st.tree.root.walk():
         if node.depth >= 1:
             # dual-route check: Frobenius gcd count vs the exhaustive scan
-            distinct = gcd_with_frobenius(node.mod_p_coeffs(p), p)
+            distinct = gcd_with_frobenius(node.mod_p_coeffs(), p)
             found = len(node.nondegenerate_roots) + len(node.degenerate_roots)
             if distinct != found:
                 raise InvariantViolated(
@@ -306,11 +299,11 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     about 2 N_v instead of running to the cap (stabilized_tree).  That ladder
     starts at k = max(6, 2 N_v + 4), at most the cap, and so builds one tree
     where doubling from 6 built several; since a mature tree is the same at
-    every larger k, the start moves k_used and no count.  It
-    raises BudgetExceeded before it is built when its cap is above
-    K_BUILD_LIMIT and N_v is above CUT_DEPTH_LIMIT.  The cut is one residue
-    test and the same with and without certify; certify=False counts
-    without certificates (solve_sparse).
+    every larger k, the start moves k_used and no count.  Each digit on
+    that chain costs one Taylor expansion of the sparse g (build_tree), so
+    the ladder's work is polynomial in N_v and log(dH).  The cut is one
+    residue test and the same with and without certify; certify=False
+    counts without certificates (solve_sparse).
     """
     p = inp.p
     body = inp.poly
@@ -339,11 +332,6 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
         g = rescale_for_valuation(body, p, v)
         k_cap = precision_plan(inp, report, height=g.max_abs_coeff()).k
         v_cut = cut if v == degenerate_v else None
-        if v_cut is not None and k_cap > K_BUILD_LIMIT and v_cut.depth > CUT_DEPTH_LIMIT:
-            raise BudgetExceeded(
-                f"valuation {v} holds a degenerate root: its ladder cap k = {k_cap} is above"
-                f" {K_BUILD_LIMIT} and its cut depth {v_cut.depth} above {CUT_DEPTH_LIMIT}"
-            )
         k_start = min(k_cap, 6 if v_cut is None else max(6, 2 * v_cut.depth + 4))
         got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, k_start, certify, v_cut)
         roots.extend(got)

@@ -111,7 +111,7 @@ def reconstruct_node_poly(f: SparsePoly, p: int, node: NodalNode) -> SparsePoly:
         if c % ps:
             raise ContentDivisible("reconstruction: claimed s does not divide")
         coeffs.append(c // ps % m_out)
-    return SparsePoly.from_dense(coeffs)
+    return SparsePoly.from_terms(enumerate(coeffs))
 
 
 def content_p(f: SparsePoly, p: int) -> int:

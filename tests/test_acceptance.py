@@ -23,14 +23,13 @@ from padicroots.nodal_tree import (
     build_tree,
     nodal_degree_cap,
     s_value,
+    shift_rescale,
 )
 from padicroots.oracle import count_qp_roots, lift_root
 from padicroots.sparsepoly import (
     SparsePoly,
     parse_poly,
-    shift_rescale,
     strip_zero_root,
-    taylor_coeffs_mod,
 )
 from padicroots.tetranomial import TetraFamilyParams, collision_order, generate
 from padicroots.trinomial import TrinomialInput, discriminant_tri, solve_sparse
@@ -96,13 +95,11 @@ def test_criterion_1_worked_examples():
     assert solve_sparse(parse_poly("x^10 + 11*x^2 - 12"), 2).root_count == 6
     assert solve_sparse(parse_poly("x^20 - 10*x^2 + 738"), 3).root_count == 8
     f = parse_poly("x^10 - 10*x + 738")
-    u = taylor_coeffs_mod(f, 1, 3, 6, 5)  # one expansion gives s and the child
+    u = shift_rescale(f, 1, 0, 0, 3, 6, 5)  # one expansion gives s and the child
     assert s_value(u, 3, 6) == 4
-    child = shift_rescale(u, 4, 3, 6)
-    reduced = [c % 3 for c in child]
-    while reduced and reduced[-1] == 0:
-        reduced.pop()
-    assert reduced == [0, 0, 2, 1]  # x^3 + 2x^2
+    (child,) = [ch for ch in build_tree(f, PAdicContext(3, 6)).root.children if ch.mu == 1]
+    assert child.s_step == 4
+    assert child.mod_p_coeffs() == [0, 0, 2, 1]  # x^3 + 2x^2
     for p in (2, 3, 5):
         tree = build_tree(SparsePoly(((2, 1),)), PAdicContext(p, 9))
         depth = max(n.depth for n in tree.root.walk())
@@ -195,10 +192,10 @@ def test_criterion_5_tree_invariants():
         cap = nodal_degree_cap(p)
         for n in tree.root.walk():
             if n.depth >= 1 and n.mu % p != 0:
-                assert len(n.mod_p_coeffs(p)) - 1 <= cap
+                assert n.reduction.degree <= cap
             if n.depth >= 1:
                 rebuilt = reconstruct_node_poly(f, p, n)
-                assert rebuilt == n.poly
+                assert SparsePoly.from_terms((a, c % p) for a, c in rebuilt.terms) == n.reduction
         if f.coefficient(0) % p:
             nu = len(tree.root.degenerate_roots)
             assert tree.node_count <= 1 + max(2 * depth - 1, 0) * nu

@@ -4,7 +4,7 @@ from the certifying solve and from the count-only one alike.
 
 InvariantViolated is a PadicError too, but it means the solver caught
 itself in a contradiction, so it fails the gate.  The inputs are fixed by
-the seed.  The gate runs in about 5 s on a 2-vCPU VM and fails when it
+the seed.  The gate runs in about 2 s on a 2-vCPU VM and fails when it
 passes its 20 s time box: a solver that climbs a ladder it cannot finish
 fails here rather than hanging.
 """
@@ -23,6 +23,9 @@ PRIMES = [q for q in range(2, 98) if is_prime(q)]
 SMALL_PRIMES = [q for q in PRIMES if q <= 19]
 ROUNDS = 400  # each round draws one input of each family
 LARGE_P_INPUTS = 10  # the oracle takes about 0.13 s per input at these primes
+# (x - a)(x - b) sharing 3 digits: the oracle lifts each of the two roots'
+# classes over all p digits at 4 or 5 levels, about 1 s per input
+LARGE_P_CLOSE_ROOTS = 2
 TIME_BOX_S = 20
 
 
@@ -51,16 +54,13 @@ def _binomial(rng, p):
     return SparsePoly.from_terms([(0, _coeff(rng, p)), (d, _coeff(rng, p))])
 
 
-def _close_roots(rng):
+def _close_roots(rng, p, j_max=6, r_max=3):
     """(x^r - a)(x^r - b) with b = a + p^j m: simple roots that share
-    about j >= 3 digits, so their digit chains need a deeper tree than the
-    ladder's first rung.  The oracle's work grows like p^j, so p^j <= 2000
-    and p <= 13 here."""
-    p = rng.choice([q for q in SMALL_PRIMES if q <= 13])
-    j = 3
-    while p ** (j + 1) <= 2000 and rng.random() < 0.7:
-        j += 1
-    r = rng.randint(1, 3)
+    about j digits, 3 <= j <= j_max, so their digit chains need a deeper
+    tree than the ladder's first rung.  The oracle drops the classes that
+    cannot hold a root, so its work grows like j p per root, not p^j."""
+    j = rng.randint(3, j_max)
+    r = rng.randint(1, r_max)
     a = rng.choice([x for x in range(-30, 31) if x])
     b = a + p ** j * rng.choice([x for x in range(-5, 6) if x])
     return SparsePoly.from_terms([(0, a * b), (r, -(a + b)), (2 * r, 1)]), p
@@ -71,7 +71,7 @@ def _inputs(rng):
         for family in (_trinomial, degenerate_trinomial, _binomial):
             p = _prime(rng)
             yield family(rng, p), p
-        yield _close_roots(rng)
+        yield _close_roots(rng, rng.choice(PRIMES))
 
 
 def _check(f, p, seen):
@@ -122,16 +122,20 @@ def test_fuzz_gate_matches_oracle():
 
 
 def test_fuzz_large_primes_match_oracle():
-    """Degree <= 12 trinomials at primes in [10^4, 99991], where the F_p
+    """Degree <= 12 trinomials, and close simple roots whose digit chains
+    run below the root node, at primes in [10^4, 99991], where the F_p
     scans walk tens of thousands of points, against the oracle."""
     rng = random.Random(0xF023)
     primes = [q for q in range(10 ** 4, 99992) if is_prime(q)]
     seen = {"compared": 0, "typed": 0, "skipped": 0}
     failures = []
-    for p in rng.sample(primes, LARGE_P_INPUTS - 1) + [99991]:
-        f = random_trinomial(rng, d_max=12)
+    inputs = [(random_trinomial(rng, d_max=12), p)
+              for p in rng.sample(primes, LARGE_P_INPUTS - 1) + [99991]]
+    inputs += [_close_roots(rng, p, j_max=3, r_max=1)
+               for p in rng.sample(primes, LARGE_P_CLOSE_ROOTS)]
+    for f, p in inputs:
         failure = _check(f, p, seen)
         if failure:
             failures.append((f.to_text(), p, failure))
     assert failures == [], failures
-    assert seen["compared"] >= LARGE_P_INPUTS - 2, seen
+    assert seen["compared"] >= LARGE_P_INPUTS + LARGE_P_CLOSE_ROOTS - 2, seen

@@ -53,7 +53,7 @@ def test_arch_shifted_tetranomial_two_edges():
     # 256 * f_{4,1/2}(x + 1/4): two lower edges, leftmost of length 2
     # 256*((x+1/4)^4 - 64 (x+1/4)^2 + 32 (x+1/4) - 4)
     coeffs = [1, 16, -16288, 256, 256]
-    f = SparsePoly.from_dense(coeffs)
+    f = SparsePoly.from_terms(enumerate(coeffs))
     edges = build_arch(f)
     assert len(edges) == 2
     assert edges[0].horizontal_length == 2

@@ -91,7 +91,7 @@ def test_tree_1_minus_x340():
     t = build_tree(parse_poly("1 - x^340"), PAdicContext(17, 3))
     assert max(n.depth for n in t.root.walk()) == 1 and len(t.root.children) == 4
     assert sum(n.n_p for n in t.root.walk()) == 4
-    mods = sorted(tuple(ch.mod_p_coeffs(17)) for ch in t.root.children)
+    mods = sorted(tuple(ch.mod_p_coeffs()) for ch in t.root.children)
     assert mods == sorted([(0, 14), (10, 12), (15, 5), (3, 3)])
     for k in (1, 2):
         t_small = build_tree(parse_poly("1 - x^340"), PAdicContext(17, k))
@@ -105,7 +105,7 @@ def test_tree_q2_example():
     contributing = [n for n in depth2 if n.nondegenerate_roots]
     assert len(contributing) == 3
     for n in contributing:
-        assert tuple(n.mod_p_coeffs(2)) == (0, 1, 1)  # x^2 + x
+        assert tuple(n.mod_p_coeffs()) == (0, 1, 1)  # x^2 + x
         assert len(n.nondegenerate_roots) == 2
 
 
@@ -121,7 +121,7 @@ def test_walk_is_preorder_at_any_depth():
     p = 3
 
     def node(mu, depth):
-        return NodalNode(mu=mu, depth=depth, poly=SparsePoly(((0, 1),)),
+        return NodalNode(mu=mu, depth=depth, reduction=SparsePoly(((0, 1),)),
                          k_local=1, s_consumed=0)
 
     root = node(0, 0)
@@ -264,10 +264,11 @@ def test_invariants_on_random_corpus(rng):
         cap = nodal_degree_cap(p)
         for n in nodes:
             if n.depth >= 1 and n.mu % p != 0:
-                assert len(n.mod_p_coeffs(p)) - 1 <= cap
+                assert n.reduction.degree <= cap
             if n.depth >= 1:
                 rebuilt = reconstruct_node_poly(f, p, n)
-                assert rebuilt == n.poly, (f.to_text(), p, k, n.digits(p))
+                reduced = SparsePoly.from_terms((a, c % p) for a, c in rebuilt.terms)
+                assert reduced == n.reduction, (f.to_text(), p, k, n.digits(p))
         # node count cap for trinomials with p not dividing the constant term
         if f.coefficient(0) % p:
             nu = len(tree.root.degenerate_roots)

@@ -5,24 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicroots.arith import ord_int
-from padicroots.errors import BudgetExceeded, ParseError
+from padicroots.arith import PAdicContext, ord_int
+from padicroots.errors import BudgetExceeded, DivisibilityViolation, ParseError
 from padicroots.newton_polygon import integral_valuation_candidates
+from padicroots.nodal_tree import build_tree, shift_rescale
 from padicroots.sparsepoly import (
     SparsePoly,
     parse_poly,
     rescale_for_valuation,
-    shift_rescale,
     taylor_coeffs_mod,
 )
 from tests.reference import content_p
-
-
-def modp_strip(coeffs, p):
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def test_parse_basic():
@@ -72,9 +65,10 @@ def test_evaluate_mod_examples():
     assert parse_poly("7").deriv_mod(3, 5) == 0
 
 
-def _shift(f, digit, s, p, k):
-    """p^(-s) f(digit + p x) mod p^(k-s) from the expansion build_tree makes."""
-    return shift_rescale(taylor_coeffs_mod(f, digit, p, k, min(f.degree, k - 1)), s, p, k)
+def _child(f, digit, p, k):
+    """The child build_tree makes at the root digit `digit` of f."""
+    (child,) = [ch for ch in build_tree(f, PAdicContext(p, k)).root.children if ch.mu == digit]
+    return child
 
 
 def test_taylor_coeffs_examples():
@@ -87,16 +81,19 @@ def test_taylor_coeffs_examples():
 
 def test_shift_rescale_examples():
     # p^(-2) (p x)^2 = x^2
-    out = _shift(SparsePoly(((2, 1),)), 0, 2, 3, 5)
-    assert out == [0, 0, 1]
+    child = _child(SparsePoly(((2, 1),)), 0, 3, 5)
+    assert child.s_step == 2 and child.mod_p_coeffs() == [0, 0, 1]
     # s(f, 1) = 4 digit shift: mod-3 reduction x^3 + 2x^2
-    out = _shift(parse_poly("x^10 - 10*x + 738"), 1, 4, 3, 6)
-    assert modp_strip(out, 3) == [0, 0, 2, 1]
+    child = _child(parse_poly("x^10 - 10*x + 738"), 1, 3, 6)
+    assert child.s_step == 4 and child.mod_p_coeffs() == [0, 0, 2, 1]
     # the four digit-1 shifts of 1 - x^340 mod 17
     expected = {1: [0, 14], 4: [10, 12], 13: [15, 5], 16: [3, 3]}
     for z, want in expected.items():
-        out = _shift(parse_poly("1 - x^340"), z, 2, 17, 3)
-        assert modp_strip(out, 17) == want
+        child = _child(parse_poly("1 - x^340"), z, 17, 3)
+        assert child.s_step == 2 and child.mod_p_coeffs() == want
+    # a node whose claimed S does not divide the shifted input is refused
+    with pytest.raises(DivisibilityViolation):
+        shift_rescale(parse_poly("1 + x"), 1, 0, 1, 3, 4, 1)
 
 
 @given(
@@ -106,9 +103,14 @@ def test_shift_rescale_examples():
 )
 @settings(max_examples=60, deadline=None)
 def test_shift_then_eval_matches_direct(p, digit, data):
-    """p^s * (shifted poly)(x) = f(digit + p x) mod p^k at random points."""
+    """p^S sum_j u_j (p x)^j = f(prefix + p^(n+1) x) mod p^(S + min(jmax + 1, k))
+    at random points, for u from shift_rescale at a node of depth n and
+    consumed precision S, with f = p^S f0 so that p^S divides the node."""
     digit %= p
     k = data.draw(st.integers(min_value=3, max_value=8))
+    n = data.draw(st.integers(min_value=0, max_value=3))
+    S = data.draw(st.integers(min_value=0, max_value=4))
+    mu = data.draw(st.integers(min_value=0, max_value=p ** n - 1))
     terms = data.draw(
         st.dictionaries(
             st.integers(min_value=0, max_value=50),
@@ -117,22 +119,16 @@ def test_shift_then_eval_matches_direct(p, digit, data):
             max_size=4,
         )
     )
-    f = SparsePoly.from_terms(list(terms.items()))
-    if f.is_zero:
-        return
-    m = p ** k
-    from padicroots.nodal_tree import s_value
-
-    u = taylor_coeffs_mod(f, digit, p, k, min(f.degree, k - 1))
-    s = min(s_value(u, p, k), k - 1)
-    coeffs = shift_rescale(u, s, p, k)
-    shifted = SparsePoly.from_dense(coeffs)
-    rng = random.Random(f"{p}:{digit}:{k}:{sorted(terms.items())}")
+    f = SparsePoly.from_terms((a, c * p ** S) for a, c in terms.items())
+    prefix = mu + digit * p ** n
+    jmax = min(f.degree, k - 1)
+    u = shift_rescale(f, prefix, n, S, p, k, jmax)
+    m = p ** (S + min(jmax + 1, k))
+    rng = random.Random(f"{p}:{digit}:{k}:{n}:{S}:{mu}:{sorted(terms.items())}")
     for _ in range(20):
         x = rng.randrange(m)
-        lhs = p ** s * shifted.eval_mod(x, m) % m
-        rhs = f.eval_mod(digit + p * x, m)
-        assert (lhs - rhs) % p ** k == 0
+        lhs = p ** S * sum(uj * (p * x) ** j for j, uj in enumerate(u)) % m
+        assert lhs == f.eval_mod(prefix + p ** (n + 1) * x, m)
 
 
 def _build_then_strip(f, p, v):

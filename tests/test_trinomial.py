@@ -171,23 +171,38 @@ def test_discriminant_not_fooled_by_a_modular_false_zero():
          BudgetExceeded),
         # (1 - 3^400 x)^2: height above 10^300
         (SparsePoly.from_terms([(0, 1), (1, -2 * 3 ** 400), (2, 3 ** 800)]), 5, "oracle"),
-        (_q(2, 4001, 1, 2), 7, BudgetExceeded),
+        (_q(2, 4001, 1, 2), 7, "oracle"),
     ],
 )
 def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
     """Each gives the oracle's count or BudgetExceeded: (a) and (d) from the
-    rescale, whose power of p is above MAX_RESCALE_BITS, (f) because the
-    valuation of its degenerate root has a ladder cap above K_BUILD_LIMIT and
-    a cut depth N_v = 1442 above CUT_DEPTH_LIMIT.  (b) has a cap above
-    K_BUILD_LIMIT too, but its N_v is 41: its cut ladder starts at k = 86,
-    where its tree is mature, and it gets the oracle's count, 2.  The
-    count-only path (`padicroots count`) gives the same outcome."""
+    rescale, whose power of p is above MAX_RESCALE_BITS.  (b) has a cut
+    depth N_v = 41: its cut ladder starts at k = 86, where its tree is
+    mature, and it gets the oracle's count, 2.  (f) has N_v = 1442, a digit
+    chain of 1442 nodes whose ladder starts at k = 2888; each digit costs one
+    Taylor expansion of the sparse input, and it gets the oracle's count, 1.
+    The count-only path (`padicroots count`) gives the same outcome."""
     for certify in (True, False):
         if want == "oracle":
             assert solve_sparse(f, p, certify=certify).root_count == count_qp_roots(f, p).qp_count
         else:
             with pytest.raises(want):
                 solve_sparse(f, p, certify=certify)
+
+
+def test_deep_digit_chain_costs_a_polynomial_in_its_depth():
+    """(n-2) - 4n x^2 + 2^(n+1) x^n, a double root at x = 1/2, at p = 3 with
+    n = 801: its cut depth N_v = 529 makes a digit chain of 529 nodes.  Each
+    node keeps only its reduction mod p and each digit costs one Taylor
+    expansion of the sparse input, so both paths take about 0.1 s; a dense
+    node polynomial per digit took 4.7-6.4 s on a 2-vCPU VM."""
+    f = _q(2, 801, 1, 2)
+    assert cut_depth(0, 801, 2 ** 802, 1, 3) == 529  # H = 2^802, the x^n coefficient
+    assert count_qp_roots(f, 3).qp_count == 2
+    for certify in (True, False):
+        t0 = time.perf_counter()
+        assert solve_sparse(f, 3, certify=certify).root_count == 2
+        assert time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize("d", [100_000, 1_000_000])
