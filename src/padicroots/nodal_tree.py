@@ -44,22 +44,19 @@ def s_value(u: list[int], p: int, k: int) -> int:
     return best
 
 
-def shift_rescale(
-    g: SparsePoly, prefix: int, n: int, S: int, p: int, k: int, jmax: int
-) -> list[int]:
-    """Taylor coefficients u_0..u_jmax mod p^min(jmax + 1, k) of the node
-    h(x) = p^(-S) g(mu + p^n x) at the digit z, prefix = mu + z p^n, k its k_local.
+def shift_rescale(g: SparsePoly, prefix: int, n: int, S: int, p: int, prec: int) -> list[int]:
+    """Taylor coefficients u_0..u_(prec-1) mod p^prec of the node
+    h(x) = p^(-S) g(mu + p^n x) at the digit z, prefix = mu + z p^n.
 
     u_j = U_j p^(n j - S), U_j the Taylor coefficient of g at prefix.  This
-    precision suffices: s_value reads j + ord_p u_j only up to min(jmax, k - 1),
-    and the child's reduction only u_j p^j mod p^(s + 1) with s <= jmax.
+    precision suffices: s_value at prec reads j + ord_p u_j only below prec,
+    and the child's reduction only u_j p^j mod p^(s + 1) with s < prec.
     p^S divides every U_j p^(n j), or DivisibilityViolation: h is integral.
     """
-    m = min(jmax + 1, k)
-    mod = p ** (S + m)
+    mod = p ** (S + prec)
     ps = p ** S
     u = []
-    for j, U in enumerate(taylor_coeffs_mod(g, prefix, p, S + m, jmax)):
+    for j, U in enumerate(taylor_coeffs_mod(g, prefix, p, S + prec, prec - 1)):
         c = U * pow(p, n * j, mod) % mod
         if c % ps:
             raise DivisibilityViolation(f"Taylor coefficient {j} at {prefix} is not 0 mod {p}^{S}")
@@ -101,8 +98,6 @@ class NodalNode:
     s_step: int = 0  # s-value of the digit that made this node; 0 at the root
     nondegenerate_roots: list[int] = field(default_factory=list)
     degenerate_roots: list[int] = field(default_factory=list)
-    # (digit, s) for degenerate digits whose expansion is blocked by k_local
-    blocked: list[tuple[int, int]] = field(default_factory=list)
     children: list["NodalNode"] = field(default_factory=list)
 
     @property
@@ -140,6 +135,9 @@ class NodalTree:
     p: int
     k: int
     root: NodalNode
+    # 1 + max of s_consumed + s over the expanded digits: the least k at which
+    # this tree is mature, and k + 1 when a digit is blocked at k
+    k_mature: int
 
     @property
     def node_count(self) -> int:
@@ -147,8 +145,8 @@ class NodalTree:
 
     @property
     def immature(self) -> bool:
-        """Some expansion is blocked purely by precision."""
-        return any(n.blocked for n in self.root.walk())
+        """Some expansion is blocked purely by precision: s >= k_local."""
+        return self.k_mature > self.k
 
 
 def build_tree(
@@ -160,17 +158,22 @@ def build_tree(
     digits != 0 (the valuation-0 root sweep); 'one' restricts depth 0 to
     the digit 1 (most-significant-digit-1 roots); deeper digits are never
     restricted.  A degenerate digit whose prefix `cut` covers is listed in
-    degenerate_roots but gets neither a child nor a blocked entry.  Every
-    other degenerate digit costs one Taylor expansion of the sparse f at
-    its prefix (shift_rescale), which gives its s-value and its child's
-    reduction.  The depth and s-sum invariants, and for trinomial inputs the
-    degree collapse below a nonzero first digit, are checked as each child
-    is made (InvariantViolated).  The root node's F_p scan rejects
-    f = 0 mod p and a p over the desk cap.
+    degenerate_roots but gets no child.  Every other degenerate digit is
+    expanded: a Taylor expansion of the sparse f at its prefix
+    (shift_rescale) gives its s-value and its child's reduction.  The
+    expansion's precision P is the digit's own.  s is at most the digit's
+    multiplicity, so at most deg, the degree of the node's reduction, and
+    s_value reads it exactly below P.  So P starts at min(k_local, deg + 1,
+    6) and doubles, up to min(k_local, deg + 1), while s >= P; the digit is
+    blocked when s >= k_local.  The depth and s-sum invariants, and for
+    trinomial inputs the degree collapse below a nonzero first digit, are
+    checked as each child is made (InvariantViolated).  The root node's F_p
+    scan rejects f = 0 mod p and a p over the desk cap.
     """
     p, k = ctx.p, ctx.k
     degree_cap = nodal_degree_cap(p) if f.term_count == 3 else None
     max_depth = (k - 1) // 2
+    k_mature = 1
 
     reduction = SparsePoly(tuple([(a, c % p) for a, c in f.terms if c % p]))
     root = NodalNode(mu=0, depth=0, reduction=reduction, k_local=k, s_consumed=0)
@@ -191,14 +194,16 @@ def build_tree(
             prefix = node.mu + z * p ** node.depth
             if cut is not None and cut.covers(prefix, node.depth + 1, p):
                 continue
-            # s <= the digit's multiplicity <= the reduction's degree (<= s_step
-            # below the root), and indices >= k_local never bring s below k_local
-            jmax = min(node.reduction.degree, k_local - 1)
-            u = shift_rescale(f, prefix, node.depth, node.s_consumed, p, k_local, jmax)
-            s = s_value(u, p, k_local)
+            top = min(k_local, node.reduction.degree + 1)
+            prec = min(top, 6)
+            while True:
+                u = shift_rescale(f, prefix, node.depth, node.s_consumed, p, prec)
+                s = s_value(u, p, prec)
+                if s < prec or prec == top:
+                    break
+                prec = min(2 * prec, top)
+            k_mature = max(k_mature, node.s_consumed + s + 1)
             if not 2 <= s <= k_local - 1:
-                if s >= k_local:
-                    node.blocked.append((z, s))
                 continue
             # p^(-s) h(z + p x) has coefficients u_j p^(j - s), units only at j <= s
             ps = p ** s
@@ -223,75 +228,63 @@ def build_tree(
                 )
             node.children.append(child)
             stack.append(child)
-    return NodalTree(p=p, k=k, root=root)
+    return NodalTree(p=p, k=k, root=root, k_mature=k_mature)
 
 
 @dataclass
 class StabilizedTree:
     tree: NodalTree
-    k_used: int
+    k_used: int  # the least k at which the tree is mature; k_cap when it is not
     stabilized: bool  # True: the tree is mature; False: it rests on k_cap
 
 
 def stabilized_tree(
     f: SparsePoly,
     p: int,
-    k_start: int = 4,
-    k_cap: int = 4096,
+    k_cap: int,
     root_digits: str = "all",
     cut: RepeatedRootCut | None = None,
 ) -> StabilizedTree:
-    """Double k from k_start until the tree is mature, or k_cap is hit.
+    """The digit tree of f at k_cap, and whether it is mature.
 
-    A mature tree (no precision-blocked site) is exact, so the first one
-    ends the ladder.  Every s-value it computed is below its node's
-    k_local, and there s_value returns the true value: the contributions
-    it truncates at k_local are at least k_local, and the Taylor indices it
-    drops are at least k_local or above the digit's multiplicity, which
-    bounds s.  Each node's reduction, read off u_j mod p^(s+1), is exact, and
-    so are its F_p roots and their degenerate/simple split.  The cut test
-    reads only the digit prefix.  At any larger k the same digits therefore
-    give the same s-values, children, cuts and root lists; no node is
-    added, because no site was blocked.  The count is exact too.  A
-    degenerate digit with a Z_p root above it has s >= 2 (s = 1 leaves a
-    unit constant term), so along the digit path of a simple root each
-    degenerate digit either is blocked, which a mature tree rules out, or
-    is cut, which the next paragraph rules out, or makes a child with
-    k_local smaller by s.  The path therefore ends at a simple root of some
+    A mature tree (no precision-blocked site) is exact.  Every s-value it
+    computed is below its node's k_local and below the precision of the
+    digit's last expansion, and there s_value returns the true value: the
+    contributions it truncates are at least that precision, and so are
+    the Taylor indices it drops.  Each node's reduction, read off u_j mod
+    p^(s+1), is exact, and so are its F_p roots and their degenerate/simple
+    split.  The cut test reads only the digit prefix.  At any k from
+    k_used = tree.k_mature on, the same digits therefore give the same
+    s-values, children, cuts and root lists; no node is added, because no
+    site was blocked.  So the tree is the same at every k >= k_used, and
+    its count is exact too.  A degenerate digit with a Z_p root above it
+    has s >= 2 (s = 1 leaves a unit constant term), so along the digit
+    path of a simple root each degenerate digit either is blocked, which a
+    mature tree rules out, or is cut, which the next paragraph rules out,
+    or makes a child with k_local smaller by s.  The path therefore ends at a simple root of some
     node's reduction, which Hensel-lifts to that root alone.
 
     A repeated Z_p root tau keeps its digit chain blocked at every k, so
-    without a cut such trees never mature: they run to k_cap.  The cut
-    ends that chain.  solve_trinomial cuts the valuation v that holds the
-    repeated roots, all roots of x^r = T, at depth N_v = max(C + max(0, -v)
-    + 1, ell + 1), with C = floor(log_p((d-r) d^3 H / (8 r^4))) and ell =
-    ord_p r.  Their unit parts tau p^(-v) are the roots of h(y) = den y^r -
-    num, where num/den = T p^(-r v).  The cut is sound: by the paper's
-    repulsion bound a simple root z has ord_p(z - tau) <= C, so its unit
-    part agrees with tau p^(-v) in at most C - v < N_v digits, whatever
-    the sign of v; since N_v >= ell + 1, RepeatedRootCut's Hensel test
-    covers a prefix of n >= N_v digits exactly when it agrees with a root
-    of h in n digits, so no simple root lies above a cut digit.  Every
-    chain then ends, and the ladder matures once k covers the s-values down
-    to depth N_v, at least about 2 N_v, so solve_trinomial starts that
-    ladder at k_start = max(6, 2 N_v + 4), at most k_cap; the other ladders
-    start at 6.  The start cannot change a count: by the paragraph above a
-    tree mature at k is mature, and node for node the same tree, at every
-    larger k, so every start that reaches a mature rung ends at the same
-    tree, and the tree at k_cap is mature exactly when some rung is.  Only
-    k_used moves.  stabilized=False is left to ladders whose cap comes first.
-    Their count is exact when k_cap
-    is the k of precision_plan, the paper's worst-case precision: S0 caps
-    the s-value of the first digit, M_p that of each later one, and D the
-    number of digits two simple roots can share, so at that k every simple
-    root is harvested and blocked sites lie only on the chains of repeated
-    roots.
+    without a cut such trees never mature.  The cut ends that chain.
+    solve_trinomial cuts the valuation v that holds the repeated roots, all
+    roots of x^r = T, at depth N_v = max(C + max(0, -v) + 1, ell + 1), with
+    C = floor(log_p((d-r) d^3 H / (8 r^4))) and ell = ord_p r.  Their unit
+    parts tau p^(-v) are the roots of h(y) = den y^r - num, where num/den =
+    T p^(-r v).  The cut is sound: by the paper's repulsion bound a simple
+    root z has ord_p(z - tau) <= C, so its unit part agrees with tau p^(-v)
+    in at most C - v < N_v digits, whatever the sign of v; since N_v >=
+    ell + 1, RepeatedRootCut's Hensel test covers a prefix of n >= N_v
+    digits exactly when it agrees with a root of h in n digits, so no
+    simple root lies above a cut digit.  Every chain then ends, and the
+    tree is mature once k covers the s-values down to depth N_v, about
+    2 N_v.  stabilized=False is left to trees still immature at k_cap.
+    Their count is exact when k_cap is the k of precision_plan, the
+    paper's worst-case precision: S0 caps the s-value of the first digit,
+    M_p that of each later one, and D the number of digits two simple
+    roots can share, so at that k every simple root is harvested and
+    blocked sites lie only on the chains of repeated roots.
     """
-    k = max(1, k_start)
-    while True:
-        tree = build_tree(f, PAdicContext(p, k), root_digits=root_digits, cut=cut)
-        if not tree.immature:
-            return StabilizedTree(tree=tree, k_used=k, stabilized=True)
-        if k >= k_cap:
-            return StabilizedTree(tree=tree, k_used=k, stabilized=False)
-        k = min(2 * k, k_cap)
+    tree = build_tree(f, PAdicContext(p, k_cap), root_digits=root_digits, cut=cut)
+    if tree.immature:
+        return StabilizedTree(tree=tree, k_used=k_cap, stabilized=False)
+    return StabilizedTree(tree=tree, k_used=tree.k_mature, stabilized=True)

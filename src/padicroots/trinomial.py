@@ -229,7 +229,7 @@ def cut_depth(v: int, d: int, H: int, r: int, p: int) -> int:
 @dataclass
 class CandidateOutcome:
     valuation: int
-    k_used: int
+    k_used: int  # the least k at which the tree is mature; the cap when it is not
     stabilized: bool
     count: int
 
@@ -248,13 +248,13 @@ class SolveResult:
 
 
 def _harvest_tree(
-    g: SparsePoly, p: int, v: int, k_cap: int, root_digits: str, k_start: int, certify: bool,
+    g: SparsePoly, p: int, v: int, k_cap: int, root_digits: str, certify: bool,
     cut: RepeatedRootCut | None,
 ) -> tuple[list[ApproximateRoot], CandidateOutcome]:
     """Non-degenerate valuation-v roots from the digit tree of g: one per
     simple root of a node's reduction, certified only when certify is set.
     cut ends the digit chains of the repeated roots at valuation v."""
-    st = stabilized_tree(g, p, k_start=k_start, k_cap=k_cap, root_digits=root_digits, cut=cut)
+    st = stabilized_tree(g, p, k_cap, root_digits=root_digits, cut=cut)
     roots, count = [], 0
     for node in st.tree.root.walk():
         if node.depth >= 1:
@@ -293,17 +293,15 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     The constant term is nonzero, so 0 is never a root; solve_sparse
     validates the mode and handles a factor x^a1.  Candidate valuations
     are taken in polygon order: rescale (BudgetExceeded past
-    MAX_RESCALE_BITS), plan, then build the ladder.  At the valuation v
-    that holds the degenerate roots, the ladder's trees cut every digit on
-    their chains from depth N_v = cut_depth(...) on, so they mature at k of
-    about 2 N_v instead of running to the cap (stabilized_tree).  That ladder
-    starts at k = max(6, 2 N_v + 4), at most the cap, and so builds one tree
-    where doubling from 6 built several; since a mature tree is the same at
-    every larger k, the start moves k_used and no count.  Each digit on
-    that chain costs one Taylor expansion of the sparse g (build_tree), so
-    the ladder's work is polynomial in N_v and log(dH).  The cut is one
-    residue test and the same with and without certify; certify=False
-    counts without certificates (solve_sparse).
+    MAX_RESCALE_BITS), plan, then build one digit tree at the plan's k.
+    At the valuation v that holds the degenerate roots, the tree cuts every
+    digit on their chains from depth N_v = cut_depth(...) on, so it matures
+    at k of about 2 N_v instead of resting on the cap (stabilized_tree).
+    Each digit on that chain costs one Taylor expansion of the sparse g
+    (build_tree) at its own precision, so the tree's work is polynomial in
+    N_v and log(dH).  The cut is one residue test and the same with and
+    without certify; certify=False counts without certificates
+    (solve_sparse).
     """
     p = inp.p
     body = inp.poly
@@ -332,8 +330,7 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
         g = rescale_for_valuation(body, p, v)
         k_cap = precision_plan(inp, report, height=g.max_abs_coeff()).k
         v_cut = cut if v == degenerate_v else None
-        k_start = min(k_cap, 6 if v_cut is None else max(6, 2 * v_cut.depth + 4))
-        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, k_start, certify, v_cut)
+        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, certify, v_cut)
         roots.extend(got)
         count += outcome.count
         outcomes.append(outcome)

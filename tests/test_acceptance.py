@@ -95,7 +95,7 @@ def test_criterion_1_worked_examples():
     assert solve_sparse(parse_poly("x^10 + 11*x^2 - 12"), 2).root_count == 6
     assert solve_sparse(parse_poly("x^20 - 10*x^2 + 738"), 3).root_count == 8
     f = parse_poly("x^10 - 10*x + 738")
-    u = shift_rescale(f, 1, 0, 0, 3, 6, 5)  # one expansion gives s and the child
+    u = shift_rescale(f, 1, 0, 0, 3, 6)  # one expansion gives s and the child
     assert s_value(u, 3, 6) == 4
     (child,) = [ch for ch in build_tree(f, PAdicContext(3, 6)).root.children if ch.mu == 1]
     assert child.s_step == 4

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -99,24 +100,42 @@ def test_tree_subcommand(capsys):
 
 def test_tree_at_degree_2_to_the_40():
     """The root node keeps the input's degree, so its reduction is printed
-    from its terms; a dense list of 2^40 + 1 entries cannot be built.  Run
-    apart, under a 2 GB address-space limit."""
+    from its terms; a dense list of 2^40 + 1 entries cannot be built.  At
+    p = 2, digit 1 of the second input is degenerate with s = 1: one
+    expansion at precision 6, not one of min(2^40, k - 1) Taylor columns.
+    Each runs apart, under a 2 GB address-space limit."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    t0 = time.perf_counter()
-    run = subprocess.run(
-        [sys.executable, "-m", "padicroots.cli", "tree", "2 + x + x^1099511627776",
-         "--p", "3", "--k", "4", "--json"],
-        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert time.perf_counter() - t0 < 1
-    assert run.returncode == 0, run.stderr
-    payload = json.loads(run.stdout)
-    jsonschema.validate(payload, load_schema("tree.json"))
-    assert payload["nodes"][0]["poly_mod_p"] == [[0, 2], [1, 1], [2 ** 40, 1]]
+    for p, k, text, root_mod_p in (
+        ("3", "4", "2 + x + x^1099511627776", [[0, 2], [1, 1], [2 ** 40, 1]]),
+        ("2", "100000000", "1 - 4*x + x^1099511627776", [[0, 1], [2 ** 40, 1]]),
+    ):
+        t0 = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "padicroots.cli", "tree", text, "--p", p, "--k", k, "--json"],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert time.perf_counter() - t0 < 1
+        assert run.returncode == 0, run.stderr
+        payload = json.loads(run.stdout)
+        jsonschema.validate(payload, load_schema("tree.json"))
+        assert payload["nodes"][0]["poly_mod_p"] == root_mod_p
+
+
+def _readme_cli_lines():
+    """The `padicroots ...` lines of README's CLI block, comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_lines_run(capsys, argv):
+    assert argv[0] == "padicroots"
+    assert run_cli(capsys, *argv[1:])[0] == 0
 
 
 def test_bounds_subcommand(capsys):
@@ -212,7 +231,7 @@ def test_exit_codes(capsys):
 
 
 def test_removed_options_are_usage_errors(capsys):
-    # one precision policy: the ladder, ending at a mature tree or the proven cap
+    # one precision policy: one tree at the proven cap, mature or not
     assert run_cli(capsys, "solve", "--p", "5", "x^2 - 1", "--paper-k")[0] == 2
     assert run_cli(capsys, "bench", "--p-list", "3", "--d-list", "10")[0] == 2
     # one exact discriminant test at every degree

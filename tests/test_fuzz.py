@@ -5,7 +5,7 @@ from the certifying solve and from the count-only one alike.
 InvariantViolated is a PadicError too, but it means the solver caught
 itself in a contradiction, so it fails the gate.  The inputs are fixed by
 the seed.  The gate runs in about 2 s on a 2-vCPU VM and fails when it
-passes its 20 s time box: a solver that climbs a ladder it cannot finish
+passes its 20 s time box: a solver that builds a tree it cannot finish
 fails here rather than hanging.
 """
 
@@ -56,8 +56,8 @@ def _binomial(rng, p):
 
 def _close_roots(rng, p, j_max=6, r_max=3):
     """(x^r - a)(x^r - b) with b = a + p^j m: simple roots that share
-    about j digits, 3 <= j <= j_max, so their digit chains need a deeper
-    tree than the ladder's first rung.  The oracle drops the classes that
+    about j digits, 3 <= j <= j_max, so their digit chains run about j
+    digits deep.  The oracle drops the classes that
     cannot hold a root, so its work grows like j p per root, not p^j."""
     j = rng.randint(3, j_max)
     r = rng.randint(1, r_max)

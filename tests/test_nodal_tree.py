@@ -1,8 +1,9 @@
 import pytest
 
 import padicroots.nodal_tree
+import padicroots.trinomial
 from padicroots.arith import PAdicContext
-from padicroots.errors import ContentDivisible
+from padicroots.errors import ContentDivisible, PadicError
 from padicroots.nodal_tree import (
     NodalNode,
     build_tree,
@@ -11,8 +12,9 @@ from padicroots.nodal_tree import (
     stabilized_tree,
 )
 from padicroots.newton_polygon import integral_valuation_candidates
-from padicroots.oracle import lift_root
+from padicroots.oracle import count_qp_roots, lift_root
 from padicroots.sparsepoly import SparsePoly, parse_poly, rescale_for_valuation, taylor_coeffs_mod
+from padicroots.trinomial import solve_sparse
 from tests.conftest import degenerate_trinomial, random_trinomial
 from tests.reference import content_p, reconstruct_node_poly
 
@@ -184,38 +186,94 @@ def test_content_rejected():
 
 
 def test_stabilized_examples():
-    st = stabilized_tree(parse_poly("1 - x^340"), 17, k_start=1, k_cap=64)
+    st = stabilized_tree(parse_poly("1 - x^340"), 17, k_cap=64)
     assert st.stabilized and st.k_used >= 3
     assert sum(n.n_p for n in st.tree.root.walk()) == 4
-    st2 = stabilized_tree(parse_poly("x^2 - 1"), 5, k_start=1, k_cap=64)
+    st2 = stabilized_tree(parse_poly("x^2 - 1"), 5, k_cap=64)
     assert st2.stabilized and sum(n.n_p for n in st2.tree.root.walk()) == 2
     assert st2.tree.root.n_p == 2
-    st3 = stabilized_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, k_start=1, k_cap=64)
+    st3 = stabilized_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, k_cap=64)
     assert st3.stabilized and sum(n.n_p for n in st3.tree.root.walk()) == 6
 
 
 def test_stabilized_cap_flag():
     # x^2 never matures (the digit-0 chain is always precision-blocked)
-    st = stabilized_tree(SparsePoly(((2, 1),)), 3, k_start=2, k_cap=16)
+    st = stabilized_tree(SparsePoly(((2, 1),)), 3, k_cap=16)
     assert not st.stabilized and st.k_used == 16
 
 
-def test_ladder_ends_at_first_mature_tree(monkeypatch):
-    built = []
-    real = padicroots.nodal_tree.build_tree
+def test_one_tree_at_the_cap(monkeypatch, rng):
+    """Each of the solver's stabilized_tree calls, cut included, builds one
+    tree, at k_cap.  Its k_used is the least k at which build_tree's tree is
+    mature, found by brute force over k <= 64, and stabilized is whether
+    the tree at k_cap is mature."""
+    real_build, real_stabilized = build_tree, padicroots.trinomial.stabilized_tree
+    built, calls = [], []
 
     def counting(f, ctx, **kw):
         built.append(ctx.k)
-        return real(f, ctx, **kw)
+        return real_build(f, ctx, **kw)
+
+    def recording(g, p, k_cap, **kw):
+        built.clear()
+        st = real_stabilized(g, p, k_cap, **kw)
+        assert built == [k_cap]
+        calls.append((g, p, k_cap, kw, st))
+        return st
 
     monkeypatch.setattr(padicroots.nodal_tree, "build_tree", counting)
-    st = stabilized_tree(parse_poly("x^2 - 1"), 5, k_start=1, k_cap=64)
-    assert built == [1] and st.stabilized and st.k_used == 1
-    # first mature at k = 8, which is also the cap: the count rests on a mature tree
-    built.clear()
-    st = stabilized_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, k_start=1, k_cap=8)
-    assert built == [1, 2, 4, 8] and st.stabilized and st.k_used == 8
-    assert sum(n.n_p for n in st.tree.root.walk()) == 6
+    monkeypatch.setattr(padicroots.trinomial, "stabilized_tree", recording)
+    for i in range(300):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        if i % 2 == 0:
+            f = degenerate_trinomial(rng, p)
+        else:
+            f = random_trinomial(rng, d_max=30, h_max=60)
+            f = SparsePoly(tuple((a, c * p ** rng.choice([0, 0, 1, 3])) for a, c in f.terms))
+        try:
+            solve_sparse(f, p, certify=False)
+        except PadicError:
+            pass
+    found = capped = cut = 0
+    for g, p, k_cap, kw, st in calls:
+        assert st.tree.k == k_cap and st.stabilized == (not st.tree.immature)
+        cut += kw["cut"] is not None
+        least = next(
+            (k for k in range(1, min(k_cap, 64) + 1)
+             if not real_build(g, PAdicContext(p, k), **kw).immature),
+            None,
+        )
+        if least is not None:
+            assert st.stabilized and st.k_used == least, (g.to_text(), p, k_cap)
+            found += 1
+        elif k_cap <= 64:
+            assert not st.stabilized and st.k_used == k_cap, (g.to_text(), p, k_cap)
+            capped += 1
+        else:
+            assert st.k_used > 64, (g.to_text(), p, k_cap)
+    assert found > 200 and capped > 0 and cut > 50
+
+
+def test_digit_precision_doubles_until_s_is_exact(monkeypatch):
+    """At p = 2, root digit 1 of 2 - 3x^16 + x^48 has s = 10: the expansion
+    at precision 6 reads s >= 6, so the digit is expanded again at 12."""
+    real = padicroots.nodal_tree.shift_rescale
+    precisions = []
+
+    def recording(g, prefix, n, S, p, prec):
+        if (prefix, n) == (1, 0):
+            precisions.append(prec)
+        return real(g, prefix, n, S, p, prec)
+
+    monkeypatch.setattr(padicroots.nodal_tree, "shift_rescale", recording)
+    f = parse_poly("2 - 3*x^16 + x^48")
+    assert count_qp_roots(f, 2).qp_count == 2
+    for certify in (True, False):
+        precisions.clear()
+        assert solve_sparse(f, 2, certify=certify).root_count == 2
+        assert precisions == [6, 12]
+    (child,) = [ch for ch in build_tree(f, PAdicContext(2, 16)).root.children if ch.mu == 1]
+    assert child.s_step == 10
 
 
 def _shape(tree):
@@ -227,8 +285,8 @@ def _shape(tree):
 
 
 def test_mature_tree_is_exact(rng):
-    """A mature tree at k is the tree at 2k, node for node: no later rung of
-    the ladder can change it.  Trees are those the solver builds."""
+    """A mature tree at k is the tree at 2k, node for node: no larger k, the
+    cap included, can change it.  Trees are those the solver builds."""
     mature = 0
     for i in range(600):
         p = rng.choice([2, 3, 5, 7, 11, 13])

@@ -93,7 +93,7 @@ def test_shift_rescale_examples():
         assert child.s_step == 2 and child.mod_p_coeffs() == want
     # a node whose claimed S does not divide the shifted input is refused
     with pytest.raises(DivisibilityViolation):
-        shift_rescale(parse_poly("1 + x"), 1, 0, 1, 3, 4, 1)
+        shift_rescale(parse_poly("1 + x"), 1, 0, 1, 3, 2)
 
 
 @given(
@@ -103,9 +103,10 @@ def test_shift_rescale_examples():
 )
 @settings(max_examples=60, deadline=None)
 def test_shift_then_eval_matches_direct(p, digit, data):
-    """p^S sum_j u_j (p x)^j = f(prefix + p^(n+1) x) mod p^(S + min(jmax + 1, k))
-    at random points, for u from shift_rescale at a node of depth n and
-    consumed precision S, with f = p^S f0 so that p^S divides the node."""
+    """p^S sum_j u_j (p x)^j = f(prefix + p^(n+1) x) mod p^(S + prec) at
+    random points, for u from shift_rescale at precision prec = min(deg + 1, k)
+    at a node of depth n and consumed precision S, with f = p^S f0 so that
+    p^S divides the node."""
     digit %= p
     k = data.draw(st.integers(min_value=3, max_value=8))
     n = data.draw(st.integers(min_value=0, max_value=3))
@@ -121,9 +122,9 @@ def test_shift_then_eval_matches_direct(p, digit, data):
     )
     f = SparsePoly.from_terms((a, c * p ** S) for a, c in terms.items())
     prefix = mu + digit * p ** n
-    jmax = min(f.degree, k - 1)
-    u = shift_rescale(f, prefix, n, S, p, k, jmax)
-    m = p ** (S + min(jmax + 1, k))
+    prec = min(f.degree + 1, k)
+    u = shift_rescale(f, prefix, n, S, p, prec)
+    m = p ** (S + prec)
     rng = random.Random(f"{p}:{digit}:{k}:{n}:{S}:{mu}:{sorted(terms.items())}")
     for _ in range(20):
         x = rng.randrange(m)

@@ -177,10 +177,10 @@ def test_discriminant_not_fooled_by_a_modular_false_zero():
 def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
     """Each gives the oracle's count or BudgetExceeded: (a) and (d) from the
     rescale, whose power of p is above MAX_RESCALE_BITS.  (b) has a cut
-    depth N_v = 41: its cut ladder starts at k = 86, where its tree is
-    mature, and it gets the oracle's count, 2.  (f) has N_v = 1442, a digit
-    chain of 1442 nodes whose ladder starts at k = 2888; each digit costs one
-    Taylor expansion of the sparse input, and it gets the oracle's count, 1.
+    depth N_v = 41: its tree at the cap is mature, and it gets the oracle's
+    count, 2.  (f) has N_v = 1442, a digit chain of 1442 nodes; each digit
+    costs one Taylor expansion of the sparse input, and it gets the oracle's
+    count, 1.
     The count-only path (`padicroots count`) gives the same outcome."""
     for certify in (True, False):
         if want == "oracle":
@@ -315,8 +315,8 @@ def test_p_and_mode_checked_for_every_shape(text):
     ],
 )
 def test_p2_digit_chain_deeper_than_recursion_limit(text):
-    # Without the cut at N_v the ladder ran to the proven cap and the digit
-    # chain toward the degenerate root got deeper than Python's recursion
+    # Without the cut at N_v the tree rests on the proven cap, and the digit
+    # chain toward the degenerate root gets deeper than Python's recursion
     # limit.  The chain now ends at depth N_v and every tree matures;
     # test_nodal_tree.py::test_walk_is_preorder_at_any_depth covers deep walks.
     f = parse_poly(text)
