@@ -9,6 +9,16 @@ The scan affects running time only, never correctness.  A binomial
 x^d = t is not evaluated on all of F_p: one power test decides it, and its
 roots, one coset of the gamma-th roots of unity with gamma = gcd(d, p-1),
 come from a walk over (p-1)/gamma coset representatives.
+
+The F_p work of digit-tree nodes below the root is memoized: their scan
+(roots_fp_memo) and the Frobenius gcd that cross-checks it, both keyed on
+(reduction, p).  A reduction there has degree at most the s-value that made
+its node, and a degenerate chain of N_v nodes meets the same few reductions
+over and over.  Root nodes are scanned afresh: a root's reduction is the
+input mod p, so a memo there would only replay inputs already seen.  Both
+memos hold at most FP_MEMO_SIZE entries each, least recently used first out,
+and both functions are pure in (reduction, p), so a memo never changes a
+result; the scan's memo hands out tuples, which no caller can mutate.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from .errors import ContentDivisible, InvariantViolated, PrimeTooLarge
 from .sparsepoly import SparsePoly
 
 DESK_PRIME_CAP = 100_000
+FP_MEMO_SIZE = 256  # entries per memo: a degenerate benchmark cycle meets 95 keys
 
 
 def check_prime_cap(p: int):
@@ -73,6 +84,12 @@ def roots_fp_exhaustive(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
     for z in sorted(pow(g, i, p) for i in found):
         roots.append((z, f.deriv_mod(z, p) == 0))
     return roots
+
+
+@functools.lru_cache(maxsize=FP_MEMO_SIZE)
+def roots_fp_memo(f: SparsePoly, p: int) -> tuple[tuple[int, bool], ...]:
+    """roots_fp_exhaustive, memoized, for the nodes below a tree's root."""
+    return tuple(roots_fp_exhaustive(f, p))
 
 
 def _factor_trial(n: int) -> list[int]:
@@ -176,30 +193,35 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def gcd_with_frobenius(coeffs: list[int], p: int) -> int:
+@functools.lru_cache(maxsize=FP_MEMO_SIZE)
+def gcd_with_frobenius(f: SparsePoly, p: int) -> int:
     """deg gcd(f, x^p - x): the number of distinct roots of f in F_p.
 
-    x^p mod f is computed by repeated squaring, so only deg(f)-sized
-    polynomials are ever touched.
+    f is made dense, so callers pass reductions of small degree.  x^p mod f
+    is computed by repeated squaring, so only deg(f)-sized polynomials are
+    ever touched.
     """
-    f = _poly_trim([c % p for c in coeffs])
-    if not f:
+    h = [0] * (f.degree + 1)
+    for a, c in f.terms:
+        h[a] = c % p
+    _poly_trim(h)
+    if not h:
         raise ContentDivisible("f is identically 0 mod p")
-    if len(f) == 1:
+    if len(h) == 1:
         return 0
-    if len(f) == 2:
+    if len(h) == 2:
         return 1
     base = [0, 1]
     acc = [1]
     e = p
     while e:
         if e & 1:
-            acc = _poly_mulmod(acc, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
+            acc = _poly_mulmod(acc, base, h, p)
+        base = _poly_mulmod(base, base, h, p)
         e >>= 1
     frob = acc[:]
     while len(frob) < 2:
         frob.append(0)
     frob[1] = (frob[1] - 1) % p
-    g = _poly_gcd(f, _poly_trim(frob), p)
-    return len(g) - 1 if g else len(f) - 1
+    g = _poly_gcd(h, _poly_trim(frob), p)
+    return len(g) - 1 if g else len(h) - 1

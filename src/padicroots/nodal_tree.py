@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .arith import PAdicContext, ord_int
 from .errors import DivisibilityViolation, InvariantViolated
-from .fp import roots_fp_exhaustive
+from .fp import roots_fp_exhaustive, roots_fp_memo
 from .sparsepoly import SparsePoly, taylor_coeffs_mod
 
 M_P = {2: 4, 3: 3}  # nodal degree cap by prime; 2 for p >= 5
@@ -113,13 +113,6 @@ class NodalNode:
             out.append(z)
         return tuple(out)
 
-    def mod_p_coeffs(self) -> list[int]:
-        """The reduction as dense coefficients, lowest degree first."""
-        out = [0] * (self.reduction.degree + 1)
-        for a, c in self.reduction.terms:
-            out[a] = c
-        return out
-
     def walk(self):
         """Preorder over the subtree; iterative, so digit chains of any depth
         are safe."""
@@ -168,7 +161,8 @@ def build_tree(
     blocked when s >= k_local.  The depth and s-sum invariants, and for
     trinomial inputs the degree collapse below a nonzero first digit, are
     checked as each child is made (InvariantViolated).  The root node's F_p
-    scan rejects f = 0 mod p and a p over the desk cap.
+    scan rejects f = 0 mod p and a p over the desk cap; the scans below the
+    root go through the memo of fp.roots_fp_memo.
     """
     p, k = ctx.p, ctx.k
     degree_cap = nodal_degree_cap(p) if f.term_count == 3 else None
@@ -181,7 +175,10 @@ def build_tree(
     while stack:
         node = stack.pop()
         k_local = node.k_local
-        roots = roots_fp_exhaustive(node.reduction, p)
+        if node.depth:
+            roots = roots_fp_memo(node.reduction, p)
+        else:
+            roots = roots_fp_exhaustive(node.reduction, p)
         if node.depth == 0 and root_digits == "nonzero":
             roots = [(z, d) for z, d in roots if z != 0]
         elif node.depth == 0 and root_digits == "one":

@@ -2,8 +2,9 @@
 
 Pipeline: candidate valuations from the Newton polygon; degenerate roots
 through an exact binomial encoding x^r = T; non-degenerate roots per
-valuation through digit trees built at doubling precision until one is
-mature, capped by the worst-case precision plan.
+valuation through one digit tree, built at the k of the worst-case
+precision plan, whose digit chains toward degenerate roots are cut at
+depth N_v.
 Every emitted root carries a Newton certificate; totals match the number
 of distinct roots of f in Q_p.  A count-only solve (certify=False) gives
 the same totals from the binomial power test and the trees' simple mod-p
@@ -258,8 +259,9 @@ def _harvest_tree(
     roots, count = [], 0
     for node in st.tree.root.walk():
         if node.depth >= 1:
-            # dual-route check: Frobenius gcd count vs the exhaustive scan
-            distinct = gcd_with_frobenius(node.mod_p_coeffs(), p)
+            # dual-route check: Frobenius gcd count vs the exhaustive scan,
+            # both memoized on (reduction, p) below the root (fp)
+            distinct = gcd_with_frobenius(node.reduction, p)
             found = len(node.nondegenerate_roots) + len(node.degenerate_roots)
             if distinct != found:
                 raise InvariantViolated(

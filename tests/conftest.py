@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from padicroots.fp import gcd_with_frobenius, roots_fp_memo
 from padicroots.newton import certified_residue, newton_step
 from padicroots.oracle import lift_root
 from padicroots.sparsepoly import SparsePoly
@@ -93,3 +94,11 @@ def degenerate_trinomial(rng: random.Random, p: int | None = None, u: int | None
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture(autouse=True)
+def cold_fp_memos():
+    """Every test starts with empty F_p memos, so the order tests run in
+    cannot decide whether one exercises a scan or a memo hit."""
+    roots_fp_memo.cache_clear()
+    gcd_with_frobenius.cache_clear()

@@ -2,9 +2,10 @@
 
 None of these is on the solver's path: each restates a quantity of the
 paper (Yu's bound, the cofactor of q against (x-1)^2, the trinomial
-discriminant in full, a node polynomial rebuilt from scratch, the p-part
-of the content, a rational's height, the roots mod p point by point) so a
-test can check the package's own numbers against it.
+discriminant in full, a node polynomial rebuilt from scratch, a node's
+reduction in dense form, the p-part of the content, a rational's height,
+the roots mod p point by point) so a test can check the package's own
+numbers against it.
 """
 
 import math
@@ -112,6 +113,14 @@ def reconstruct_node_poly(f: SparsePoly, p: int, node: NodalNode) -> SparsePoly:
             raise ContentDivisible("reconstruction: claimed s does not divide")
         coeffs.append(c // ps % m_out)
     return SparsePoly.from_terms(enumerate(coeffs))
+
+
+def mod_p_coeffs(node: NodalNode) -> list[int]:
+    """A node's reduction as dense coefficients, lowest degree first."""
+    out = [0] * (node.reduction.degree + 1)
+    for a, c in node.reduction.terms:
+        out[a] = c
+    return out
 
 
 def content_p(f: SparsePoly, p: int) -> int:

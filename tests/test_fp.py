@@ -2,14 +2,16 @@ import math
 
 import pytest
 
-from padicroots.arith import is_prime
+from padicroots.arith import PAdicContext, is_prime
 from padicroots.errors import PrimeTooLarge
 from padicroots.fp import (
     binomial_coset_roots,
     gcd_with_frobenius,
     generator_fp,
     roots_fp_exhaustive,
+    roots_fp_memo,
 )
+from padicroots.nodal_tree import build_tree
 from padicroots.sparsepoly import SparsePoly, parse_poly
 from tests.reference import roots_fp_pointwise
 
@@ -68,6 +70,26 @@ def test_scan_matches_pointwise(rng):
     assert [r for r, _ in roots_fp_exhaustive(*cases[0])] == [0, 1, 2]
 
 
+def test_memo_values_cannot_be_mutated():
+    """The memo hands out tuples, and a tree copies its digits into lists of
+    its own nodes, so no caller can write into a memoized scan."""
+    f = parse_poly("x^3 + 2*x^2")
+    roots = roots_fp_memo(f, 3)
+    assert roots == tuple(roots_fp_exhaustive(f, 3)) == ((0, True), (1, False))
+    with pytest.raises(AttributeError):
+        roots.append((2, False))
+    with pytest.raises(TypeError):
+        roots[0] = (2, False)
+    g = parse_poly("x^10 - 10*x + 738")
+    (child,) = [ch for ch in build_tree(g, PAdicContext(3, 6)).root.children if ch.mu == 1]
+    assert child.reduction == f
+    child.nondegenerate_roots.append(2)
+    child.degenerate_roots.clear()
+    assert roots_fp_memo(f, 3) is roots and roots == ((0, True), (1, False))
+    (again,) = [ch for ch in build_tree(g, PAdicContext(3, 6)).root.children if ch.mu == 1]
+    assert (again.degenerate_roots, again.nondegenerate_roots) == ([0], [1])
+
+
 def test_generator_examples():
     assert generator_fp(7) == 3
     assert generator_fp(17) == 3
@@ -108,9 +130,9 @@ def test_coset_roots_all_or_nothing(rng):
 
 
 def test_frobenius_gcd_examples():
-    assert gcd_with_frobenius([0, 1, 1], 2) == 2  # x^2 + x
-    assert gcd_with_frobenius([1, 0, 1], 3) == 0  # x^2 + 1
-    assert gcd_with_frobenius([0, 0, 2, 1], 3) == 2  # x^3 + 2x^2: roots {0, 1}
+    assert gcd_with_frobenius(parse_poly("x^2 + x"), 2) == 2
+    assert gcd_with_frobenius(parse_poly("x^2 + 1"), 3) == 0
+    assert gcd_with_frobenius(parse_poly("x^3 + 2*x^2"), 3) == 2  # roots {0, 1}
 
 
 def test_frobenius_gcd_matches_exhaustive(rng):
@@ -122,4 +144,4 @@ def test_frobenius_gcd_matches_exhaustive(rng):
         if f.is_zero:
             continue
         expected = len(roots_fp_exhaustive(f, p))
-        assert gcd_with_frobenius(coeffs, p) == expected
+        assert gcd_with_frobenius(f, p) == expected

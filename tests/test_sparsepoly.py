@@ -15,7 +15,7 @@ from padicroots.sparsepoly import (
     rescale_for_valuation,
     taylor_coeffs_mod,
 )
-from tests.reference import content_p
+from tests.reference import content_p, mod_p_coeffs
 
 
 def test_parse_basic():
@@ -82,15 +82,15 @@ def test_taylor_coeffs_examples():
 def test_shift_rescale_examples():
     # p^(-2) (p x)^2 = x^2
     child = _child(SparsePoly(((2, 1),)), 0, 3, 5)
-    assert child.s_step == 2 and child.mod_p_coeffs() == [0, 0, 1]
+    assert child.s_step == 2 and mod_p_coeffs(child) == [0, 0, 1]
     # s(f, 1) = 4 digit shift: mod-3 reduction x^3 + 2x^2
     child = _child(parse_poly("x^10 - 10*x + 738"), 1, 3, 6)
-    assert child.s_step == 4 and child.mod_p_coeffs() == [0, 0, 2, 1]
+    assert child.s_step == 4 and mod_p_coeffs(child) == [0, 0, 2, 1]
     # the four digit-1 shifts of 1 - x^340 mod 17
     expected = {1: [0, 14], 4: [10, 12], 13: [15, 5], 16: [3, 3]}
     for z, want in expected.items():
         child = _child(parse_poly("1 - x^340"), z, 17, 3)
-        assert child.s_step == 2 and child.mod_p_coeffs() == want
+        assert child.s_step == 2 and mod_p_coeffs(child) == want
     # a node whose claimed S does not divide the shifted input is refused
     with pytest.raises(DivisibilityViolation):
         shift_rescale(parse_poly("1 + x"), 1, 0, 1, 3, 2)

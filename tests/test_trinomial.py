@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import padicroots.nodal_tree
 import padicroots.trinomial
 from padicroots.arith import is_prime, ord_int
 from padicroots.bounds import degenerate_valuation_gap_cap
@@ -17,6 +18,7 @@ from padicroots.errors import (
     InvalidParams,
     InvariantViolated,
 )
+from padicroots.fp import gcd_with_frobenius, roots_fp_memo
 from padicroots.oracle import count_qp_roots
 from padicroots.sparsepoly import SparsePoly, parse_poly, strip_zero_root
 from padicroots.trinomial import (
@@ -330,7 +332,7 @@ import padicroots.trinomial as t
 from padicroots.errors import InvariantViolated
 from padicroots.sparsepoly import parse_poly
 true_count = t.gcd_with_frobenius
-t.gcd_with_frobenius = lambda coeffs, p: true_count(coeffs, p) + 1
+t.gcd_with_frobenius = lambda f, p: true_count(f, p) + 1
 if __debug__:
     raise SystemExit("not running under python -O")
 try:
@@ -344,7 +346,7 @@ raise SystemExit("cross-check passed a wrong count")
 def test_failed_cross_check_raises_invariant_violated(monkeypatch):
     true_count = padicroots.trinomial.gcd_with_frobenius
     monkeypatch.setattr(
-        padicroots.trinomial, "gcd_with_frobenius", lambda coeffs, p: true_count(coeffs, p) + 1
+        padicroots.trinomial, "gcd_with_frobenius", lambda f, p: true_count(f, p) + 1
     )
     with pytest.raises(InvariantViolated):
         solve_sparse(parse_poly("738 - 10*x^2 + x^20"), 3)
@@ -358,6 +360,64 @@ def test_failed_cross_check_raises_invariant_violated(monkeypatch):
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_solving_again_rescans_the_root_node(monkeypatch):
+    """The F_p memo covers the nodes below the root only: a second solve of
+    the same input scans its root nodes again and meets its child
+    reductions in the memo."""
+    root_scans = []
+    scan = padicroots.nodal_tree.roots_fp_exhaustive
+    monkeypatch.setattr(padicroots.nodal_tree, "roots_fp_exhaustive",
+                        lambda f, p: root_scans.append(f) or scan(f, p))
+    f = parse_poly("738 - 10*x^2 + x^20")
+    first = solve_sparse(f, 3)
+    scanned_first = list(root_scans)
+    misses = roots_fp_memo.cache_info().misses
+    assert scanned_first and misses > 0
+    assert solve_sparse(f, 3) == first
+    assert root_scans == scanned_first * 2
+    info = roots_fp_memo.cache_info()
+    assert info.misses == misses and info.hits >= misses
+
+
+def test_cross_check_still_raises_on_a_warm_memo(monkeypatch):
+    """Memo hits still pass through the dual-route check: with both memos
+    warm, a Frobenius count one too high and a child scan that drops a root
+    each raise."""
+    f = parse_poly("738 - 10*x^2 + x^20")
+    solve_sparse(f, 3)
+    assert roots_fp_memo.cache_info().currsize and gcd_with_frobenius.cache_info().currsize
+    with monkeypatch.context() as m:
+        m.setattr(padicroots.trinomial, "gcd_with_frobenius",
+                  lambda g, p: gcd_with_frobenius(g, p) + 1)
+        with pytest.raises(InvariantViolated):
+            solve_sparse(f, 3)
+    hits = roots_fp_memo.cache_info().hits
+    monkeypatch.setattr(padicroots.nodal_tree, "roots_fp_memo",
+                        lambda g, p: roots_fp_memo(g, p)[1:])
+    with pytest.raises(InvariantViolated):
+        solve_sparse(f, 3)
+    assert roots_fp_memo.cache_info().hits > hits
+
+
+def test_warm_memo_gives_the_cold_results(rng):
+    """A degenerate sample solves to equal results, field by field, with
+    the memos cleared before each input and with them warm."""
+    cases = [(degenerate_trinomial(rng, p), p) for p in (2, 3, 5, 7) * 6]
+    settings = [(mode, certify) for mode in (MODE_FULL, MODE_RESTRICTED) for certify in (True, False)]
+    cold = []
+    for f, p in cases:
+        for mode, certify in settings:
+            roots_fp_memo.cache_clear()
+            gcd_with_frobenius.cache_clear()
+            cold.append(repr(solve_sparse(f, p, mode, certify)))
+    for f, p in cases:  # warm the memos on the whole sample first
+        solve_sparse(f, p)
+    hits = roots_fp_memo.cache_info().hits
+    warm = [repr(solve_sparse(f, p, mode, certify)) for f, p in cases for mode, certify in settings]
+    assert warm == cold
+    assert roots_fp_memo.cache_info().hits > hits
 
 
 def test_oracle_equivalence_trinomials(rng):
