@@ -13,7 +13,7 @@ come from a walk over (p-1)/gamma coset representatives.
 The F_p work of digit-tree nodes below the root is memoized: their scan
 (roots_fp_memo) and the Frobenius gcd that cross-checks it, both keyed on
 (reduction, p).  A reduction there has degree at most the s-value that made
-its node, and a degenerate chain of N_v nodes meets the same few reductions
+its node, and a degenerate chain of N nodes meets the same few reductions
 over and over.  Root nodes are scanned afresh: a root's reduction is the
 input mod p, so a memo there would only replay inputs already seen.  Both
 memos hold at most FP_MEMO_SIZE entries each, least recently used first out,

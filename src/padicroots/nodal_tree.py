@@ -264,17 +264,18 @@ def stabilized_tree(
     A repeated Z_p root tau keeps its digit chain blocked at every k, so
     without a cut such trees never mature.  The cut ends that chain.
     solve_trinomial cuts the valuation v that holds the repeated roots, all
-    roots of x^r = T, at depth N_v = max(C + max(0, -v) + 1, ell + 1), with
-    C = floor(log_p((d-r) d^3 H / (8 r^4))) and ell = ord_p r.  Their unit
-    parts tau p^(-v) are the roots of h(y) = den y^r - num, where num/den =
-    T p^(-r v).  The cut is sound: by the paper's repulsion bound a simple
-    root z has ord_p(z - tau) <= C, so its unit part agrees with tau p^(-v)
-    in at most C - v < N_v digits, whatever the sign of v; since N_v >=
-    ell + 1, RepeatedRootCut's Hensel test covers a prefix of n >= N_v
-    digits exactly when it agrees with a root of h in n digits, so no
-    simple root lies above a cut digit.  Every chain then ends, and the
-    tree is mature once k covers the s-values down to depth N_v, about
-    2 N_v.  stabilized=False is left to trees still immature at k_cap.
+    roots of x^r = T, at depth N = max(M, ell) + 1 (trinomial.cut_depth),
+    with M = ord_p(abar2 abar3 (abar3 - abar2) / 2) and ell = ord_p r.
+    Their unit parts tau p^(-v) are the roots of h(y) = den y^r - num,
+    where num/den = T p^(-r v).  The cut is sound: a simple root z at
+    valuation v has ord_p(z - tau) <= v + M for every root tau of x^r = T
+    (cut_depth's docstring proves it), so its unit part agrees with
+    tau p^(-v) in at most M < N digits; since N >= ell + 1,
+    RepeatedRootCut's Hensel test covers a prefix of n >= N digits exactly
+    when it agrees with a root of h in n digits, so no simple root lies
+    above a cut digit.  Every chain then ends, and the tree is mature once
+    k covers the s-values down to depth N, about 2 N.  stabilized=False is
+    left to trees still immature at k_cap.
     Their count is exact when k_cap is the k of precision_plan, the
     paper's worst-case precision: S0 caps the s-value of the first digit,
     M_p that of each later one, and D the number of digits two simple

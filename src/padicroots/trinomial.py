@@ -4,7 +4,7 @@ Pipeline: candidate valuations from the Newton polygon; degenerate roots
 through an exact binomial encoding x^r = T; non-degenerate roots per
 valuation through one digit tree, built at the k of the worst-case
 precision plan, whose digit chains toward degenerate roots are cut at
-depth N_v.
+depth N (cut_depth).
 Every emitted root carries a Newton certificate; totals match the number
 of distinct roots of f in Q_p.  A count-only solve (certify=False) gives
 the same totals from the binomial power test and the trees' simple mod-p
@@ -27,7 +27,7 @@ from .arith import is_prime, ord_int, ord_rat
 from .binomial import (
     REASON_NO_INTEGRAL_VALUATION, BinomialInput, BinomialSolveResult, solve_binomial,
 )
-from .bounds import degenerate_valuation_gap_cap, trinomial_separation_bound
+from .bounds import trinomial_separation_bound
 from .errors import InvalidParams, InvariantViolated
 from .fp import gcd_with_frobenius
 from .newton import ApproximateRoot, certified_residue, newton_step
@@ -211,20 +211,30 @@ def precision_plan(
     return PrecisionPlan(S0=s0, D=D, M_p=m_p, k=k)
 
 
-def cut_depth(v: int, d: int, H: int, r: int, p: int) -> int:
-    """N_v = max(C + max(0, -v) + 1, ord_p r + 1): the digit depth from which
-    a unit-part prefix on the chain of a valuation-v repeated root holds no
-    simple root (stabilized_tree), with C = floor(log_p((d-r) d^3 H / (8 r^4))),
-    the paper's cap on ord_p(z - tau), or 0 when that log is negative."""
-    c = int(degenerate_valuation_gap_cap(d, H, r) / math.log(p))
-    # exact, because the float quotient can fall just short of an integer
-    # (log(243) / log(3) is 4.999...)
-    bound, unit = (d - r) * d ** 3 * H, 8 * r ** 4
-    while c > 0 and unit * p ** c > bound:
-        c -= 1
-    while unit * p ** (c + 1) <= bound:
-        c += 1
-    return max(c + max(0, -v) + 1, ord_int(r, p) + 1)
+def cut_depth(ab2: int, ab3: int, r: int, p: int) -> int:
+    """N = max(ord_p(ab2 ab3 (ab3 - ab2) / 2), ord_p r) + 1: the digit depth
+    from which a unit-part prefix on the chain of a repeated root holds no
+    simple root (stabilized_tree), for f = F(x^r) with F = c1 + c2 X^ab2 +
+    c3 X^ab3.  It reads only the exponents.
+
+    Why it is sound.  Let tau be a repeated root of f and T = tau^r, a
+    repeated root of F.  F(T) = T F'(T) = 0 gives c2 T^ab2 = -c1 ab3/(ab3 -
+    ab2) and c3 T^ab3 = c1 ab2/(ab3 - ab2), so at X = T(1 + e)
+      F(X) = c1/(ab3 - ab2) phi(e),
+      phi(e) = (ab3 - ab2) - ab3 (1 + e)^ab2 + ab2 (1 + e)^ab3
+             = sum_(j >= 2) (ab2 C(ab3, j) - ab3 C(ab2, j)) e^j.
+    Every root X != T of F is a root of psi = phi / e^2, which lies in Z[e]
+    with psi(0) = ab2 ab3 (ab3 - ab2)/2, so by the Newton polygon
+    ord_p e <= ord_p psi(0) = M for each of them.  A simple root z of f at
+    valuation v has Z = z^r != T, so ord_p(Z - T) <= r v + M.  Z - T is the
+    product of z - tau_i over the r roots tau_i of x^r = T, each of order
+    >= v, so every tau_i has ord_p(z - tau_i) <= v + M: unit parts share
+    at most M digits.  The floor ord_p r + 1 is RepeatedRootCut's Hensel
+    test.  Since ab2 (ab3 - ab2) <= ab3^2 / 4, p^M <= ab3^3 / 8, so N never
+    exceeds the height-based depth max(C + max(0, -v) + 1, ord_p r + 1),
+    C = floor(log_p((d-r) d^3 H / (8 r^4))), of the paper's repulsion bound.
+    """
+    return max(ord_int(ab2 * ab3 * (ab3 - ab2) // 2, p), ord_int(r, p)) + 1
 
 
 @dataclass
@@ -297,13 +307,13 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     are taken in polygon order: rescale (BudgetExceeded past
     MAX_RESCALE_BITS), plan, then build one digit tree at the plan's k.
     At the valuation v that holds the degenerate roots, the tree cuts every
-    digit on their chains from depth N_v = cut_depth(...) on, so it matures
-    at k of about 2 N_v instead of resting on the cap (stabilized_tree).
-    Each digit on that chain costs one Taylor expansion of the sparse g
-    (build_tree) at its own precision, so the tree's work is polynomial in
-    N_v and log(dH).  The cut is one residue test and the same with and
-    without certify; certify=False counts without certificates
-    (solve_sparse).
+    digit on their chains from depth N = cut_depth(abar2, abar3, r, p) on,
+    which reads only the exponents, so it matures at k of about 2 N instead
+    of resting on the cap (stabilized_tree).  Each digit on that chain costs
+    one Taylor expansion of the sparse g (build_tree) at its own precision,
+    so the tree's work is polynomial in N and log(dH).  The cut is one
+    residue test and the same with and without certify; certify=False
+    counts without certificates (solve_sparse).
     """
     p = inp.p
     body = inp.poly
@@ -320,7 +330,7 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
         degenerate_v = ord_rat(report.T, p) // r
         unit = report.T / Fraction(p) ** (r * degenerate_v)
         cut = RepeatedRootCut(
-            depth=cut_depth(degenerate_v, inp.d, inp.height, r, p),
+            depth=cut_depth(report.abar2, report.abar3, r, p),
             num=unit.numerator,
             den=unit.denominator,
             r=r,

@@ -86,7 +86,7 @@ def test_count_path_agrees_on_a_degenerate_cycle(monkeypatch):
     calls = {"build_tree": 0, "stabilized_tree": 0}
     _count_calls(monkeypatch, calls, padicroots.nodal_tree, "build_tree")
     _count_calls(monkeypatch, calls, padicroots.trinomial, "stabilized_tree")
-    # the cut at N_v lets degenerate trees mature: at most 1% rest on the cap
+    # the cut at depth N lets degenerate trees mature: at most 1% rest on the cap
     outcomes = [c for op in ops for c in solve_sparse(op.poly, op.p, certify=False).candidates]
     assert sum(not c.stabilized for c in outcomes) <= 0.01 * len(outcomes)
     # and every valuation builds one tree, at its cap

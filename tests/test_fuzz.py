@@ -9,6 +9,7 @@ passes its 20 s time box: a solver that builds a tree it cannot finish
 fails here rather than hanging.
 """
 
+import math
 import random
 import signal
 
@@ -26,6 +27,7 @@ LARGE_P_INPUTS = 10  # the oracle takes about 0.13 s per input at these primes
 # (x - a)(x - b) sharing 3 digits: the oracle lifts each of the two roots'
 # classes over all p digits at 4 or 5 levels, about 1 s per input
 LARGE_P_CLOSE_ROOTS = 2
+DEEP_CUT_INPUTS = 1000
 TIME_BOX_S = 20
 
 
@@ -66,6 +68,32 @@ def _close_roots(rng, p, j_max=6, r_max=3):
     return SparsePoly.from_terms([(0, a * b), (r, -(a + b)), (2 * r, 1)]), p
 
 
+def _deep_cut(rng):
+    """c q(u x^r), a double root at x^r = 1/u, at p <= 7 with p^j, up to
+    p^j <= 100, dividing abar2, abar3 or abar3 - abar2, and r in {1, p, p^2}:
+    the cut of the repeated root's digit chain lies j or more digits deep,
+    and simple roots may share up to that many digits less one with the
+    double root."""
+    p = rng.choice([2, 3, 5, 7])
+    while True:
+        m = p ** rng.randint(1, int(math.log(100, p))) * rng.randint(1, 2)
+        which = rng.randrange(3)
+        if which == 0:
+            ab2, ab3 = m, m + rng.randint(1, 12)
+        elif which == 1:
+            ab2, ab3 = rng.randint(1, m - 1), m
+        else:
+            ab2 = rng.randint(1, 12)
+            ab3 = ab2 + m
+        if ab2 < ab3 and math.gcd(ab2, ab3) == 1:
+            break
+    r = rng.choice([1, p, p * p])
+    u = rng.choice([1, 2, 3, 5, p, p * p])
+    c = rng.choice([1, -1, 2, -3])
+    terms = [(0, c * (ab3 - ab2)), (ab2 * r, -c * ab3 * u ** ab2), (ab3 * r, c * ab2 * u ** ab3)]
+    return SparsePoly.from_terms(terms), p
+
+
 def _inputs(rng):
     for _ in range(ROUNDS):
         for family in (_trinomial, degenerate_trinomial, _binomial):
@@ -97,7 +125,8 @@ def _check(f, p, seen):
     return None if got == [want, want] else f"count {got[0]}, count-only {got[1]}, oracle {want}"
 
 
-def test_fuzz_gate_matches_oracle():
+def _gate(inputs):
+    """_check on each input until TIME_BOX_S runs out: (failures, seen)."""
     def expire(signum, frame):
         raise _TimeBox
 
@@ -106,7 +135,7 @@ def test_fuzz_gate_matches_oracle():
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, TIME_BOX_S)
     try:
-        for f, p in _inputs(random.Random(0xF022)):
+        for f, p in inputs:
             try:
                 failure = _check(f, p, seen)
             except _TimeBox:
@@ -117,8 +146,23 @@ def test_fuzz_gate_matches_oracle():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    return failures, seen
+
+
+def test_fuzz_gate_matches_oracle():
+    failures, seen = _gate(_inputs(random.Random(0xF022)))
     assert failures == [], (len(failures), failures[:5])
     assert seen["compared"] > 0.9 * 4 * ROUNDS, seen
+
+
+def test_fuzz_deep_cuts_match_oracle():
+    """Degenerate trinomials whose repeated-root chains are cut deep.  A cut
+    one digit shallower than cut_depth's, kept at least ord_p r + 1, miscounts
+    26 of them."""
+    rng = random.Random(0xF024)
+    failures, seen = _gate(_deep_cut(rng) for _ in range(DEEP_CUT_INPUTS))
+    assert failures == [], (len(failures), failures[:5])
+    assert seen["compared"] > 0.9 * DEEP_CUT_INPUTS, seen
 
 
 def test_fuzz_large_primes_match_oracle():

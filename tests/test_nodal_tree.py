@@ -206,7 +206,10 @@ def test_one_tree_at_the_cap(monkeypatch, rng):
     """Each of the solver's stabilized_tree calls, cut included, builds one
     tree, at k_cap.  Its k_used is the least k at which build_tree's tree is
     mature, found by brute force over k <= 64, and stabilized is whether
-    the tree at k_cap is mature."""
+    the tree at k_cap is mature.  The solver's cuts let its degenerate
+    trees mature, so the calls that rest on a cap come from degenerate
+    inputs built without a cut: a repeated root's chain is then blocked at
+    every k."""
     real_build, real_stabilized = build_tree, padicroots.trinomial.stabilized_tree
     built, calls = [], []
 
@@ -234,6 +237,11 @@ def test_one_tree_at_the_cap(monkeypatch, rng):
             solve_sparse(f, p, certify=False)
         except PadicError:
             pass
+    # text, p, the valuation of its repeated root, k_cap
+    for text, p, v, k_cap in [("1 - 2*x + x^2", 3, 0, 24), ("27 - 28*x + x^28", 3, 0, 40),
+                              ("4 - 5103*x^3 + 14348907*x^7", 3, -2, 64)]:
+        g = rescale_for_valuation(parse_poly(text), p, v)
+        recording(g, p, k_cap, root_digits="nonzero", cut=None)
     found = capped = cut = 0
     for g, p, k_cap, kw, st in calls:
         assert st.tree.k == k_cap and st.stabilized == (not st.tree.immature)

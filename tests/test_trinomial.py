@@ -19,6 +19,7 @@ from padicroots.errors import (
     InvariantViolated,
 )
 from padicroots.fp import gcd_with_frobenius, roots_fp_memo
+from padicroots.nodal_tree import RepeatedRootCut, stabilized_tree
 from padicroots.oracle import count_qp_roots
 from padicroots.sparsepoly import SparsePoly, parse_poly, strip_zero_root
 from padicroots.trinomial import (
@@ -179,9 +180,10 @@ def test_discriminant_not_fooled_by_a_modular_false_zero():
 def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
     """Each gives the oracle's count or BudgetExceeded: (a) and (d) from the
     rescale, whose power of p is above MAX_RESCALE_BITS.  (b) has a cut
-    depth N_v = 41: its tree at the cap is mature, and it gets the oracle's
-    count, 2.  (f) has N_v = 1442, a digit chain of 1442 nodes; each digit
-    costs one Taylor expansion of the sparse input, and it gets the oracle's
+    depth N = 3 (ord_3(10001 * 9999) = 2; the height-based depth was 41):
+    its tree at the cap is mature, and it gets the oracle's count, 2.  (f)
+    has N = 1, since 7 divides neither 4001 nor 3999 (the height-based
+    depth was 1442, a digit chain of 1442 nodes), and it gets the oracle's
     count, 1.
     The count-only path (`padicroots count`) gives the same outcome."""
     for certify in (True, False):
@@ -194,13 +196,25 @@ def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
 
 def test_deep_digit_chain_costs_a_polynomial_in_its_depth():
     """(n-2) - 4n x^2 + 2^(n+1) x^n, a double root at x = 1/2, at p = 3 with
-    n = 801: its cut depth N_v = 529 makes a digit chain of 529 nodes.  Each
-    node keeps only its reduction mod p and each digit costs one Taylor
-    expansion of the sparse input, so both paths take about 0.1 s; a dense
-    node polynomial per digit took 4.7-6.4 s on a 2-vCPU VM."""
+    n = 801.  The solver cuts its chain at N = 3, since ord_3(801 * 799) = 2,
+    but any depth >= N is sound.  Cut at 529, the height-based depth of the
+    paper's repulsion bound, the tree has a digit chain of 529 nodes and
+    must still find the simple root.  Each node keeps only its reduction
+    mod p and each digit costs one Taylor expansion of the sparse input, so
+    the tree takes about 0.1 s; a dense node polynomial per digit took
+    4.7-6.4 s on a 2-vCPU VM."""
     f = _q(2, 801, 1, 2)
-    assert cut_depth(0, 801, 2 ** 802, 1, 3) == 529  # H = 2^802, the x^n coefficient
+    inp, _ = TrinomialInput.from_poly(f, 3)
+    report = discriminant_tri(inp)
+    assert report.T == Fraction(1, 2) and cut_depth(report.abar2, report.abar3, 1, 3) == 3
     assert count_qp_roots(f, 3).qp_count == 2
+    cut = RepeatedRootCut(depth=529, num=1, den=2, r=1, ell=0)
+    t0 = time.perf_counter()
+    st = stabilized_tree(f, 3, precision_plan(inp, report).k, root_digits="nonzero", cut=cut)
+    assert time.perf_counter() - t0 < 1
+    nodes = list(st.tree.root.walk())
+    assert st.stabilized and max(node.depth for node in nodes) == 528
+    assert 1 + sum(node.n_p for node in nodes) == 2  # the double root 1/2, and one simple root
     for certify in (True, False):
         t0 = time.perf_counter()
         assert solve_sparse(f, 3, certify=certify).root_count == 2
@@ -234,26 +248,39 @@ def test_degenerate_roots_examples():
 
 
 def test_cut_depth_exact_values():
-    """N_v = max(C + max(0, -v) + 1, ord_p r + 1), C = floor(log_p((d-r) d^3 H / (8 r^4)))."""
-    # (1 - 3x)^2 = 1 - 6x + 9x^2 at p = 3: C = log_3 9 = 2, and its double
-    # root 1/3 has v = -1, so a simple root's unit part may share 3 digits
-    assert cut_depth(-1, 2, 9, 1, 3) == 4
-    assert cut_depth(-3, 2, 9, 1, 3) == 6
-    assert cut_depth(0, 2, 9, 1, 3) == 3
-    assert cut_depth(1, 2, 9, 1, 3) == 3  # (x - 3)^2: v > 0 shares at most C - v digits
-    # (x - 1)^2 at p = 3: (d-r) d^3 H / (8 r^4) = 2 < 3, so C = 0
-    assert cut_depth(0, 2, 2, 1, 3) == 1
-    # C is exact where log(243) / log(3) = 4.999... in floats
-    assert math.log(243) / math.log(3) < 5
-    assert cut_depth(0, 2, 243, 1, 3) == 6
-    # the ell + 1 floor: (1 - x^r)^2 with r = 3^10 has C = 0 at p = 3 and
+    """N = max(ord_p psi(0), ord_p r) + 1, psi(0) = abar2 abar3 (abar3 - abar2) / 2."""
+    # a2 = 1, a3 = 2: psi(0) = 1, so a simple root shares no digit with a
+    # double root, at every p
+    assert [cut_depth(1, 2, 1, p) for p in (2, 3, 5, 7, 99991)] == [1] * 5
+    # 27 - 28x + x^28, a double root at 1: psi(0) = 378 = 2 * 3^3 * 7
+    assert cut_depth(1, 28, 1, 3) == 4
+    assert cut_depth(1, 28, 1, 7) == 2 and cut_depth(1, 28, 1, 5) == 1
+    # 4 - 5103 x^3 + 14348907 x^7: psi(0) = 42 = 2 * 3 * 7
+    assert cut_depth(3, 7, 1, 3) == 2
+    # abar2 = 1, abar3 = 5 at p = 2: psi(0) = 10
+    assert cut_depth(1, 5, 1, 2) == 2
+    # the ell + 1 floor: (1 - x^r)^2 with r = 3^10 has psi(0) = 1 and
     # ord_3 r = 10
-    r = 3 ** 10
-    assert cut_depth(0, 2 * r, 2, r, 3) == 11
-    assert cut_depth(-2, 2 * r, 2, r, 3) == 11
-    assert cut_depth(-12, 2 * r, 2, r, 3) == 13
-    # log_7(4000 * 4001^3 / 8) = 15.98, and H = 7^50 adds 50 to C
-    assert cut_depth(0, 4001, 7 ** 50, 1, 7) == 66
+    assert cut_depth(1, 2, 3 ** 10, 3) == 11
+    assert cut_depth(1, 28, 3 ** 10, 3) == 11 and cut_depth(1, 28, 9, 3) == 4
+
+
+def test_cut_depth_is_tight(monkeypatch):
+    """4 - 5103 x^3 + 14348907 x^7 = 4 - 3^6 7 x^3 + 3^15 x^7 at p = 3 has a
+    double root and a simple root, both at valuation -2, whose unit parts
+    share one digit.  Cut at N = 2, the valuation's tree finds the simple
+    root; cut one digit shallower, it finds none."""
+    f = parse_poly("4 - 5103*x^3 + 14348907*x^7")
+    assert count_qp_roots(f, 3).qp_count == 2
+    for certify in (True, False):
+        res = solve_sparse(f, 3, certify=certify)
+        assert res.root_count == 2
+        assert [(c.valuation, c.count) for c in res.candidates] == [(-2, 1)]
+    monkeypatch.setattr(padicroots.trinomial, "cut_depth", lambda *a: cut_depth(*a) - 1)
+    for certify in (True, False):
+        res = solve_sparse(f, 3, certify=certify)
+        assert res.root_count == 1
+        assert [(c.valuation, c.count) for c in res.candidates] == [(-2, 0)]
 
 
 def test_precision_plan_cases():
@@ -317,9 +344,9 @@ def test_p_and_mode_checked_for_every_shape(text):
     ],
 )
 def test_p2_digit_chain_deeper_than_recursion_limit(text):
-    # Without the cut at N_v the tree rests on the proven cap, and the digit
+    # Without the cut at depth N the tree rests on the proven cap, and the digit
     # chain toward the degenerate root gets deeper than Python's recursion
-    # limit.  The chain now ends at depth N_v and every tree matures;
+    # limit.  The chain now ends at depth N and every tree matures;
     # test_nodal_tree.py::test_walk_is_preorder_at_any_depth covers deep walks.
     f = parse_poly(text)
     res = solve_sparse(f, 2)
@@ -463,7 +490,9 @@ def test_restricted_mode_subset(rng):
 
 
 def test_degenerate_repulsion_inequality(rng):
-    """|ord(z - tau)| <= log_p((d-r) d^3 H / (8 r^4)) on degenerate families."""
+    """|ord(z - tau)| <= log_p((d-r) d^3 H / (8 r^4)) on degenerate families,
+    and ord(z - tau) <= ord(tau) + M, M = ord_p(abar2 abar3 (abar3 - abar2)/2),
+    the exponent-only bound that cut_depth reads."""
     checked = 0
     for _ in range(150):
         f = degenerate_trinomial(rng)
@@ -474,13 +503,15 @@ def test_degenerate_repulsion_inequality(rng):
         if not degs or not simples:
             continue
         d = f.degree - strip_zero_root(f)[1]
-        r = res.discriminant.r
+        rep = res.discriminant
         H = f.max_abs_coeff()
-        cap = degenerate_valuation_gap_cap(d, H, r) / math.log(p)
+        cap = degenerate_valuation_gap_cap(d, H, rep.r) / math.log(p)
+        M = ord_int(rep.abar2 * rep.abar3 * (rep.abar3 - rep.abar2) // 2, p)
         for tau in degs:
             for z in simples:
                 gap = _pair_ord(tau, z, p)
                 assert abs(gap) <= cap + 1e-9, (f.to_text(), p, gap, cap)
+                assert gap <= tau.valuation + M, (f.to_text(), p, gap, M)
                 checked += 1
     assert checked > 20
 
