@@ -57,15 +57,15 @@ def is_prime(n: int) -> bool:
 class PAdicContext:
     """A prime p together with a working precision exponent k (modulus p^k).
 
-    The prime is verified at construction; the library never trusts the
-    caller on primality.
+    k = None means no cap.  The prime is verified at construction; the
+    library never trusts the caller on primality.
     """
 
     p: int
-    k: int
+    k: int | None
 
     def __post_init__(self):
-        if self.k < 1:
+        if self.k is not None and self.k < 1:
             raise InvalidParams(f"precision exponent must be >= 1, got {self.k}")
         if not is_prime(self.p):
             raise InvalidParams(f"{self.p} is not prime")

@@ -20,7 +20,7 @@ from .nodal_tree import build_tree
 from .oracle import count_qp_roots
 from .sparsepoly import SparsePoly, parse_poly
 from .tetranomial import TetraFamilyParams, collision_order, generate
-from .trinomial import MODE_FULL, MODES, TrinomialInput, precision_plan, solve_sparse
+from .trinomial import MODE_FULL, MODES, solve_sparse
 
 
 def _root_json(rt, digits: int | None):
@@ -44,16 +44,13 @@ def _solve_json(res, f: SparsePoly, digits: int | None):
         "zero_root_multiplicity": res.zero_root_multiplicity,
         "normalization": {
             "candidates": [
-                {"valuation": c.valuation, "k_used": c.k_used, "stabilized": c.stabilized,
-                 "count": c.count}
+                {"valuation": c.valuation, "k_used": c.k_used, "count": c.count}
                 for c in res.candidates
             ],
         },
     }
     rep = res.discriminant
     if rep is not None:
-        plan = precision_plan(TrinomialInput.from_poly(f, res.p)[0], rep)
-        out["precision"] = {"S0": plan.S0, "D": plan.D, "M_p": plan.M_p, "k": plan.k}
         out["discriminant"] = {"is_zero": rep.is_zero, "method": rep.method, "r": rep.r}
     if res.reason:
         out["reason"] = res.reason

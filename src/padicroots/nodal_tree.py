@@ -12,14 +12,16 @@ a repeated root, where no simple root is.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .arith import PAdicContext, ord_int
+from .arith import INFINITY, PAdicContext, ord_int
 from .errors import DivisibilityViolation, InvariantViolated
 from .fp import roots_fp_exhaustive, roots_fp_memo
 from .sparsepoly import SparsePoly, taylor_coeffs_mod
 
 M_P = {2: 4, 3: 3}  # nodal degree cap by prime; 2 for p >= 5
+GUARD_DEPTH = 32  # no workload tree is deeper than 4; only a wrong cut goes this deep
 
 
 def nodal_degree_cap(p: int) -> int:
@@ -93,7 +95,7 @@ class NodalNode:
     mu: int  # the digit prefix zeta_0 + zeta_1 p + ... + zeta_{depth-1} p^(depth-1)
     depth: int
     reduction: SparsePoly  # the node polynomial mod p, coefficients in [0, p)
-    k_local: int
+    k_local: int | float  # INFINITY in an uncapped tree
     s_consumed: int
     s_step: int = 0  # s-value of the digit that made this node; 0 at the root
     nondegenerate_roots: list[int] = field(default_factory=list)
@@ -126,7 +128,7 @@ class NodalNode:
 @dataclass
 class NodalTree:
     p: int
-    k: int
+    k: int | None  # None: uncapped
     root: NodalNode
     # 1 + max of s_consumed + s over the expanded digits: the least k at which
     # this tree is mature, and k + 1 when a digit is blocked at k
@@ -139,13 +141,14 @@ class NodalTree:
     @property
     def immature(self) -> bool:
         """Some expansion is blocked purely by precision: s >= k_local."""
-        return self.k_mature > self.k
+        return self.k is not None and self.k_mature > self.k
 
 
 def build_tree(
-    f: SparsePoly, ctx: PAdicContext, root_digits: str = "all", cut: RepeatedRootCut | None = None
+    f: SparsePoly, ctx: PAdicContext, root_digits: str = "all",
+    cut: RepeatedRootCut | None = None, plan: Callable | None = None,
 ) -> NodalTree:
-    """Construct the full tree at precision k.
+    """Construct the full tree at precision k, or uncapped when k is None.
 
     root_digits='nonzero' restricts depth-0 expansion and harvesting to
     digits != 0 (the valuation-0 root sweep); 'one' restricts depth 0 to
@@ -158,19 +161,22 @@ def build_tree(
     multiplicity, so at most deg, the degree of the node's reduction, and
     s_value reads it exactly below P.  So P starts at min(k_local, deg + 1,
     6) and doubles, up to min(k_local, deg + 1), while s >= P; the digit is
-    blocked when s >= k_local.  The depth and s-sum invariants, and for
-    trinomial inputs the degree collapse below a nonzero first digit, are
-    checked as each child is made (InvariantViolated).  The root node's F_p
-    scan rejects f = 0 mod p and a p over the desk cap; the scans below the
-    root go through the memo of fp.roots_fp_memo.
+    blocked when s >= k_local, which an uncapped tree never is.  The depth
+    and s-sum invariants, and for trinomial inputs the degree collapse
+    below a nonzero first digit, are checked as each child is made
+    (InvariantViolated).  The depth bound is (k - 1) // 2; an uncapped tree
+    reads its k from plan() once a chain first passes GUARD_DEPTH, and stops
+    there without a plan.  The root node's F_p scan rejects f = 0 mod p and
+    a p over the desk cap; the scans below the root go through the memo of
+    fp.roots_fp_memo.
     """
     p, k = ctx.p, ctx.k
     degree_cap = nodal_degree_cap(p) if f.term_count == 3 else None
-    max_depth = (k - 1) // 2
+    k_root, max_depth = (INFINITY, GUARD_DEPTH) if k is None else (k, (k - 1) // 2)
     k_mature = 1
 
     reduction = SparsePoly(tuple([(a, c % p) for a, c in f.terms if c % p]))
-    root = NodalNode(mu=0, depth=0, reduction=reduction, k_local=k, s_consumed=0)
+    root = NodalNode(mu=0, depth=0, reduction=reduction, k_local=k_root, s_consumed=0)
     stack = [root]
     while stack:
         node = stack.pop()
@@ -215,6 +221,8 @@ def build_tree(
                 s_consumed=node.s_consumed + s,
                 s_step=s,
             )
+            if child.depth > max_depth and plan is not None:
+                max_depth, plan = (plan().k - 1) // 2, None  # at most once per tree
             if child.depth > max_depth:
                 raise InvariantViolated(f"depth bound exceeded at {child.digits(p)}")
             if child.s_consumed < 2 * child.depth:
@@ -236,13 +244,10 @@ class StabilizedTree:
 
 
 def stabilized_tree(
-    f: SparsePoly,
-    p: int,
-    k_cap: int,
-    root_digits: str = "all",
-    cut: RepeatedRootCut | None = None,
+    f: SparsePoly, p: int, k_cap: int | None = None, root_digits: str = "all",
+    cut: RepeatedRootCut | None = None, plan: Callable | None = None,
 ) -> StabilizedTree:
-    """The digit tree of f at k_cap, and whether it is mature.
+    """The digit tree of f at k_cap (None: uncapped), and whether it is mature.
 
     A mature tree (no precision-blocked site) is exact.  Every s-value it
     computed is below its node's k_local and below the precision of the
@@ -252,37 +257,34 @@ def stabilized_tree(
     p^(s+1), is exact, and so are its F_p roots and their degenerate/simple
     split.  The cut test reads only the digit prefix.  At any k from
     k_used = tree.k_mature on, the same digits therefore give the same
-    s-values, children, cuts and root lists; no node is added, because no
-    site was blocked.  So the tree is the same at every k >= k_used, and
-    its count is exact too.  A degenerate digit with a Z_p root above it
-    has s >= 2 (s = 1 leaves a unit constant term), so along the digit
-    path of a simple root each degenerate digit either is blocked, which a
-    mature tree rules out, or is cut, which the next paragraph rules out,
-    or makes a child with k_local smaller by s.  The path therefore ends at a simple root of some
-    node's reduction, which Hensel-lifts to that root alone.
+    s-values, children, cuts and root lists, and no node is added, because
+    no site was blocked: the tree and its count are the same at every
+    k >= k_used.  Along the digit path of a simple root each degenerate
+    digit has s >= 2 (s = 1 leaves a unit constant term) and makes a child,
+    unless it is blocked, which maturity rules out, or cut, which the next
+    paragraph rules out.  So the path ends at a simple root of some node's
+    reduction, which Hensel-lifts to that root alone.
 
-    A repeated Z_p root tau keeps its digit chain blocked at every k, so
-    without a cut such trees never mature.  The cut ends that chain.
-    solve_trinomial cuts the valuation v that holds the repeated roots, all
-    roots of x^r = T, at depth N = max(M, ell) + 1 (trinomial.cut_depth),
-    with M = ord_p(abar2 abar3 (abar3 - abar2) / 2) and ell = ord_p r.
-    Their unit parts tau p^(-v) are the roots of h(y) = den y^r - num,
-    where num/den = T p^(-r v).  The cut is sound: a simple root z at
-    valuation v has ord_p(z - tau) <= v + M for every root tau of x^r = T
-    (cut_depth's docstring proves it), so its unit part agrees with
-    tau p^(-v) in at most M < N digits; since N >= ell + 1,
-    RepeatedRootCut's Hensel test covers a prefix of n >= N digits exactly
-    when it agrees with a root of h in n digits, so no simple root lies
-    above a cut digit.  Every chain then ends, and the tree is mature once
-    k covers the s-values down to depth N, about 2 N.  stabilized=False is
-    left to trees still immature at k_cap.
-    Their count is exact when k_cap is the k of precision_plan, the
-    paper's worst-case precision: S0 caps the s-value of the first digit,
-    M_p that of each later one, and D the number of digits two simple
-    roots can share, so at that k every simple root is harvested and
-    blocked sites lie only on the chains of repeated roots.
+    The cut ends the digit chains of repeated roots, which never end
+    otherwise: the roots tau of x^r = T at the valuation v that
+    solve_trinomial cuts at depth N = max(M, ord_p r) + 1.  It is sound: a
+    simple root at valuation v shares at most M < N unit-part digits with
+    any tau (trinomial.cut_depth), and since N > ord_p r, RepeatedRootCut's
+    Hensel test covers a prefix of n >= N digits exactly when it agrees
+    with a tau in n digits, so no simple root lies above a cut digit.
+
+    With the cut, the uncapped tree is finite.  An endless chain of expanded
+    digits converges to some zeta in Z_p, a unit, since the solver's trees
+    start at a nonzero digit.  Each node on it has a degenerate root, so a
+    reduction of degree >= 2, which counts the roots of g in the node's disc
+    with multiplicity: zeta is a repeated root of g at valuation v, whose
+    chain the cut ends.  An uncapped digit expands up to precision
+    deg + 1 > s, so no site is blocked: the tree is mature, with k_used =
+    tree.k_mature; stabilized=False is left to a k_cap below k_mature.  A
+    wrong cut would let a chain run on; build_tree's guard, reading the
+    paper's k from plan, raises InvariantViolated instead.
     """
-    tree = build_tree(f, PAdicContext(p, k_cap), root_digits=root_digits, cut=cut)
+    tree = build_tree(f, PAdicContext(p, k_cap), root_digits=root_digits, cut=cut, plan=plan)
     if tree.immature:
         return StabilizedTree(tree=tree, k_used=k_cap, stabilized=False)
     return StabilizedTree(tree=tree, k_used=tree.k_mature, stabilized=True)

@@ -2,9 +2,8 @@
 
 Pipeline: candidate valuations from the Newton polygon; degenerate roots
 through an exact binomial encoding x^r = T; non-degenerate roots per
-valuation through one digit tree, built at the k of the worst-case
-precision plan, whose digit chains toward degenerate roots are cut at
-depth N (cut_depth).
+valuation through one uncapped digit tree, whose digit chains toward
+degenerate roots are cut at depth N (cut_depth), so that it is mature.
 Every emitted root carries a Newton certificate; totals match the number
 of distinct roots of f in Q_p.  A count-only solve (certify=False) gives
 the same totals from the binomial power test and the trees' simple mod-p
@@ -184,7 +183,8 @@ def precision_plan(
     2 + 2 log_p r + log_p(d/r) when the discriminant vanishes, the
     second-derivative valuation 2 + ord_p(d(d-1) c3 / 2) when a2 = 1, and
     the two-term valuation bound otherwise.  D caps the deepest shared
-    digit prefix of two simple roots, read off the separation bound.
+    digit prefix of two simple roots, read off the separation bound.  The
+    solver reads k only in the digit trees' depth guard (build_tree).
     """
     p, d, r = inp.p, inp.d, report.r
     H = height if height is not None else inp.height
@@ -239,9 +239,10 @@ def cut_depth(ab2: int, ab3: int, r: int, p: int) -> int:
 
 @dataclass
 class CandidateOutcome:
+    """One candidate valuation's count, which rests on its mature tree."""
+
     valuation: int
-    k_used: int  # the least k at which the tree is mature; the cap when it is not
-    stabilized: bool
+    k_used: int  # the least k at which the tree is mature
     count: int
 
 
@@ -259,13 +260,17 @@ class SolveResult:
 
 
 def _harvest_tree(
-    g: SparsePoly, p: int, v: int, k_cap: int, root_digits: str, certify: bool,
-    cut: RepeatedRootCut | None,
+    g: SparsePoly, p: int, v: int, root_digits: str, certify: bool,
+    cut: RepeatedRootCut | None, inp: TrinomialInput, report: DiscriminantReport,
 ) -> tuple[list[ApproximateRoot], CandidateOutcome]:
-    """Non-degenerate valuation-v roots from the digit tree of g: one per
-    simple root of a node's reduction, certified only when certify is set.
-    cut ends the digit chains of the repeated roots at valuation v."""
-    st = stabilized_tree(g, p, k_cap, root_digits=root_digits, cut=cut)
+    """Non-degenerate valuation-v roots from the uncapped digit tree of g:
+    one per simple root of a node's reduction, certified only when certify
+    is set.  cut ends the digit chains of the repeated roots at valuation v.
+    Only the tree's depth guard calls plan."""
+    def plan():
+        return precision_plan(inp, report, g.max_abs_coeff())
+
+    st = stabilized_tree(g, p, root_digits=root_digits, cut=cut, plan=plan)
     roots, count = [], 0
     for node in st.tree.root.walk():
         if node.depth >= 1:
@@ -293,10 +298,7 @@ def _harvest_tree(
                     target=g,
                 )
             )
-    outcome = CandidateOutcome(
-        valuation=v, k_used=st.k_used, stabilized=st.stabilized, count=count
-    )
-    return roots, outcome
+    return roots, CandidateOutcome(valuation=v, k_used=st.k_used, count=count)
 
 
 def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = True) -> SolveResult:
@@ -305,15 +307,14 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     The constant term is nonzero, so 0 is never a root; solve_sparse
     validates the mode and handles a factor x^a1.  Candidate valuations
     are taken in polygon order: rescale (BudgetExceeded past
-    MAX_RESCALE_BITS), plan, then build one digit tree at the plan's k.
-    At the valuation v that holds the degenerate roots, the tree cuts every
-    digit on their chains from depth N = cut_depth(abar2, abar3, r, p) on,
-    which reads only the exponents, so it matures at k of about 2 N instead
-    of resting on the cap (stabilized_tree).  Each digit on that chain costs
-    one Taylor expansion of the sparse g (build_tree) at its own precision,
-    so the tree's work is polynomial in N and log(dH).  The cut is one
-    residue test and the same with and without certify; certify=False
-    counts without certificates (solve_sparse).
+    MAX_RESCALE_BITS), then build one uncapped digit tree (stabilized_tree).
+    At the valuation v that holds the degenerate roots, it cuts every digit
+    on their chains from depth N = cut_depth(abar2, abar3, r, p) on, which
+    reads only the exponents, so every tree is finite and mature.  Each
+    digit on a chain costs one Taylor expansion of the sparse g
+    (build_tree) at its own precision, so the tree's work is polynomial in
+    N and log(dH).  The cut is one residue test, the same with and without
+    certify; certify=False counts without certificates.
     """
     p = inp.p
     body = inp.poly
@@ -340,9 +341,8 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
     root_digits = "one" if msd_one else "nonzero"
     for v, _mult in candidates:
         g = rescale_for_valuation(body, p, v)
-        k_cap = precision_plan(inp, report, height=g.max_abs_coeff()).k
         v_cut = cut if v == degenerate_v else None
-        got, outcome = _harvest_tree(g, p, v, k_cap, root_digits, certify, v_cut)
+        got, outcome = _harvest_tree(g, p, v, root_digits, certify, v_cut, inp, report)
         roots.extend(got)
         count += outcome.count
         outcomes.append(outcome)

@@ -102,3 +102,27 @@ def cold_fp_memos():
     cannot decide whether one exercises a scan or a memo hit."""
     roots_fp_memo.cache_clear()
     gcd_with_frobenius.cache_clear()
+
+
+@pytest.fixture
+def solver_trees(monkeypatch):
+    """The StabilizedTree of every stabilized_tree call the solver makes, each
+    asserted mature, with k_used its least mature k.  precision_plan raises:
+    only a digit chain past GUARD_DEPTH may read it."""
+    import padicroots.trinomial
+
+    real = padicroots.trinomial.stabilized_tree
+    trees = []
+
+    def recording(*args, **kwargs):
+        st = real(*args, **kwargs)
+        assert st.stabilized and st.k_used == st.tree.k_mature, st
+        trees.append(st)
+        return st
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("precision_plan called on the solve path")
+
+    monkeypatch.setattr(padicroots.trinomial, "stabilized_tree", recording)
+    monkeypatch.setattr(padicroots.trinomial, "precision_plan", no_plan)
+    return trees

@@ -34,7 +34,10 @@ def test_solve_json_schema_and_count(capsys):
     jsonschema.validate(payload, load_schema("solve.json"))
     assert payload["count"] == 8
     assert payload["discriminant"] == {"is_zero": False, "method": "exact", "r": 2}
-    assert set(payload["precision"]) == {"S0", "D", "M_p", "k"}
+    # every count rests on a mature tree, so no precision plan or flag is printed
+    assert "precision" not in payload
+    candidates = payload["normalization"]["candidates"]
+    assert candidates and all(set(c) == {"valuation", "k_used", "count"} for c in candidates)
     # polynomial round-trips through the emitted JSON
     terms = [(a, int(c)) for a, c in payload["input"]["terms"]]
     assert SparsePoly.from_terms(terms) == parse_poly("738 - 10*x^2 + x^20")
@@ -231,7 +234,7 @@ def test_exit_codes(capsys):
 
 
 def test_removed_options_are_usage_errors(capsys):
-    # one precision policy: one tree at the proven cap, mature or not
+    # one precision policy: one uncapped tree per valuation, which matures
     assert run_cli(capsys, "solve", "--p", "5", "x^2 - 1", "--paper-k")[0] == 2
     assert run_cli(capsys, "bench", "--p-list", "3", "--d-list", "10")[0] == 2
     # one exact discriminant test at every degree

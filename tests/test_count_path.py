@@ -79,19 +79,20 @@ def test_count_path_agrees_on_the_corpus():
     assert _disagreements(_corpus()) == []
 
 
-def test_count_path_agrees_on_a_degenerate_cycle(monkeypatch):
+def test_count_path_agrees_on_a_degenerate_cycle(monkeypatch, solver_trees):
     ops = next(cycles("degenerate", 1))
     assert len(ops) == 1512
     assert _disagreements((op.poly, op.p) for op in ops) == []
     calls = {"build_tree": 0, "stabilized_tree": 0}
     _count_calls(monkeypatch, calls, padicroots.nodal_tree, "build_tree")
     _count_calls(monkeypatch, calls, padicroots.trinomial, "stabilized_tree")
-    # the cut at depth N lets degenerate trees mature: at most 1% rest on the cap
+    solver_trees.clear()
     outcomes = [c for op in ops for c in solve_sparse(op.poly, op.p, certify=False).candidates]
-    assert sum(not c.stabilized for c in outcomes) <= 0.01 * len(outcomes)
-    # and every valuation builds one tree, at its cap
-    assert calls["stabilized_tree"] == len(outcomes)
+    # the cut at depth N makes every tree finite: each valuation builds one
+    # uncapped tree, which is mature (solver_trees), and no precision plan
+    assert len(solver_trees) == calls["stabilized_tree"] == len(outcomes)
     assert calls["build_tree"] == calls["stabilized_tree"]
+    assert [c.k_used for c in outcomes] == [st.k_used for st in solver_trees]
 
 
 def test_count_path_agrees_on_the_count_pins():

@@ -203,13 +203,14 @@ def test_stabilized_cap_flag():
 
 
 def test_one_tree_at_the_cap(monkeypatch, rng):
-    """Each of the solver's stabilized_tree calls, cut included, builds one
-    tree, at k_cap.  Its k_used is the least k at which build_tree's tree is
-    mature, found by brute force over k <= 64, and stabilized is whether
-    the tree at k_cap is mature.  The solver's cuts let its degenerate
-    trees mature, so the calls that rest on a cap come from degenerate
-    inputs built without a cut: a repeated root's chain is then blocked at
-    every k."""
+    """Each stabilized_tree call builds one tree, at k_cap; the solver's,
+    cut included, are uncapped.  Its k_used is the least k at which
+    build_tree's tree is mature, found by brute force over k <= 64, and
+    stabilized is whether the tree at k_cap is mature.  The solver's cuts
+    make its trees finite, so every uncapped tree is mature, and the calls
+    that rest on a cap come from degenerate inputs built at an explicit
+    k_cap without a cut: a repeated root's chain is then blocked at every
+    k."""
     real_build, real_stabilized = build_tree, padicroots.trinomial.stabilized_tree
     built, calls = [], []
 
@@ -217,7 +218,7 @@ def test_one_tree_at_the_cap(monkeypatch, rng):
         built.append(ctx.k)
         return real_build(f, ctx, **kw)
 
-    def recording(g, p, k_cap, **kw):
+    def recording(g, p, k_cap=None, **kw):
         built.clear()
         st = real_stabilized(g, p, k_cap, **kw)
         assert built == [k_cap]
@@ -242,24 +243,26 @@ def test_one_tree_at_the_cap(monkeypatch, rng):
                               ("4 - 5103*x^3 + 14348907*x^7", 3, -2, 64)]:
         g = rescale_for_valuation(parse_poly(text), p, v)
         recording(g, p, k_cap, root_digits="nonzero", cut=None)
-    found = capped = cut = 0
+    found = capped = cut = uncapped_mature = 0
     for g, p, k_cap, kw, st in calls:
         assert st.tree.k == k_cap and st.stabilized == (not st.tree.immature)
         cut += kw["cut"] is not None
         least = next(
-            (k for k in range(1, min(k_cap, 64) + 1)
+            (k for k in range(1, min(k_cap or 64, 64) + 1)
              if not real_build(g, PAdicContext(p, k), **kw).immature),
             None,
         )
         if least is not None:
             assert st.stabilized and st.k_used == least, (g.to_text(), p, k_cap)
             found += 1
-        elif k_cap <= 64:
+        elif k_cap is not None and k_cap <= 64:
             assert not st.stabilized and st.k_used == k_cap, (g.to_text(), p, k_cap)
             capped += 1
         else:
             assert st.k_used > 64, (g.to_text(), p, k_cap)
+        uncapped_mature += k_cap is None and st.stabilized
     assert found > 200 and capped > 0 and cut > 50
+    assert uncapped_mature == len(calls) - 3  # all but the three capped builds above
 
 
 def test_digit_precision_doubles_until_s_is_exact(monkeypatch):

@@ -336,22 +336,30 @@ def test_p_and_mode_checked_for_every_shape(text):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, n, k_used",
     [
-        "-4 + 859375*x^7 - 341796875*x^11",
-        "-1 + 19531250*x^117 - 87890625*x^130",
-        "7 - 37500*x^75 + 1220703125*x^180",
+        pytest.param(text, n, k_used, id=text)
+        for text, n, k_used in [
+            ("-4 + 859375*x^7 - 341796875*x^11", 2, 4),
+            ("-1 + 19531250*x^117 - 87890625*x^130", 1, 1),
+            ("7 - 37500*x^75 + 1220703125*x^180", 2, 4),
+        ]
     ],
 )
-def test_p2_digit_chain_deeper_than_recursion_limit(text):
-    # Without the cut at depth N the tree rests on the proven cap, and the digit
-    # chain toward the degenerate root gets deeper than Python's recursion
-    # limit.  The chain now ends at depth N and every tree matures;
-    # test_nodal_tree.py::test_walk_is_preorder_at_any_depth covers deep walks.
+def test_p2_digit_chain_deeper_than_recursion_limit(solver_trees, text, n, k_used):
+    # Without the cut at depth N the digit chain toward the degenerate root
+    # never ends, and at a finite cap it gets deeper than Python's recursion
+    # limit.  The chain now ends above depth N and the tree is mature at
+    # k_used (solver_trees); test_nodal_tree.py::test_walk_is_preorder_at_any_depth
+    # covers deep walks.
     f = parse_poly(text)
+    inp, _ = TrinomialInput.from_poly(f, 2)
+    report = discriminant_tri(inp)
+    assert cut_depth(report.abar2, report.abar3, report.r, 2) == n
     res = solve_sparse(f, 2)
     assert res.root_count == count_qp_roots(f, 2).qp_count == 1
-    assert all(c.stabilized for c in res.candidates)
+    assert [c.k_used for c in res.candidates] == [st.k_used for st in solver_trees] == [k_used]
+    assert max(node.depth for node in solver_trees[0].tree.root.walk()) < n
 
 
 _OFF_BY_ONE_SCRIPT = """
@@ -385,6 +393,55 @@ def test_failed_cross_check_raises_invariant_violated(monkeypatch):
         capture_output=True,
         text=True,
         timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+_GUARD_SCRIPT = """
+import padicroots.trinomial as t
+from padicroots.errors import InvariantViolated
+from padicroots.sparsepoly import parse_poly
+
+f = parse_poly("1 - 2*x + x^2")
+inp, _ = t.TrinomialInput.from_poly(f, 3)
+report = t.discriminant_tri(inp)
+plans = []
+
+def plan():
+    plans.append(t.precision_plan(inp, report, f.max_abs_coeff()))
+    return plans[-1]
+
+chain = "depth bound exceeded at " + str((1,) + (0,) * 32)
+try:
+    t.stabilized_tree(f, 3, root_digits="nonzero", cut=None, plan=plan)
+    raise SystemExit("an uncapped tree without its cut ended")
+except InvariantViolated as exc:
+    if str(exc) != chain or [q.k for q in plans] != [18]:
+        raise SystemExit(f"guard fired as {exc!r} after plans {plans}")
+# the solver's own trees are guarded: disable its cut and it raises too
+t.cut_depth = lambda *args: 10 ** 9
+try:
+    t.solve_sparse(f, 3)
+    raise SystemExit("the solver's uncapped tree without its cut ended")
+except InvariantViolated as exc:
+    if str(exc) != chain:
+        raise SystemExit(f"solver's guard fired as {exc!r}")
+"""
+
+
+def test_depth_guard_stops_an_uncapped_tree_without_its_cut():
+    """(x - 1)^2 at p = 3 with no cut: the chain of its double root never
+    ends, and the paper's depth bound is (18 - 1) // 2 = 8.  The uncapped
+    tree reads the plan once, when its chain first passes GUARD_DEPTH = 32,
+    and raises at depth 33.  It runs in a subprocess, so that a tree
+    without the guard fails on the timeout instead of hanging the suite."""
+    src = str(Path(padicroots.trinomial.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _GUARD_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=30,
     )
     assert run.returncode == 0, run.stderr
 
