@@ -1,24 +1,34 @@
 """Root finding and auxiliary algebra in F_p at desk scale.
 
-Roots in F_p are found by an exhaustive scan: p-1 points of F_p*, walked
-along a primitive root, at one modular multiplication per term per point.
-Asymptotically fast splitting (Cantor-Zassenhaus) is sub-linear in p and
-would be much faster at these primes; it waits until the benchmark bounds
-the oracle check of its large-p workload, which grows with solver speed.
-The scan affects running time only, never correctness.  A binomial
-x^d = t is not evaluated on all of F_p: one power test decides it, and its
-roots, one coset of the gamma-th roots of unity with gamma = gcd(d, p-1),
-come from a walk over (p-1)/gamma coset representatives.
+Roots in F_p are found by a scan of F_p*, walked along a primitive root,
+at one modular multiplication per term per point.  A tree's root node
+first counts its distinct roots in F_p* with the Frobenius gcd,
+deg gcd(h, x^p - x) less one when h(0) = 0, where h is the reduction with
+its exponents reduced mod p-1.  The walk then skips F_p* when the count is
+0 and otherwise stops at its last root.  A fixed cost rule, about
+deg(h)^2 log2 p dense steps against p-1 points per term, keeps the plain
+walk wherever it is cheaper: at the corpus's primes, p <= 13, for every
+reduction that is not constant on F_p*.  Splitting the gcd itself
+(Cantor-Zassenhaus), sub-linear in p, would avoid the walk altogether; it
+waits until the benchmark bounds the oracle check of its large-p
+workload's first round, which grows with solver speed.  The scan affects
+running time only, never correctness.  A binomial x^d = t is not
+evaluated on all of F_p: one power test decides it, and its roots, one
+coset of the gamma-th roots of unity with gamma = gcd(d, p-1), come from a
+walk over (p-1)/gamma coset representatives.
 
 The F_p work of digit-tree nodes below the root is memoized: their scan
 (roots_fp_memo) and the Frobenius gcd that cross-checks it, both keyed on
 (reduction, p).  A reduction there has degree at most the s-value that made
 its node, and a degenerate chain of N nodes meets the same few reductions
-over and over.  Root nodes are scanned afresh: a root's reduction is the
-input mod p, so a memo there would only replay inputs already seen.  Both
-memos hold at most FP_MEMO_SIZE entries each, least recently used first out,
-and both functions are pure in (reduction, p), so a memo never changes a
-result; the scan's memo hands out tuples, which no caller can mutate.
+over and over.  The memoized scan walks all of F_p* and never asks the
+Frobenius count, so the cross-check in the trinomial solver compares two
+independent routes.  Root nodes are scanned afresh, and their count stays
+out of the gcd_with_frobenius memo: a root's reduction is the input mod p,
+so a memo there would only replay inputs already seen.  Both memos hold at
+most FP_MEMO_SIZE entries each, least recently used first out, and both
+functions are pure in (reduction, p), so a memo never changes a result;
+the scan's memo hands out tuples, which no caller can mutate.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .sparsepoly import SparsePoly
 
 DESK_PRIME_CAP = 100_000
 FP_MEMO_SIZE = 256  # entries per memo: a degenerate benchmark cycle meets 95 keys
+FROBENIUS_STEP_COST = 4  # walk steps one dense step of frobenius_degree costs (measured 2-6)
 
 
 def check_prime_cap(p: int):
@@ -38,7 +49,7 @@ def check_prime_cap(p: int):
         raise PrimeTooLarge(f"p = {p} exceeds the exhaustive-scan cap {DESK_PRIME_CAP}")
 
 
-def roots_fp_exhaustive(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
+def roots_fp_exhaustive(f: SparsePoly, p: int, count: bool = True) -> list[tuple[int, bool]]:
     """All roots of f mod p with a degeneracy flag (f(z) = f'(z) = 0 mod p).
 
     F_p* is walked along the primitive root g: at the i-th point z = g^i
@@ -46,6 +57,15 @@ def roots_fp_exhaustive(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
     term, and the exponents are reduced mod p-1.  The reduced terms may
     cancel even for f != 0 mod p; f then vanishes on all of F_p* (e.g.
     x^20 + 2x^2 mod 3).  f' is evaluated at the roots only.
+
+    With count set (a tree's root node), the walk first asks
+    nonzero_root_count how many roots it will find, skips F_p* when there
+    are none, and stops at the last one; a walk that ends short of the
+    count raises InvariantViolated.  The count is taken only where a fixed
+    cost rule finds it cheaper than the walk; FROBENIUS_STEP_COST prices
+    one dense step of the gcd in walk steps.  roots_fp_memo, the scan
+    below the root, walks in full: the solver cross-checks those scans
+    against the Frobenius gcd, which would otherwise check itself.
     """
     check_prime_cap(p)
     acc: dict[int, int] = {}  # reduced exponent -> coefficient mod p
@@ -58,6 +78,15 @@ def roots_fp_exhaustive(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
     roots = []
     if f.coefficient(0) % p == 0:
         roots.append((0, f.coefficient(1) % p == 0))
+    n = None
+    if count:
+        # the gcd takes about (deg h + 1)^2 log2 p dense steps, the walk p-1
+        # points at one step per nonconstant term, at least two
+        size = max(acc) + 1
+        if FROBENIUS_STEP_COST * size * size * p.bit_length() < (p - 1) * max(
+            2, len(acc) - (0 in acc)
+        ):
+            n = nonzero_root_count(acc, p)
     t = -acc.pop(0, 0) % p  # the terms sum to t at a root
     g = generator_fp(p)
     ws = [c for c in acc.values() if c]
@@ -68,28 +97,47 @@ def roots_fp_exhaustive(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
     ws += [0] * pad
     ms += [1] * pad
     found = []
+    steps = 0 if n == 0 else p - 1
     if len(ws) == 2:
         (w1, w2), (m1, m2), tp = ws, ms, t + p
-        for i in range(p - 1):
+        for i in range(steps):
             s = w1 + w2
             if s == t or s == tp:
                 found.append(i)
+                if len(found) == n:
+                    break
             w1 = w1 * m1 % p
             w2 = w2 * m2 % p
     else:
-        for i in range(p - 1):
+        for i in range(steps):
             if sum(ws) % p == t:
                 found.append(i)
+                if len(found) == n:
+                    break
             ws = [w * m % p for w, m in zip(ws, ms)]
+    if n is not None and len(found) != n:
+        raise InvariantViolated(f"F_p* walk found {len(found)} roots mod {p}, the count is {n}")
     for z in sorted(pow(g, i, p) for i in found):
         roots.append((z, f.deriv_mod(z, p) == 0))
     return roots
 
 
+def nonzero_root_count(acc: dict[int, int], p: int) -> int:
+    """Distinct roots in F_p* of h = sum of c x^e over acc, by the Frobenius
+    gcd, which counts the root 0 as well when h(0) = 0."""
+    h = [0] * (max(acc) + 1)
+    for e, c in acc.items():
+        h[e] = c
+    if not _poly_trim(h):
+        return p - 1  # the terms cancel: h = 0 on F_p*
+    return frobenius_degree(h, p) - (h[0] == 0)
+
+
 @functools.lru_cache(maxsize=FP_MEMO_SIZE)
 def roots_fp_memo(f: SparsePoly, p: int) -> tuple[tuple[int, bool], ...]:
-    """roots_fp_exhaustive, memoized, for the nodes below a tree's root."""
-    return tuple(roots_fp_exhaustive(f, p))
+    """roots_fp_exhaustive, memoized and walking all of F_p*, for the nodes
+    below a tree's root."""
+    return tuple(roots_fp_exhaustive(f, p, count=False))
 
 
 def _factor_trial(n: int) -> list[int]:
@@ -197,9 +245,7 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 def gcd_with_frobenius(f: SparsePoly, p: int) -> int:
     """deg gcd(f, x^p - x): the number of distinct roots of f in F_p.
 
-    f is made dense, so callers pass reductions of small degree.  x^p mod f
-    is computed by repeated squaring, so only deg(f)-sized polynomials are
-    ever touched.
+    f is made dense, so callers pass reductions of small degree.
     """
     h = [0] * (f.degree + 1)
     for a, c in f.terms:
@@ -207,21 +253,23 @@ def gcd_with_frobenius(f: SparsePoly, p: int) -> int:
     _poly_trim(h)
     if not h:
         raise ContentDivisible("f is identically 0 mod p")
-    if len(h) == 1:
-        return 0
-    if len(h) == 2:
-        return 1
-    base = [0, 1]
-    acc = [1]
-    e = p
-    while e:
-        if e & 1:
-            acc = _poly_mulmod(acc, base, h, p)
-        base = _poly_mulmod(base, base, h, p)
-        e >>= 1
-    frob = acc[:]
-    while len(frob) < 2:
-        frob.append(0)
+    return frobenius_degree(h, p)
+
+
+def frobenius_degree(h: list[int], p: int) -> int:
+    """deg gcd(h, x^p - x) for a nonzero trimmed dense h over F_p.
+
+    x^p mod h is computed by repeated squaring, one square per bit of p and
+    a shift by x per set bit, so only deg(h)-sized polynomials are touched.
+    """
+    if len(h) <= 2:
+        return len(h) - 1
+    acc = [0, 1]  # x^(leading bit of p)
+    for bit in bin(p)[3:]:
+        acc = _poly_mulmod(acc, acc, h, p)
+        if bit == "1":
+            acc = _poly_rem([0] + acc, h, p)
+    frob = acc + [0] * (2 - len(acc))
     frob[1] = (frob[1] - 1) % p
     g = _poly_gcd(h, _poly_trim(frob), p)
-    return len(g) - 1 if g else len(h) - 1
+    return len(g) - 1

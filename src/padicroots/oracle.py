@@ -1,12 +1,16 @@
 """Brute-force ground truth for the roots of a polynomial in Q_p.
 
 Deliberately slow and simple.  Unit roots are sought mod p^k layer by
-layer (a root mod p^(j+1) reduces to a root mod p^j), residue classes are
-certified alive via Hensel's criterion or pronounced dead when they stop
-extending or one Taylor term fixes ord_p f on them, and roots in Q_p are
-counted by sweeping the integral candidate valuations.  Shares nothing
-with the solver pipeline beyond basic p-adic arithmetic and the
-polynomial container.
+layer (a root mod p^(j+1) reduces to a root mod p^j).  Level 1 evaluates
+g at every point of F_p*, with its terms reduced mod p once.  Each later
+level lifts a class r mod p^(k-1) by one linear congruence:
+g(r + t p^(k-1)) = g(r) + t p^(k-1) g'(r) mod p^k, since 2(k-1) >= k, so
+one digit t survives when p does not divide g'(r), and otherwise all p
+digits or none.  Residue classes are certified alive via Hensel's
+criterion or pronounced dead when they stop extending or one Taylor term
+fixes ord_p f on them, and roots in Q_p are counted by sweeping the
+integral candidate valuations.  Shares nothing with the solver pipeline
+beyond basic p-adic arithmetic and the polynomial container.
 """
 
 from __future__ import annotations
@@ -92,27 +96,47 @@ def _certify_count(
     Returns (count, certified (residue, k) list).
     """
     certified: list[tuple[int, int]] = []
-    frontier = []
-    work = 0
-    for x in range(1, p):
-        work += 1
-        if g.eval_mod(x, p) == 0:
-            frontier.append(x)
+    # g on F_p*, its exponents reduced mod p-1: the nonconstant terms sum to
+    # target at a root, and zero terms pad them to two for the unrolled scan
+    target, terms = 0, []
+    for a, c in g.terms:
+        if a % (p - 1):
+            terms.append((a % (p - 1), c % p))
+        else:
+            target = (target - c) % p
+    terms += [(0, 0)] * (2 - len(terms))
+    if len(terms) == 2:
+        (a1, c1), (a2, c2) = terms
+        frontier = [
+            x for x in range(1, p) if (c1 * pow(x, a1, p) + c2 * pow(x, a2, p)) % p == target
+        ]
+    else:
+        frontier = [
+            x for x in range(1, p) if sum(c * pow(x, a, p) for a, c in terms) % p == target
+        ]
+    work = p - 1
     k = 1
     while frontier:
         k += 1
         if k > HARD_K_CAP:
             raise BudgetExceeded(f"certification frontier alive past k = {HARD_K_CAP}")
         m = p ** k
+        step = p ** (k - 1)
         nxt = []
         work += len(frontier) * p
         if work > budget:
             raise BudgetExceeded("certification work exceeded budget")
         for r in frontier:
-            for t in range(p):
-                x = r + t * p ** (k - 1)
-                if g.eval_mod(x, m) != 0:
-                    continue
+            # g(r + t p^(k-1)) = g(r) + t p^(k-1) g'(r) mod p^k, as 2(k-1) >= k,
+            # and p^(k-1) divides g(r): one t survives, or all of them, or none
+            q = g.eval_mod(r, m) // step
+            d = g.deriv_mod(r, p)
+            if d:
+                ts = [-q * pow(d, -1, p) % p]
+            else:
+                ts = range(p) if q == 0 else []
+            for t in ts:
+                x = r + t * step
                 if any(x % p ** min(k, kk) == rr % p ** min(k, kk) for rr, kk in skip_prefixes):
                     continue
                 fv = g.eval_mod(x, p ** (2 * k + 2))

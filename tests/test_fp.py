@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+import padicroots.fp
 from padicroots.arith import PAdicContext, is_prime
-from padicroots.errors import PrimeTooLarge
+from padicroots.errors import InvariantViolated, PrimeTooLarge
 from padicroots.fp import (
     binomial_coset_roots,
     gcd_with_frobenius,
@@ -13,6 +14,7 @@ from padicroots.fp import (
 )
 from padicroots.nodal_tree import build_tree
 from padicroots.sparsepoly import SparsePoly, parse_poly
+from padicroots.trinomial import solve_sparse
 from tests.reference import roots_fp_pointwise
 
 PRIMES = [p for p in range(2, 100) if is_prime(p)]
@@ -68,6 +70,67 @@ def test_scan_matches_pointwise(rng):
         compared += 1
     assert compared > 0.9 * len(cases)
     assert [r for r, _ in roots_fp_exhaustive(*cases[0])] == [0, 1, 2]
+
+
+def test_bounded_root_scan_matches_pointwise(rng, monkeypatch):
+    """At primes in [10^4, 99991] the root scan counts its roots in F_p*
+    first and stops at the last one.  It must still find every root that
+    evaluating f at each point of F_p finds: rootless reductions, h(0) = 0
+    (h the reduction with exponents mod p-1), exponents that collapse mod
+    p-1, and reductions on both sides of the cost rule."""
+    counts = []
+    count = padicroots.fp.nonzero_root_count
+    monkeypatch.setattr(padicroots.fp, "nonzero_root_count",
+                        lambda acc, p: counts.append(count(acc, p)) or counts[-1])
+    big = [q for q in range(10 ** 4, 99991) if is_prime(q)]
+    cases, q = [], rng.choice(big)
+    for p in [q, 99991]:
+        nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        cases += [
+            (parse_poly(f"x^2 - {nonresidue}"), p),  # rootless
+            (parse_poly(f"1 - 2*x^2 + x^{p + 1}"), p),  # 1 - x^2 on F_p*: roots 1, -1
+            (parse_poly(f"1 + 3*x^{p - 3} - x^{p // 2}"), p),  # deg h near p: the walk
+        ]
+    cases += [
+        (parse_poly(f"{5 - q} + x^{q - 1}"), q),  # h = 6 on F_p*
+        (parse_poly("x^3 + 2*x"), q),  # f(0) = h(0) = 0
+        (parse_poly(f"3 - 3*x^{q - 1} + x^5 - x"), q),  # h(0) = 0, f(0) = 3
+        (parse_poly(f"x^{2 * q - 1} + x - 7"), q),  # 2x - 7 on F_p*
+    ]
+    for _ in range(3):  # trinomials of degree <= 12, as on the large-p benchmark
+        terms = [(0, rng.randint(1, 50)), (rng.randint(1, 6), rng.randint(-50, 50)),
+                 (rng.randint(7, 12), 1)]
+        cases.append((SparsePoly.from_terms(terms), rng.choice(big)))
+    for f, p in cases:
+        assert roots_fp_exhaustive(f, p) == roots_fp_pointwise(f, p), (f.to_text(), p)
+    assert 0 in counts and any(counts) and len(counts) < len(cases)  # some took the walk
+
+
+def test_root_scan_raises_when_the_walk_ends_short_of_the_count(monkeypatch):
+    """A Frobenius count one too high leaves the walk short at the end of
+    F_p*, which raises, in the scan and in a solve through it."""
+    count = padicroots.fp.nonzero_root_count
+    monkeypatch.setattr(padicroots.fp, "nonzero_root_count", lambda acc, p: count(acc, p) + 1)
+    f = parse_poly("6 - 7*x + x^3")  # (x - 1)(x - 2)(x + 3)
+    with pytest.raises(InvariantViolated, match="walk found 3 roots mod 99991, the count is 4"):
+        roots_fp_exhaustive(f, 99991)
+    with pytest.raises(InvariantViolated):
+        solve_sparse(f, 99991)
+    with pytest.raises(InvariantViolated, match="walk found 0 roots"):
+        roots_fp_exhaustive(parse_poly("x^2 + 1"), 99991)  # -1 is no square: count 0
+
+
+def test_root_count_stays_out_of_the_frobenius_memo(monkeypatch):
+    """A large-p solve counts its root nodes' roots without the memo of
+    gcd_with_frobenius, which the nodes below the root keep for themselves."""
+    counts = []
+    count = padicroots.fp.nonzero_root_count
+    monkeypatch.setattr(padicroots.fp, "nonzero_root_count",
+                        lambda acc, p: counts.append(count(acc, p)) or counts[-1])
+    assert solve_sparse(parse_poly("6 - 7*x + x^3"), 99991).root_count == 3
+    assert counts == [3]
+    info = gcd_with_frobenius.cache_info()
+    assert info.currsize == info.hits == info.misses == 0
 
 
 def test_memo_values_cannot_be_mutated():

@@ -4,6 +4,7 @@ from padicroots.arith import ord_int
 from padicroots.errors import BudgetExceeded, CriterionFailed
 from padicroots.oracle import count_qp_roots, lift_root
 from padicroots.sparsepoly import SparsePoly, parse_poly
+from padicroots.trinomial import solve_sparse
 from tests.conftest import random_trinomial
 
 
@@ -62,3 +63,20 @@ def test_zero_root_counted_once():
     assert o.zero_root
     body = parse_poly("1 + x^2 + x^6")
     assert o.qp_count == 1 + count_qp_roots(body, 5).qp_count
+
+
+def test_linear_lift_all_or_none_at_a_large_prime():
+    """Where g'(r) = 0 mod p the linear lift keeps every digit t of the next
+    level or none of them, according to whether p^k divides g(r).  Each count
+    at p = 10007 is known by construction and matches the solver."""
+    p = 10007
+    for text, residues in [
+        (f"{1 + p} - {2 + p}*x + x^2", [1, 1 + p]),  # (x - 1)(x - 1 - p)
+        (f"{1 + p} - 2*x + x^2", []),  # (x - 1)^2 + p
+        (f"{1 + p ** 2} - {2 + p ** 2}*x + x^2", [1, 1 + p ** 2]),  # (x - 1)(x - 1 - p^2)
+    ]:
+        f = parse_poly(text)
+        o = count_qp_roots(f, p)
+        assert o.qp_count == len(residues), text
+        assert sorted(e["residue"] for e in o.lifted) == residues, text
+        assert solve_sparse(f, p).root_count == len(residues), text
