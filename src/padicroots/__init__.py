@@ -18,7 +18,6 @@ from .trinomial import (
     degenerate_roots_qp,
     discriminant_tri,
     precision_plan,
-    refine_root,
     solve_sparse,
     solve_trinomial,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "ord_rat",
     "parse_poly",
     "precision_plan",
-    "refine_root",
     "s_value",
     "separation_binomial",
     "solve_binomial",

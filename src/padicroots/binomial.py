@@ -38,10 +38,6 @@ class BinomialInput:
         if not is_prime(self.p):
             raise InvalidParams(f"{self.p} is not prime")
 
-    @property
-    def height(self) -> int:
-        return max(abs(self.c1), abs(self.c2))
-
 
 @dataclass(frozen=True)
 class BinomialSolveResult:

@@ -131,17 +131,12 @@ class NodalTree:
     k: int | None  # None: uncapped
     root: NodalNode
     # 1 + max of s_consumed + s over the expanded digits: the least k at which
-    # this tree is mature, and k + 1 when a digit is blocked at k
+    # this tree is mature; above k when a digit is blocked at a finite k
     k_mature: int
 
     @property
     def node_count(self) -> int:
         return sum(1 for _ in self.root.walk())
-
-    @property
-    def immature(self) -> bool:
-        """Some expansion is blocked purely by precision: s >= k_local."""
-        return self.k is not None and self.k_mature > self.k
 
 
 def build_tree(
@@ -238,16 +233,20 @@ def build_tree(
 
 @dataclass
 class StabilizedTree:
+    """An uncapped tree, which is always mature: stabilized is always True
+    and k_used is tree.k_mature.  Both stay for perfbench/tracer.py."""
+
     tree: NodalTree
-    k_used: int  # the least k at which the tree is mature; k_cap when it is not
-    stabilized: bool  # True: the tree is mature; False: it rests on k_cap
+    k_used: int  # the least k at which the tree is mature
+    stabilized: bool
 
 
 def stabilized_tree(
-    f: SparsePoly, p: int, k_cap: int | None = None, root_digits: str = "all",
+    f: SparsePoly, p: int, root_digits: str = "all",
     cut: RepeatedRootCut | None = None, plan: Callable | None = None,
 ) -> StabilizedTree:
-    """The digit tree of f at k_cap (None: uncapped), and whether it is mature.
+    """The uncapped digit tree of f, which is mature.  A capped tree is
+    build_tree(f, PAdicContext(p, k)).
 
     A mature tree (no precision-blocked site) is exact.  Every s-value it
     computed is below its node's k_local and below the precision of the
@@ -280,11 +279,9 @@ def stabilized_tree(
     with multiplicity: zeta is a repeated root of g at valuation v, whose
     chain the cut ends.  An uncapped digit expands up to precision
     deg + 1 > s, so no site is blocked: the tree is mature, with k_used =
-    tree.k_mature; stabilized=False is left to a k_cap below k_mature.  A
-    wrong cut would let a chain run on; build_tree's guard, reading the
-    paper's k from plan, raises InvariantViolated instead.
+    tree.k_mature.  A wrong cut would let a chain run on; build_tree's
+    guard, reading the paper's k from plan, raises InvariantViolated
+    instead.
     """
-    tree = build_tree(f, PAdicContext(p, k_cap), root_digits=root_digits, cut=cut, plan=plan)
-    if tree.immature:
-        return StabilizedTree(tree=tree, k_used=k_cap, stabilized=False)
+    tree = build_tree(f, PAdicContext(p, None), root_digits=root_digits, cut=cut, plan=plan)
     return StabilizedTree(tree=tree, k_used=tree.k_mature, stabilized=True)

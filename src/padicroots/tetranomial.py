@@ -35,10 +35,6 @@ class TetraFamilyParams:
             raise InvalidParams("need d even with 4 <= d <= floor(e^h)")
 
     @property
-    def height(self) -> int:
-        return self.p ** (2 * self.h)
-
-    @property
     def shift_exponent(self) -> int:
         """Digit depth of the collision scaling: (h-1)d/2 + h."""
         return (self.h - 1) * self.d // 2 + self.h
@@ -82,7 +78,6 @@ def _hensel_on_g(params: TetraFamilyParams, y0: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class CollisionReport:
-    params: TetraFamilyParams
     precision: int
     root1: int  # residues of the two roots mod p^precision
     root2: int
@@ -90,7 +85,6 @@ class CollisionReport:
     # ord_p of the tetranomial's derivative at the roots: (h-1)d/2 + h + ord_p(2),
     # which the product formula makes equal to collision_order
     derivative_valuation: int
-    coefficient_digit_length: int  # base-p digits of the largest coefficient
 
 
 def collision_order(params: TetraFamilyParams, precision: int | None = None) -> CollisionReport:
@@ -133,23 +127,9 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
             raise InvariantViolated("constructed residue is not a root at working precision")
 
     return CollisionReport(
-        params=params,
         precision=k,
         root1=z1,
         root2=z2,
         collision_order=order,
         derivative_valuation=ord_int(dF1, p),
-        coefficient_digit_length=max(
-            len(_base_p_digits(abs(c), p)) for _, c in F.terms
-        ),
     )
-
-
-def _base_p_digits(n: int, p: int) -> list[int]:
-    if n == 0:
-        return [0]
-    out = []
-    while n:
-        out.append(n % p)
-        n //= p
-    return out

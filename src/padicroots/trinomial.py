@@ -29,7 +29,7 @@ from .binomial import (
 from .bounds import trinomial_separation_bound
 from .errors import InvalidParams, InvariantViolated
 from .fp import gcd_with_frobenius
-from .newton import ApproximateRoot, certified_residue, newton_step
+from .newton import ApproximateRoot, certified_residue
 from .newton_polygon import integral_valuation_candidates
 from .nodal_tree import RepeatedRootCut, nodal_degree_cap, stabilized_tree
 from .sparsepoly import SparsePoly, rescale_for_valuation, strip_zero_root
@@ -68,10 +68,6 @@ class TrinomialInput:
     @property
     def poly(self) -> SparsePoly:
         return SparsePoly(((0, self.c1), (self.a2, self.c2), (self.a3, self.c3)))
-
-    @property
-    def height(self) -> int:
-        return max(abs(self.c1), abs(self.c2), abs(self.c3))
 
     @property
     def d(self) -> int:
@@ -172,22 +168,19 @@ class PrecisionPlan:
     k: int
 
 
-def precision_plan(
-    inp: TrinomialInput,
-    report: DiscriminantReport,
-    height: int | None = None,
-) -> PrecisionPlan:
+def precision_plan(inp: TrinomialInput, report: DiscriminantReport, height: int) -> PrecisionPlan:
     """Assemble S0 and D caps from the explicit proof constants.
 
     S0 caps the root-node digit cost: the degenerate-case formula
     2 + 2 log_p r + log_p(d/r) when the discriminant vanishes, the
     second-derivative valuation 2 + ord_p(d(d-1) c3 / 2) when a2 = 1, and
     the two-term valuation bound otherwise.  D caps the deepest shared
-    digit prefix of two simple roots, read off the separation bound.  The
-    solver reads k only in the digit trees' depth guard (build_tree).
+    digit prefix of two simple roots, read off the separation bound.
+    height is that of the polynomial the tree is built on.  The solver
+    reads k only in the digit trees' depth guard (build_tree), which passes
+    the rescaled g's height.
     """
-    p, d, r = inp.p, inp.d, report.r
-    H = height if height is not None else inp.height
+    p, d, r, H = inp.p, inp.d, report.r, height
     lp = math.log(p)
     m_p = nodal_degree_cap(p)
 
@@ -357,17 +350,6 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
         discriminant=report,
         reason=None if candidates else REASON_NO_INTEGRAL_VALUATION,
     )
-
-
-def refine_root(root: ApproximateRoot, steps: int) -> ApproximateRoot:
-    """`steps` literal Newton steps on the certificate target at doubling
-    precision, then a certificate for precision * 2^steps digits."""
-    z, prec = root.unit_residue, root.precision
-    for _ in range(steps):
-        prec = 2 * prec
-        z = newton_step(root.target, root.p, z, prec + 4)
-    z, got = certified_residue(root.target, root.p, z, prec)
-    return replace(root, unit_residue=z, precision=got)
 
 
 def solve_sparse(

@@ -214,7 +214,8 @@ def test_criterion_6_tetranomial_collision():
             rep = collision_order(params)
             assert rep.collision_order >= (params.h - 1) * d // 2
             orders.append(rep.collision_order)
-            assert rep.coefficient_digit_length <= 2 * params.h + 1
+            # the largest coefficient has at most 2h + 1 base-p digits
+            assert generate(params).max_abs_coeff() < p ** (2 * params.h + 1)
             # derivative valuation at both colliding roots, checked on
             # f = x^d - p^(-2h) (x - p^(h-1))^2 (subtract 2h to undo the
             # integerizing p^(2h) factor).  With z_i = p^(h-1) + p^s y_i,

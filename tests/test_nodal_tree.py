@@ -9,7 +9,6 @@ from padicroots.nodal_tree import (
     build_tree,
     nodal_degree_cap,
     s_value,
-    stabilized_tree,
 )
 from padicroots.newton_polygon import integral_valuation_candidates
 from padicroots.oracle import count_qp_roots, lift_root
@@ -97,7 +96,7 @@ def test_tree_1_minus_x340():
     assert mods == sorted([(0, 14), (10, 12), (15, 5), (3, 3)])
     for k in (1, 2):
         t_small = build_tree(parse_poly("1 - x^340"), PAdicContext(17, k))
-        assert t_small.node_count == 1 and t_small.immature
+        assert t_small.node_count == 1 and t_small.k_mature > t_small.k
 
 
 def test_tree_q2_example():
@@ -186,31 +185,29 @@ def test_content_rejected():
 
 
 def test_stabilized_examples():
-    st = stabilized_tree(parse_poly("1 - x^340"), 17, k_cap=64)
-    assert st.stabilized and st.k_used >= 3
-    assert sum(n.n_p for n in st.tree.root.walk()) == 4
-    st2 = stabilized_tree(parse_poly("x^2 - 1"), 5, k_cap=64)
-    assert st2.stabilized and sum(n.n_p for n in st2.tree.root.walk()) == 2
-    assert st2.tree.root.n_p == 2
-    st3 = stabilized_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, k_cap=64)
-    assert st3.stabilized and sum(n.n_p for n in st3.tree.root.walk()) == 6
+    t = build_tree(parse_poly("1 - x^340"), PAdicContext(17, 64))
+    assert 3 <= t.k_mature <= t.k
+    assert sum(n.n_p for n in t.root.walk()) == 4
+    t2 = build_tree(parse_poly("x^2 - 1"), PAdicContext(5, 64))
+    assert t2.k_mature <= t2.k and sum(n.n_p for n in t2.root.walk()) == 2
+    assert t2.root.n_p == 2
+    t3 = build_tree(parse_poly("x^10 + 11*x^2 - 12"), PAdicContext(2, 64))
+    assert t3.k_mature <= t3.k and sum(n.n_p for n in t3.root.walk()) == 6
 
 
 def test_stabilized_cap_flag():
     # x^2 never matures (the digit-0 chain is always precision-blocked)
-    st = stabilized_tree(SparsePoly(((2, 1),)), 3, k_cap=16)
-    assert not st.stabilized and st.k_used == 16
+    t = build_tree(SparsePoly(((2, 1),)), PAdicContext(3, 16))
+    assert t.k_mature > t.k == 16
 
 
 def test_one_tree_at_the_cap(monkeypatch, rng):
-    """Each stabilized_tree call builds one tree, at k_cap; the solver's,
-    cut included, are uncapped.  Its k_used is the least k at which
-    build_tree's tree is mature, found by brute force over k <= 64, and
-    stabilized is whether the tree at k_cap is mature.  The solver's cuts
-    make its trees finite, so every uncapped tree is mature, and the calls
-    that rest on a cap come from degenerate inputs built at an explicit
-    k_cap without a cut: a repeated root's chain is then blocked at every
-    k."""
+    """Each stabilized_tree call builds one uncapped tree.  Its k_used is
+    the least k at which build_tree's tree is mature, found by brute force
+    over k <= 64.  The solver's cuts make its trees finite, so every
+    uncapped tree is mature, and the trees that rest on a cap come from
+    degenerate inputs built at an explicit k without a cut: a repeated
+    root's chain is then blocked at every k."""
     real_build, real_stabilized = build_tree, padicroots.trinomial.stabilized_tree
     built, calls = [], []
 
@@ -218,11 +215,11 @@ def test_one_tree_at_the_cap(monkeypatch, rng):
         built.append(ctx.k)
         return real_build(f, ctx, **kw)
 
-    def recording(g, p, k_cap=None, **kw):
+    def recording(g, p, **kw):
         built.clear()
-        st = real_stabilized(g, p, k_cap, **kw)
-        assert built == [k_cap]
-        calls.append((g, p, k_cap, kw, st))
+        st = real_stabilized(g, p, **kw)
+        assert built == [None] and st.stabilized and st.k_used == st.tree.k_mature
+        calls.append((g, p, None, kw, st.tree))
         return st
 
     monkeypatch.setattr(padicroots.nodal_tree, "build_tree", counting)
@@ -242,25 +239,26 @@ def test_one_tree_at_the_cap(monkeypatch, rng):
     for text, p, v, k_cap in [("1 - 2*x + x^2", 3, 0, 24), ("27 - 28*x + x^28", 3, 0, 40),
                               ("4 - 5103*x^3 + 14348907*x^7", 3, -2, 64)]:
         g = rescale_for_valuation(parse_poly(text), p, v)
-        recording(g, p, k_cap, root_digits="nonzero", cut=None)
+        kw = {"root_digits": "nonzero", "cut": None}
+        calls.append((g, p, k_cap, kw, build_tree(g, PAdicContext(p, k_cap), **kw)))
     found = capped = cut = uncapped_mature = 0
-    for g, p, k_cap, kw, st in calls:
-        assert st.tree.k == k_cap and st.stabilized == (not st.tree.immature)
+    for g, p, k_cap, kw, tree in calls:
+        assert tree.k == k_cap
         cut += kw["cut"] is not None
         least = next(
             (k for k in range(1, min(k_cap or 64, 64) + 1)
-             if not real_build(g, PAdicContext(p, k), **kw).immature),
+             if real_build(g, PAdicContext(p, k), **kw).k_mature <= k),
             None,
         )
         if least is not None:
-            assert st.stabilized and st.k_used == least, (g.to_text(), p, k_cap)
+            assert tree.k_mature == least, (g.to_text(), p, k_cap)
             found += 1
         elif k_cap is not None and k_cap <= 64:
-            assert not st.stabilized and st.k_used == k_cap, (g.to_text(), p, k_cap)
+            assert tree.k_mature > k_cap, (g.to_text(), p, k_cap)
             capped += 1
         else:
-            assert st.k_used > 64, (g.to_text(), p, k_cap)
-        uncapped_mature += k_cap is None and st.stabilized
+            assert tree.k_mature > 64, (g.to_text(), p, k_cap)
+        uncapped_mature += k_cap is None
     assert found > 200 and capped > 0 and cut > 50
     assert uncapped_mature == len(calls) - 3  # all but the three capped builds above
 
@@ -311,10 +309,10 @@ def test_mature_tree_is_exact(rng):
             g = rescale_for_valuation(f, p, v)
             for k in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24):
                 tree = build_tree(g, PAdicContext(p, k), root_digits="nonzero")
-                if tree.immature:
+                if tree.k_mature > k:
                     continue
                 deeper = build_tree(g, PAdicContext(p, 2 * k), root_digits="nonzero")
-                assert not deeper.immature, (g.to_text(), p, k)
+                assert deeper.k_mature <= 2 * k, (g.to_text(), p, k)
                 assert _shape(deeper) == _shape(tree), (g.to_text(), p, k)
                 mature += 1
     assert mature > 2000

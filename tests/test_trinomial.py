@@ -11,7 +11,7 @@ import pytest
 
 import padicroots.nodal_tree
 import padicroots.trinomial
-from padicroots.arith import is_prime, ord_int
+from padicroots.arith import PAdicContext, is_prime, ord_int
 from padicroots.bounds import degenerate_valuation_gap_cap
 from padicroots.errors import (
     BudgetExceeded,
@@ -19,7 +19,8 @@ from padicroots.errors import (
     InvariantViolated,
 )
 from padicroots.fp import gcd_with_frobenius, roots_fp_memo
-from padicroots.nodal_tree import RepeatedRootCut, stabilized_tree
+from padicroots.newton import certified_residue, newton_step
+from padicroots.nodal_tree import RepeatedRootCut, build_tree
 from padicroots.oracle import count_qp_roots
 from padicroots.sparsepoly import SparsePoly, parse_poly, strip_zero_root
 from padicroots.trinomial import (
@@ -30,7 +31,6 @@ from padicroots.trinomial import (
     degenerate_roots_qp,
     discriminant_tri,
     precision_plan,
-    refine_root,
     solve_sparse,
 )
 from tests.conftest import (
@@ -210,10 +210,11 @@ def test_deep_digit_chain_costs_a_polynomial_in_its_depth():
     assert count_qp_roots(f, 3).qp_count == 2
     cut = RepeatedRootCut(depth=529, num=1, den=2, r=1, ell=0)
     t0 = time.perf_counter()
-    st = stabilized_tree(f, 3, precision_plan(inp, report).k, root_digits="nonzero", cut=cut)
+    k = precision_plan(inp, report, inp.poly.max_abs_coeff()).k
+    tree = build_tree(f, PAdicContext(3, k), root_digits="nonzero", cut=cut)
     assert time.perf_counter() - t0 < 1
-    nodes = list(st.tree.root.walk())
-    assert st.stabilized and max(node.depth for node in nodes) == 528
+    nodes = list(tree.root.walk())
+    assert tree.k_mature <= tree.k and max(node.depth for node in nodes) == 528
     assert 1 + sum(node.n_p for node in nodes) == 2  # the double root 1/2, and one simple root
     for certify in (True, False):
         t0 = time.perf_counter()
@@ -288,16 +289,17 @@ def test_precision_plan_cases():
     inp = TrinomialInput(2, -3, 1, 1, 3, 5)
     rep = discriminant_tri(inp)
     assert rep.is_zero
-    plan = precision_plan(inp, rep)
+    plan = precision_plan(inp, rep, inp.poly.max_abs_coeff())
     assert plan.S0 <= 2 + math.ceil(math.log(3) / math.log(5)) + 1
     assert plan.M_p == 2
     # a2 = 1 with p not dividing d(d-1)c3: S0 = 2
     inp = TrinomialInput(1, 1, 1, 1, 3, 7)
-    plan = precision_plan(inp, discriminant_tri(inp))
+    plan = precision_plan(inp, discriminant_tri(inp), inp.poly.max_abs_coeff())
     assert plan.S0 == 2
     # M_p per prime
-    assert precision_plan(TrinomialInput(1, 1, 1, 1, 3, 2), discriminant_tri(TrinomialInput(1, 1, 1, 1, 3, 2))).M_p == 4
-    assert precision_plan(TrinomialInput(1, 1, 1, 1, 3, 3), discriminant_tri(TrinomialInput(1, 1, 1, 1, 3, 3))).M_p == 3
+    for p, m_p in ((2, 4), (3, 3)):
+        inp = TrinomialInput(1, 1, 1, 1, 3, p)
+        assert precision_plan(inp, discriminant_tri(inp), inp.poly.max_abs_coeff()).M_p == m_p
     # k formula with D = 0
     plan0 = plan
     assert plan0.k == 1 + plan0.S0 * min(1, plan0.D) + plan0.M_p * max(plan0.D - 1, 0)
@@ -581,25 +583,38 @@ def _pair_ord(r1, r2, p):
     return r1.valuation + ord_int((a.unit_residue - b.unit_residue) % p ** m, p)
 
 
+def _refine_in_steps(rt, i):
+    """rt.refine(rt.precision * (2^i - 1)), the certificate after i Newton
+    steps, checked against i literal newton_steps at doubling precision
+    followed by certified_residue: both return the root's unique residue
+    mod p^(precision 2^i)."""
+    refined = rt.refine(rt.precision * (2 ** i - 1))
+    z, prec = rt.unit_residue, rt.precision
+    for _ in range(i):
+        prec = 2 * prec
+        z = newton_step(rt.target, rt.p, z, prec + 4)
+    assert certified_residue(rt.target, rt.p, z, prec) == (
+        refined.unit_residue, refined.precision
+    )
+    return refined
+
+
 def test_refine_root_doubles_digits():
     res = solve_sparse(parse_poly("1 - x^340"), 17)
     rt = [r for r in res.roots if r.unit_digits(1) == (4,)][0]
-    refined = refine_root(rt, 3)
+    refined = _refine_in_steps(rt, 3)
     assert refined.precision >= rt.precision * 4
     true = oracle_reference_lift(rt, refined.precision + 8)
     assert (refined.unit_residue - true) % 17 ** refined.precision == 0
 
 
 def test_refine_root_reads_a_deep_derivative():
-    """3^20 | d, so ord_3 f'(z) = 20: refine_root probes f'(z) as deep as
-    the certificate does, and agrees with ApproximateRoot.refine."""
+    """3^20 | d, so ord_3 f'(z) = 20: the Newton steps probe f'(z) as deep
+    as the certificate does, and agree with ApproximateRoot.refine."""
     res = solve_sparse(parse_poly("10460353204 - x^3486784401"), 3)
     (rt,) = res.roots
-    refined = refine_root(rt, 2)
+    refined = _refine_in_steps(rt, 2)
     assert refined.precision >= 12
-    same = rt.refine(refined.precision - rt.precision)
-    assert same.precision == refined.precision
-    assert same.unit_residue == refined.unit_residue
 
 
 def test_smale_certificates_on_solver_outputs(rng):
@@ -640,7 +655,8 @@ def test_pairwise_depth_within_plan(rng):
             continue
         import itertools
 
-        plan = precision_plan(TrinomialInput.from_poly(f, p)[0], res.discriminant)
+        inp = TrinomialInput.from_poly(f, p)[0]
+        plan = precision_plan(inp, res.discriminant, inp.poly.max_abs_coeff())
 
         for r1, r2 in itertools.combinations(res.roots, 2):
             assert _pair_ord(r1, r2, p) <= plan.D
