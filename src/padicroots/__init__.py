@@ -2,7 +2,7 @@
 sparse integer polynomials (binomials and trinomials, with an adversarial
 tetranomial generator), validated against a brute-force oracle."""
 
-from .arith import PAdicContext, ord_int, ord_rat
+from .arith import ord_int, ord_rat
 from .binomial import BinomialInput, separation_binomial, solve_binomial
 from .newton import ApproximateRoot
 from .newton_polygon import build_arch, build_padic, integral_valuation_candidates
@@ -28,7 +28,6 @@ __all__ = [
     "ApproximateRoot",
     "BinomialInput",
     "DiscriminantReport",
-    "PAdicContext",
     "PrecisionPlan",
     "SolveResult",
     "SparsePoly",

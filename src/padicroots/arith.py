@@ -1,18 +1,15 @@
 """Exact p-adic integer and modular arithmetic.
 
-Everything here is pure and immutable: primality, valuations and the
-extended gcd.  Valuations are exact (`int`/`Fraction`), never floats;
-``math.inf`` is the valuation of 0.
+Everything here is pure and immutable: primality, valuations, base-p
+digits and the extended gcd.  Valuations are exact (`int`/`Fraction`),
+never floats; ``math.inf`` is the valuation of 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import InvalidParams
 
 INFINITY = math.inf
 
@@ -53,24 +50,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PAdicContext:
-    """A prime p together with a working precision exponent k (modulus p^k).
-
-    k = None means no cap.  The prime is verified at construction; the
-    library never trusts the caller on primality.
-    """
-
-    p: int
-    k: int | None
-
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise InvalidParams(f"precision exponent must be >= 1, got {self.k}")
-        if not is_prime(self.p):
-            raise InvalidParams(f"{self.p} is not prime")
-
-
 def ord_int(n: int, p: int) -> int | float:
     """Largest e with p^e | n; +infinity for n = 0."""
     if n == 0:
@@ -81,6 +60,15 @@ def ord_int(n: int, p: int) -> int | float:
         n //= p
         e += 1
     return e
+
+
+def base_p_digits(n: int, p: int, m: int) -> tuple[int, ...]:
+    """The first m base-p digits of n >= 0, least significant first."""
+    out = []
+    for _ in range(m):
+        n, z = divmod(n, p)
+        out.append(z)
+    return tuple(out)
 
 
 def ord_rat(q: Fraction, p: int) -> int | float:

@@ -46,30 +46,6 @@ class BinomialSolveResult:
     reason: str | None  # set when count = 0
 
 
-def _feasible(c1: int, c2: int, d: int, p: int) -> tuple[bool, str | None, int, int, int]:
-    """Existence test; returns (ok, reason, v1, v2, ell)."""
-    v1, v2 = ord_int(c1, p), ord_int(c2, p)
-    if (v1 - v2) % d != 0:
-        return False, REASON_NO_INTEGRAL_VALUATION, v1, v2, 0
-    ell = ord_int(d, p)
-    c1u = c1 // p ** v1
-    c2u = c2 // p ** v2
-    m = p ** (2 * ell + 1)
-    t = -c1u * pow(c2u, -1, m) % m
-    if p == 2:
-        if ell == 0:
-            return True, None, v1, v2, ell
-        if c1u % 8 != (-c2u) % 8:
-            return False, REASON_POWER_TEST_FAILED, v1, v2, ell
-        if pow(t, 2 ** (ell - 1), m) != 1:
-            return False, REASON_POWER_TEST_FAILED, v1, v2, ell
-        return True, None, v1, v2, ell
-    gamma = math.gcd(d, p - 1)
-    if pow(t, p ** ell * (p - 1) // gamma, m) != 1:
-        return False, REASON_POWER_TEST_FAILED, v1, v2, ell
-    return True, None, v1, v2, ell
-
-
 def solve_binomial(
     inp: BinomialInput, msd_one: bool = False, certify: bool = True
 ) -> BinomialSolveResult:
@@ -81,10 +57,20 @@ def solve_binomial(
     """
     c1, c2, d, p = inp.c1, inp.c2, inp.d, inp.p
     check_prime_cap(p)
-    ok, reason, v1, v2, ell = _feasible(c1, c2, d, p)
-    if not ok:
-        return BinomialSolveResult(count=0, roots=[], reason=reason)
+    v1, v2 = ord_int(c1, p), ord_int(c2, p)
+    if (v1 - v2) % d != 0:
+        return BinomialSolveResult(count=0, roots=[], reason=REASON_NO_INTEGRAL_VALUATION)
+    ell = ord_int(d, p)
     c1u, c2u = c1 // p ** v1, c2 // p ** v2
+    m = p ** (2 * ell + 1)
+    t = -c1u * pow(c2u, -1, m) % m
+    if p == 2:
+        solvable = ell == 0 or (c1u % 8 == (-c2u) % 8
+                                and pow(t, 2 ** (ell - 1), m) == 1)
+    else:
+        solvable = pow(t, p ** ell * (p - 1) // math.gcd(d, p - 1), m) == 1
+    if not solvable:
+        return BinomialSolveResult(count=0, roots=[], reason=REASON_POWER_TEST_FAILED)
     if p == 2:  # every unit has first digit 1
         first_digits = [1, 3][: math.gcd(d, 2)]
     elif msd_one:

@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 from . import bounds as bounds_mod
-from .arith import PAdicContext, is_prime
+from .arith import base_p_digits, is_prime
 from .binomial import separation_binomial
 from .errors import InvalidParams, PadicError
 from .newton_polygon import build_arch, build_padic
@@ -111,8 +111,7 @@ def _cmd_polygon(args) -> int:
 
 def _cmd_tree(args) -> int:
     f = parse_poly(args.poly)
-    ctx = PAdicContext(args.p, args.k)
-    tree = build_tree(f, ctx)
+    tree = build_tree(f, args.p, args.k)
     # each node's reduction as sparse [exponent, coefficient] pairs: the
     # root node keeps the input's degree, which may be near 2^63
     if args.json:
@@ -120,7 +119,7 @@ def _cmd_tree(args) -> int:
             {
                 "digit_path": list(n.digits(args.p)),
                 "depth": n.depth,
-                "k_local": n.k_local,
+                "k_local": args.k - n.s_consumed,
                 "s_value": n.s_step,
                 "s_consumed": n.s_consumed,
                 "poly_mod_p": n.reduction.terms,
@@ -134,7 +133,7 @@ def _cmd_tree(args) -> int:
     for n in tree.root.walk():
         pad = "  " * n.depth
         print(
-            f"{pad}path={list(n.digits(args.p))} k={n.k_local} "
+            f"{pad}path={list(n.digits(args.p))} k={args.k - n.s_consumed} "
             f"s={n.s_step}/{n.s_consumed} "
             f"mod-p={[list(t) for t in n.reduction.terms]} simple={n.nondegenerate_roots} "
             f"degenerate={n.degenerate_roots}"
@@ -167,8 +166,8 @@ def _cmd_tetra(args) -> int:
         "poly": poly.to_json_obj(),
         "precision": rep.precision,
         "roots": [
-            [(rep.root1 // args.p ** i) % args.p for i in range(rep.precision)],
-            [(rep.root2 // args.p ** i) % args.p for i in range(rep.precision)],
+            base_p_digits(rep.root1, args.p, rep.precision),
+            base_p_digits(rep.root2, args.p, rep.precision),
         ],
         "collision_order": rep.collision_order,
         "derivative_valuation": rep.derivative_valuation,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import ord_int
+from .arith import base_p_digits, ord_int
 from .errors import DerivativeNotInvertible
 from .sparsepoly import SparsePoly
 
@@ -115,5 +115,4 @@ class ApproximateRoot:
     def unit_digits(self, m: int) -> tuple[int, ...]:
         """First m base-p digits of the unit part of the true root."""
         root = self if self.precision >= m else self.refine(m - self.precision)
-        r = root.unit_residue % root.p ** m
-        return tuple((r // root.p ** i) % root.p for i in range(m))
+        return base_p_digits(root.unit_residue, root.p, m)

@@ -3,9 +3,10 @@
 The node at the n-digit prefix mu is h(x) = p^(-S) g(mu + p^n x), g the
 tree's sparse input and S the precision consumed so far.  It stores only
 its reduction h mod p; shift_rescale reads its Taylor data from g itself.
-Children hang off degenerate roots of the reduction whose s-value lies in
-{2, ..., k_local - 1}; non-degenerate roots are harvested at every node and
-Hensel-lift to distinct Z_p roots of g.  A degenerate digit whose prefix a
+Its precision k_local is k - S, k the tree's cap.  Children hang off
+degenerate roots of the reduction whose s-value lies in {2, ..., k_local - 1};
+non-degenerate roots are harvested at every node and Hensel-lift to
+distinct Z_p roots of g.  A degenerate digit whose prefix a
 RepeatedRootCut covers gets no child: its prefix sits on the digit chain of
 a repeated root, where no simple root is.
 """
@@ -15,8 +16,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .arith import INFINITY, PAdicContext, ord_int
-from .errors import DivisibilityViolation, InvariantViolated
+from .arith import INFINITY, base_p_digits, is_prime, ord_int
+from .errors import DivisibilityViolation, InvalidParams, InvariantViolated
 from .fp import roots_fp_exhaustive, roots_fp_memo
 from .sparsepoly import SparsePoly, taylor_coeffs_mod
 
@@ -92,10 +93,11 @@ class RepeatedRootCut:
 
 @dataclass
 class NodalNode:
+    """A digit-tree node; its precision k_local is k - s_consumed, k the tree's cap."""
+
     mu: int  # the digit prefix zeta_0 + zeta_1 p + ... + zeta_{depth-1} p^(depth-1)
     depth: int
     reduction: SparsePoly  # the node polynomial mod p, coefficients in [0, p)
-    k_local: int | float  # INFINITY in an uncapped tree
     s_consumed: int
     s_step: int = 0  # s-value of the digit that made this node; 0 at the root
     nondegenerate_roots: list[int] = field(default_factory=list)
@@ -108,12 +110,7 @@ class NodalNode:
 
     def digits(self, p: int) -> tuple[int, ...]:
         """The digit path zeta_0, ..., zeta_{depth-1} of the prefix mu."""
-        out = []
-        mu = self.mu
-        for _ in range(self.depth):
-            mu, z = divmod(mu, p)
-            out.append(z)
-        return tuple(out)
+        return base_p_digits(self.mu, p, self.depth)
 
     def walk(self):
         """Preorder over the subtree; iterative, so digit chains of any depth
@@ -140,10 +137,12 @@ class NodalTree:
 
 
 def build_tree(
-    f: SparsePoly, ctx: PAdicContext, root_digits: str = "all",
+    f: SparsePoly, p: int, k: int | None = None, root_digits: str = "all",
     cut: RepeatedRootCut | None = None, plan: Callable | None = None,
 ) -> NodalTree:
-    """Construct the full tree at precision k, or uncapped when k is None.
+    """Construct the full tree at precision k >= 1 (InvalidParams for a
+    smaller k or a composite p), or uncapped when k is None.  A node's
+    precision k_local is k - s_consumed, infinite in an uncapped tree.
 
     root_digits='nonzero' restricts depth-0 expansion and harvesting to
     digits != 0 (the valuation-0 root sweep); 'one' restricts depth 0 to
@@ -165,17 +164,20 @@ def build_tree(
     a p over the desk cap; the scans below the root go through the memo of
     fp.roots_fp_memo.
     """
-    p, k = ctx.p, ctx.k
+    if k is not None and k < 1:
+        raise InvalidParams(f"precision exponent must be >= 1, got {k}")
+    if not is_prime(p):
+        raise InvalidParams(f"{p} is not prime")
     degree_cap = nodal_degree_cap(p) if f.term_count == 3 else None
-    k_root, max_depth = (INFINITY, GUARD_DEPTH) if k is None else (k, (k - 1) // 2)
+    cap, max_depth = (INFINITY, GUARD_DEPTH) if k is None else (k, (k - 1) // 2)
     k_mature = 1
 
     reduction = SparsePoly(tuple([(a, c % p) for a, c in f.terms if c % p]))
-    root = NodalNode(mu=0, depth=0, reduction=reduction, k_local=k_root, s_consumed=0)
+    root = NodalNode(mu=0, depth=0, reduction=reduction, s_consumed=0)
     stack = [root]
     while stack:
         node = stack.pop()
-        k_local = node.k_local
+        k_local = cap - node.s_consumed
         if node.depth:
             roots = roots_fp_memo(node.reduction, p)
         else:
@@ -212,7 +214,6 @@ def build_tree(
                 mu=prefix,
                 depth=node.depth + 1,
                 reduction=reduction,
-                k_local=k_local - s,
                 s_consumed=node.s_consumed + s,
                 s_step=s,
             )
@@ -246,7 +247,7 @@ def stabilized_tree(
     cut: RepeatedRootCut | None = None, plan: Callable | None = None,
 ) -> StabilizedTree:
     """The uncapped digit tree of f, which is mature.  A capped tree is
-    build_tree(f, PAdicContext(p, k)).
+    build_tree(f, p, k).
 
     A mature tree (no precision-blocked site) is exact.  Every s-value it
     computed is below its node's k_local and below the precision of the
@@ -283,5 +284,5 @@ def stabilized_tree(
     guard, reading the paper's k from plan, raises InvariantViolated
     instead.
     """
-    tree = build_tree(f, PAdicContext(p, None), root_digits=root_digits, cut=cut, plan=plan)
+    tree = build_tree(f, p, root_digits=root_digits, cut=cut, plan=plan)
     return StabilizedTree(tree=tree, k_used=tree.k_mature, stabilized=True)

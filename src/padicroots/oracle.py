@@ -239,7 +239,7 @@ def _degenerate_binomial(f: SparsePoly) -> tuple[int, Fraction] | None:
     return r, T
 
 
-def count_qp_roots(f: SparsePoly, p: int, budget: int = DEFAULT_BUDGET) -> OracleRootSet:
+def count_qp_roots(f: SparsePoly, p: int) -> OracleRootSet:
     """Count the roots of f in Q_p: valuation sweep + Hensel certification,
     plus the exact-rational sidecar for degenerate trinomial roots."""
     if not is_prime(p):
@@ -263,7 +263,7 @@ def count_qp_roots(f: SparsePoly, p: int, budget: int = DEFAULT_BUDGET) -> Oracl
     if enc is not None:
         r, T = enc
         gb = SparsePoly.from_terms([(0, -T.numerator), (r, T.denominator)])
-        sub = count_qp_roots(gb, p, budget=budget)
+        sub = count_qp_roots(gb, p)
         result.degenerate_count = sub.qp_count
         result.qp_count += sub.qp_count
         for entry in sub.lifted:
@@ -284,7 +284,7 @@ def count_qp_roots(f: SparsePoly, p: int, budget: int = DEFAULT_BUDGET) -> Oracl
     for v in _integral_valuations(body, p):
         g = _rescale(body, p, v)
         skip = degen_prefixes_by_val.get(v, [])
-        n, certified = _certify_count(g, p, skip, budget)
+        n, certified = _certify_count(g, p, skip, DEFAULT_BUDGET)
         result.qp_count += n
         result.unit_roots_by_valuation[v] = [r for r, _ in certified]
         for res, kk in certified:

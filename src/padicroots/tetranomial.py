@@ -39,9 +39,6 @@ class TetraFamilyParams:
         """Digit depth of the collision scaling: (h-1)d/2 + h."""
         return (self.h - 1) * self.d // 2 + self.h
 
-    def default_precision(self) -> int:
-        return self.shift_exponent + 8
-
 
 def generate(params: TetraFamilyParams) -> SparsePoly:
     """The integerized family member p^(2h) x^d - x^2 + 2 p^(h-1) x - p^(2h-2)."""
@@ -95,7 +92,7 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
     resolved at the working precision.
     """
     p = params.p
-    k = params.default_precision() if precision is None else precision
+    k = params.shift_exponent + 8 if precision is None else precision
     if k < params.shift_exponent + 4:
         raise PrecisionTooLow(
             f"need precision >= {params.shift_exponent + 4} to separate the roots"

@@ -96,15 +96,15 @@ def delta_tri(inp: TrinomialInput) -> int:
     )
 
 
-def reconstruct_node_poly(f: SparsePoly, p: int, node: NodalNode) -> SparsePoly:
-    """Recompute p^(-s) f(mu + p^i x) mod p^k_local from scratch."""
+def reconstruct_node_poly(f: SparsePoly, p: int, k: int, node: NodalNode) -> SparsePoly:
+    """Recompute p^(-s) f(mu + p^i x) mod p^k_local, k_local = k - s, from
+    scratch; k is the cap of the node's tree."""
     i = node.depth
     if i == 0:
         return f
-    k = node.k_local + node.s_consumed
     m = p ** k
     u = taylor_coeffs_mod(f, node.mu, p, k, min(f.degree, k - 1))
-    m_out = p ** node.k_local
+    m_out = p ** (k - node.s_consumed)
     ps = p ** node.s_consumed
     coeffs = []
     for j, uj in enumerate(u):

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from padicroots.arith import PAdicContext, ord_int
+from padicroots.arith import ord_int
 from padicroots.binomial import separation_binomial
 from padicroots.bounds import (
     degenerate_valuation_gap_cap,
@@ -97,11 +97,11 @@ def test_criterion_1_worked_examples():
     f = parse_poly("x^10 - 10*x + 738")
     u = shift_rescale(f, 1, 0, 0, 3, 6)  # one expansion gives s and the child
     assert s_value(u, 3, 6) == 4
-    (child,) = [ch for ch in build_tree(f, PAdicContext(3, 6)).root.children if ch.mu == 1]
+    (child,) = [ch for ch in build_tree(f, 3, 6).root.children if ch.mu == 1]
     assert child.s_step == 4
     assert mod_p_coeffs(child) == [0, 0, 2, 1]  # x^3 + 2x^2
     for p in (2, 3, 5):
-        tree = build_tree(SparsePoly(((2, 1),)), PAdicContext(p, 9))
+        tree = build_tree(SparsePoly(((2, 1),)), p, 9)
         depth = max(n.depth for n in tree.root.walk())
         assert depth == 4 and tree.node_count == 5  # chain of length 4
     elapsed = time.time() - t0
@@ -186,7 +186,7 @@ def test_criterion_5_tree_invariants():
         if content_p(f, p):
             continue
         k = rng.randint(3, 12)
-        tree = build_tree(f, PAdicContext(p, k))  # depth/degree asserted inside
+        tree = build_tree(f, p, k)  # depth/degree asserted inside
         depth = max(n.depth for n in tree.root.walk())
         assert depth <= (k - 1) // 2
         cap = nodal_degree_cap(p)
@@ -194,7 +194,7 @@ def test_criterion_5_tree_invariants():
             if n.depth >= 1 and n.mu % p != 0:
                 assert n.reduction.degree <= cap
             if n.depth >= 1:
-                rebuilt = reconstruct_node_poly(f, p, n)
+                rebuilt = reconstruct_node_poly(f, p, k, n)
                 assert SparsePoly.from_terms((a, c % p) for a, c in rebuilt.terms) == n.reduction
         if f.coefficient(0) % p:
             nu = len(tree.root.degenerate_roots)

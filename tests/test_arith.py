@@ -1,12 +1,10 @@
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicroots.arith import INFINITY, PAdicContext, is_prime, ord_int, ord_rat
-from padicroots.errors import InvalidParams
+from padicroots.arith import INFINITY, is_prime, ord_int, ord_rat
 from tests.reference import log_height
 
 PRIMES_TO_100 = [p for p in range(2, 101) if is_prime(p)]
@@ -28,14 +26,6 @@ def test_log_height():
     assert log_height(Fraction(3, 7)) == math.log(7)
     assert log_height(Fraction(0)) == 0.0
     assert log_height(Fraction(-100, 1)) == math.log(100)
-
-
-def test_context_validation():
-    with pytest.raises(InvalidParams):
-        PAdicContext(4, 2)
-    with pytest.raises(InvalidParams):
-        PAdicContext(7, 0)
-    assert PAdicContext(2, 5) == PAdicContext(p=2, k=5)
 
 
 @given(

@@ -110,3 +110,26 @@ def test_exports_are_the_imported_names():
         for alias in node.names
     }
     assert sorted(padicroots.__all__) == sorted(imported)
+
+
+def test_every_dataclass_field_is_read():
+    """Each annotated field of a @dataclass in the package is read as
+    `.<field>` somewhere in the package, the tests or the benchmark; a
+    method of its own class counts.  A field nothing reads is deleted."""
+    root = Path(__file__).resolve().parents[1]
+    text = "\n".join(
+        path.read_text()
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    )
+    unread = [
+        f"{name}:{item.lineno} {node.name}.{item.target.id}"
+        for name, tree in _parsed().items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and not re.search(rf"\.{re.escape(item.target.id)}\b", text)
+    ]
+    assert unread == []

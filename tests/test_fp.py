@@ -3,7 +3,7 @@ import math
 import pytest
 
 import padicroots.fp
-from padicroots.arith import PAdicContext, is_prime
+from padicroots.arith import is_prime
 from padicroots.errors import InvariantViolated, PrimeTooLarge
 from padicroots.fp import (
     binomial_coset_roots,
@@ -144,12 +144,12 @@ def test_memo_values_cannot_be_mutated():
     with pytest.raises(TypeError):
         roots[0] = (2, False)
     g = parse_poly("x^10 - 10*x + 738")
-    (child,) = [ch for ch in build_tree(g, PAdicContext(3, 6)).root.children if ch.mu == 1]
+    (child,) = [ch for ch in build_tree(g, 3, 6).root.children if ch.mu == 1]
     assert child.reduction == f
     child.nondegenerate_roots.append(2)
     child.degenerate_roots.clear()
     assert roots_fp_memo(f, 3) is roots and roots == ((0, True), (1, False))
-    (again,) = [ch for ch in build_tree(g, PAdicContext(3, 6)).root.children if ch.mu == 1]
+    (again,) = [ch for ch in build_tree(g, 3, 6).root.children if ch.mu == 1]
     assert (again.degenerate_roots, again.nondegenerate_roots) == ([0], [1])
 
 

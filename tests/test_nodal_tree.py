@@ -2,8 +2,7 @@ import pytest
 
 import padicroots.nodal_tree
 import padicroots.trinomial
-from padicroots.arith import PAdicContext
-from padicroots.errors import ContentDivisible, PadicError
+from padicroots.errors import ContentDivisible, InvalidParams, PadicError
 from padicroots.nodal_tree import (
     NodalNode,
     build_tree,
@@ -74,33 +73,42 @@ def _multiplicity_mod_p(f, z, p, bound=30):
     return mult
 
 
+def test_build_tree_validates_p_and_k():
+    f = parse_poly("x^2 - 1")
+    with pytest.raises(InvalidParams, match="^4 is not prime$"):
+        build_tree(f, 4, 2)
+    with pytest.raises(InvalidParams, match="^precision exponent must be >= 1, got 0$"):
+        build_tree(f, 7, 0)
+    assert build_tree(f, 2, 5) == build_tree(f, p=2, k=5)
+
+
 def test_chain_for_x_squared():
     for p in (2, 3, 5):
-        t = build_tree(SparsePoly(((2, 1),)), PAdicContext(p, 9))
+        t = build_tree(SparsePoly(((2, 1),)), p, 9)
         assert max(n.depth for n in t.root.walk()) == 4  # floor((9-1)/2)
         assert t.node_count == 5
         assert sum(n.n_p for n in t.root.walk()) == 0
 
 
 def test_single_node_for_x397():
-    t = build_tree(parse_poly("1 - x^397"), PAdicContext(17, 5))
+    t = build_tree(parse_poly("1 - x^397"), 17, 5)
     assert t.node_count == 1
     assert sum(n.n_p for n in t.root.walk()) == 1  # 1 is a simple root of the reduction...
 
 
 def test_tree_1_minus_x340():
-    t = build_tree(parse_poly("1 - x^340"), PAdicContext(17, 3))
+    t = build_tree(parse_poly("1 - x^340"), 17, 3)
     assert max(n.depth for n in t.root.walk()) == 1 and len(t.root.children) == 4
     assert sum(n.n_p for n in t.root.walk()) == 4
     mods = sorted(tuple(mod_p_coeffs(ch)) for ch in t.root.children)
     assert mods == sorted([(0, 14), (10, 12), (15, 5), (3, 3)])
     for k in (1, 2):
-        t_small = build_tree(parse_poly("1 - x^340"), PAdicContext(17, k))
+        t_small = build_tree(parse_poly("1 - x^340"), 17, k)
         assert t_small.node_count == 1 and t_small.k_mature > t_small.k
 
 
 def test_tree_q2_example():
-    t = build_tree(parse_poly("x^10 + 11*x^2 - 12"), PAdicContext(2, 8))
+    t = build_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, 8)
     assert sum(n.n_p for n in t.root.walk()) == 6
     depth2 = [n for n in t.root.walk() if n.depth == 2]
     contributing = [n for n in depth2 if n.nondegenerate_roots]
@@ -111,7 +119,7 @@ def test_tree_q2_example():
 
 
 def test_tree_q3_example():
-    t = build_tree(parse_poly("738 - 10*x^2 + x^20"), PAdicContext(3, 7))
+    t = build_tree(parse_poly("738 - 10*x^2 + x^20"), 3, 7)
     assert sum(n.n_p for n in t.root.walk()) == 8
     by_path = {(n.depth, n.mu): n.n_p for n in t.root.walk() if n.n_p}
     assert sum(by_path.values()) == 8
@@ -123,7 +131,7 @@ def test_walk_is_preorder_at_any_depth():
 
     def node(mu, depth):
         return NodalNode(mu=mu, depth=depth, reduction=SparsePoly(((0, 1),)),
-                         k_local=1, s_consumed=0)
+                         s_consumed=0)
 
     root = node(0, 0)
     a, b = node(1, 1), node(2, 1)
@@ -163,14 +171,14 @@ def test_one_taylor_expansion_per_degenerate_digit(rng, monkeypatch):
     children = 0
     for f, p, k in cases:
         calls.clear()
-        tree = build_tree(f, PAdicContext(p, k))
+        tree = build_tree(f, p, k)
         assert len(calls) == sum(len(n.degenerate_roots) for n in tree.root.walk())
         children += tree.node_count - 1
     assert children > 20, children  # the trees do branch
 
 
 def test_child_records_its_step_and_prefix():
-    t = build_tree(parse_poly("x^10 + 11*x^2 - 12"), PAdicContext(2, 12))
+    t = build_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, 12)
     for n in t.root.walk():
         for child in n.children:
             assert child.s_step == child.s_consumed - n.s_consumed >= 2
@@ -181,23 +189,23 @@ def test_child_records_its_step_and_prefix():
 
 def test_content_rejected():
     with pytest.raises(ContentDivisible):
-        build_tree(parse_poly("3 + 3*x^2 + 3*x^5"), PAdicContext(3, 4))
+        build_tree(parse_poly("3 + 3*x^2 + 3*x^5"), 3, 4)
 
 
 def test_stabilized_examples():
-    t = build_tree(parse_poly("1 - x^340"), PAdicContext(17, 64))
+    t = build_tree(parse_poly("1 - x^340"), 17, 64)
     assert 3 <= t.k_mature <= t.k
     assert sum(n.n_p for n in t.root.walk()) == 4
-    t2 = build_tree(parse_poly("x^2 - 1"), PAdicContext(5, 64))
+    t2 = build_tree(parse_poly("x^2 - 1"), 5, 64)
     assert t2.k_mature <= t2.k and sum(n.n_p for n in t2.root.walk()) == 2
     assert t2.root.n_p == 2
-    t3 = build_tree(parse_poly("x^10 + 11*x^2 - 12"), PAdicContext(2, 64))
+    t3 = build_tree(parse_poly("x^10 + 11*x^2 - 12"), 2, 64)
     assert t3.k_mature <= t3.k and sum(n.n_p for n in t3.root.walk()) == 6
 
 
 def test_stabilized_cap_flag():
     # x^2 never matures (the digit-0 chain is always precision-blocked)
-    t = build_tree(SparsePoly(((2, 1),)), PAdicContext(3, 16))
+    t = build_tree(SparsePoly(((2, 1),)), 3, 16)
     assert t.k_mature > t.k == 16
 
 
@@ -211,9 +219,9 @@ def test_one_tree_at_the_cap(monkeypatch, rng):
     real_build, real_stabilized = build_tree, padicroots.trinomial.stabilized_tree
     built, calls = [], []
 
-    def counting(f, ctx, **kw):
-        built.append(ctx.k)
-        return real_build(f, ctx, **kw)
+    def counting(f, p, k=None, **kw):
+        built.append(k)
+        return real_build(f, p, k, **kw)
 
     def recording(g, p, **kw):
         built.clear()
@@ -240,14 +248,14 @@ def test_one_tree_at_the_cap(monkeypatch, rng):
                               ("4 - 5103*x^3 + 14348907*x^7", 3, -2, 64)]:
         g = rescale_for_valuation(parse_poly(text), p, v)
         kw = {"root_digits": "nonzero", "cut": None}
-        calls.append((g, p, k_cap, kw, build_tree(g, PAdicContext(p, k_cap), **kw)))
+        calls.append((g, p, k_cap, kw, build_tree(g, p, k_cap, **kw)))
     found = capped = cut = uncapped_mature = 0
     for g, p, k_cap, kw, tree in calls:
         assert tree.k == k_cap
         cut += kw["cut"] is not None
         least = next(
             (k for k in range(1, min(k_cap or 64, 64) + 1)
-             if real_build(g, PAdicContext(p, k), **kw).k_mature <= k),
+             if real_build(g, p, k, **kw).k_mature <= k),
             None,
         )
         if least is not None:
@@ -281,7 +289,7 @@ def test_digit_precision_doubles_until_s_is_exact(monkeypatch):
         precisions.clear()
         assert solve_sparse(f, 2, certify=certify).root_count == 2
         assert precisions == [6, 12]
-    (child,) = [ch for ch in build_tree(f, PAdicContext(2, 16)).root.children if ch.mu == 1]
+    (child,) = [ch for ch in build_tree(f, 2, 16).root.children if ch.mu == 1]
     assert child.s_step == 10
 
 
@@ -308,10 +316,10 @@ def test_mature_tree_is_exact(rng):
         for v, _ in integral_valuation_candidates(f, p):
             g = rescale_for_valuation(f, p, v)
             for k in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24):
-                tree = build_tree(g, PAdicContext(p, k), root_digits="nonzero")
+                tree = build_tree(g, p, k, root_digits="nonzero")
                 if tree.k_mature > k:
                     continue
-                deeper = build_tree(g, PAdicContext(p, 2 * k), root_digits="nonzero")
+                deeper = build_tree(g, p, 2 * k, root_digits="nonzero")
                 assert deeper.k_mature <= 2 * k, (g.to_text(), p, k)
                 assert _shape(deeper) == _shape(tree), (g.to_text(), p, k)
                 mature += 1
@@ -325,7 +333,7 @@ def test_invariants_on_random_corpus(rng):
         if content_p(f, p):
             continue
         k = rng.randint(3, 12)
-        tree = build_tree(f, PAdicContext(p, k))
+        tree = build_tree(f, p, k)
         nodes = list(tree.root.walk())
         assert max(n.depth for n in tree.root.walk()) <= (k - 1) // 2
         cap = nodal_degree_cap(p)
@@ -333,7 +341,7 @@ def test_invariants_on_random_corpus(rng):
             if n.depth >= 1 and n.mu % p != 0:
                 assert n.reduction.degree <= cap
             if n.depth >= 1:
-                rebuilt = reconstruct_node_poly(f, p, n)
+                rebuilt = reconstruct_node_poly(f, p, k, n)
                 reduced = SparsePoly.from_terms((a, c % p) for a, c in rebuilt.terms)
                 assert reduced == n.reduction, (f.to_text(), p, k, n.digits(p))
         # node count cap for trinomials with p not dividing the constant term
@@ -351,7 +359,7 @@ def test_harvested_roots_lift(rng):
         p = rng.choice([2, 3, 5])
         if content_p(f, p):
             continue
-        tree = build_tree(f, PAdicContext(p, 9))
+        tree = build_tree(f, p, 9)
         for n in tree.root.walk():
             for z in n.nondegenerate_roots:
                 start = n.mu + z * p ** n.depth

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicroots.arith import PAdicContext, ord_int
+from padicroots.arith import ord_int
 from padicroots.errors import BudgetExceeded, DivisibilityViolation, ParseError
 from padicroots.newton_polygon import integral_valuation_candidates
 from padicroots.nodal_tree import build_tree, shift_rescale
@@ -67,7 +67,7 @@ def test_evaluate_mod_examples():
 
 def _child(f, digit, p, k):
     """The child build_tree makes at the root digit `digit` of f."""
-    (child,) = [ch for ch in build_tree(f, PAdicContext(p, k)).root.children if ch.mu == digit]
+    (child,) = [ch for ch in build_tree(f, p, k).root.children if ch.mu == digit]
     return child
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import padicroots.nodal_tree
 import padicroots.trinomial
-from padicroots.arith import PAdicContext, is_prime, ord_int
+from padicroots.arith import is_prime, ord_int
 from padicroots.bounds import degenerate_valuation_gap_cap
 from padicroots.errors import (
     BudgetExceeded,
@@ -211,7 +211,7 @@ def test_deep_digit_chain_costs_a_polynomial_in_its_depth():
     cut = RepeatedRootCut(depth=529, num=1, den=2, r=1, ell=0)
     t0 = time.perf_counter()
     k = precision_plan(inp, report, inp.poly.max_abs_coeff()).k
-    tree = build_tree(f, PAdicContext(3, k), root_digits="nonzero", cut=cut)
+    tree = build_tree(f, 3, k, root_digits="nonzero", cut=cut)
     assert time.perf_counter() - t0 < 1
     nodes = list(tree.root.walk())
     assert tree.k_mature <= tree.k and max(node.depth for node in nodes) == 528
@@ -233,6 +233,22 @@ def test_rescale_cost_does_not_grow_with_degree(d):
     t0 = time.perf_counter()
     assert solve_sparse(parse_poly(f"3 - x + x^{d}"), 3).root_count == 1
     assert time.perf_counter() - t0 < 1
+
+
+def test_unit_digits_cost_one_divmod_per_digit():
+    """20000 digits of the one root of 2 - x^2 + 3x^5 in Q_7, from a
+    certificate already refined that far.  Building p^i anew for every
+    digit took 26 s on a 2-vCPU VM; one divmod per digit takes 0.2 s."""
+    (rt,) = solve_sparse(parse_poly("2 - x^2 + 3*x^5"), 7).roots
+    rt = rt.refine(20000 - rt.precision)
+    t0 = time.perf_counter()
+    digits = rt.unit_digits(20000)
+    assert time.perf_counter() - t0 < 5
+    expected, r = [], rt.unit_residue
+    for _ in range(20000):
+        r, z = divmod(r, 7)
+        expected.append(z)
+    assert digits == tuple(expected) and digits[:2] == (5, 6)
 
 
 def test_degenerate_roots_examples():
