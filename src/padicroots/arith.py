@@ -59,6 +59,13 @@ def ord_int(n: int, p: int) -> int | float:
     while n % p == 0:
         n //= p
         e += 1
+        if e == 8:  # a deep valuation: strip p, p^2, p^4, ..., then restart from p
+            while n % p == 0:
+                q, step = p, 1
+                while n % q == 0:
+                    n //= q
+                    e += step
+                    q, step = q * q, 2 * step
     return e
 
 

@@ -118,7 +118,7 @@ def roots_fp_exhaustive(f: SparsePoly, p: int, count: bool = True) -> list[tuple
     if n is not None and len(found) != n:
         raise InvariantViolated(f"F_p* walk found {len(found)} roots mod {p}, the count is {n}")
     for z in sorted(pow(g, i, p) for i in found):
-        roots.append((z, f.deriv_mod(z, p) == 0))
+        roots.append((z, f.eval_mod(z, p)[1] == 0))
     return roots
 
 

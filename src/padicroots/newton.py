@@ -7,9 +7,10 @@ residue, and the count of certified digits.  Iterating Newton on a nodal
 polynomial p^(-s) f(mu + p^i x) coincides with iterating the Newton map of
 the rescaled polynomial itself on the composite residue mu + p^i w, so
 refinement always works on one integer polynomial with exact p-power
-division of f/f'.  One function, derivative_order, reads ord_p f'(z) for
-every step and certificate: its probe doubles until f'(z) shows, so a
-derivative divisible by p^20 (x^d with 3^20 | d) is read, not refused.
+division of f/f'.  certified_residue is the one Newton loop: its precision
+doubles up to the digits wanted, one probe per iterate.  The probe,
+derivative_order, reads f(z) and f'(z) in one pass and doubles until f'(z)
+shows, so a derivative divisible by p^20 (x^d with 3^20 | d) is read.
 """
 
 from __future__ import annotations
@@ -25,63 +26,52 @@ from .sparsepoly import SparsePoly
 MAX_PROBE_DIGITS = 1 << 20
 
 
-def derivative_order(f: SparsePoly, p: int, z: int, prec: int) -> tuple[int, int]:
-    """(ell, f'(z) mod p^(prec + ell)) with ell = ord_p f'(z).
+def derivative_order(f: SparsePoly, p: int, z: int, prec: int) -> tuple[int, int, int]:
+    """(ell, f(z), f'(z)) with ell = ord_p f'(z), both values mod p^(prec + ell).
 
-    The one probe of f'(z): it is read mod p^(prec + 8), and the probe
-    doubles while f'(z) vanishes there.  Past MAX_PROBE_DIGITS it raises
-    DerivativeNotInvertible.
+    The one probe of f and f' at z: they are read mod p^(prec + 8), and the
+    probe doubles while f'(z) vanishes there.  Past MAX_PROBE_DIGITS it
+    raises DerivativeNotInvertible.
     """
     k = prec + 8
     while True:
-        dv = f.deriv_mod(z, p ** k)
+        fv, dv = f.eval_mod(z, p ** k)
         if dv:
             ell = ord_int(dv, p)
             if prec + ell > k:
-                dv = f.deriv_mod(z, p ** (prec + ell))
-            return ell, dv % p ** (prec + ell)
+                fv, dv = f.eval_mod(z, p ** (prec + ell))
+            m = p ** (prec + ell)
+            return ell, fv % m, dv % m
         if k > MAX_PROBE_DIGITS:
             raise DerivativeNotInvertible("derivative vanished at every probe")
         k *= 2
-
-
-def newton_step(f: SparsePoly, p: int, z: int, prec: int) -> int:
-    """One exact Newton step z - f(z)/f'(z) mod p^prec.
-
-    The shared p-power of f(z) and f'(z) is divided out on integer
-    representatives before inverting, so positive derivative valuations are
-    fine as long as ord f(z) > 2 ord f'(z) (Hensel's regime).
-    """
-    ell, dv = derivative_order(f, p, z, prec)
-    fv = f.eval_mod(z, p ** (prec + ell))
-    if fv == 0:
-        return z % p ** prec
-    # f/f' must at least be p-integral with room to move one digit; the
-    # full Hensel criterion is certified on the nodal side by construction
-    if ord_int(fv, p) <= ell:
-        raise DerivativeNotInvertible(
-            f"non-contracting Newton step: ord f = {ord_int(fv, p)}, ord f' = {ell}"
-        )
-    num = fv // p ** ell
-    den = dv // p ** ell
-    step = num * pow(den, -1, p ** prec) % p ** prec
-    return (z - step) % p ** prec
 
 
 def certified_residue(f: SparsePoly, p: int, z: int, want: int) -> tuple[int, int]:
     """Newton-polish z until >= want digits of its root are certified.
 
     ord f(z) - ord f'(z) lower-bounds the p-adic distance from z to its
-    nearest root, so it is a sound certified-digit count.  Returns
-    (residue mod p^want, want).
+    nearest root, so it is a sound certified-digit count.  The working
+    precision doubles from 1 to want as its digits are certified; below it,
+    z takes exact Newton steps, which need ord f(z) > 2 ord f'(z) (Hensel's
+    regime).  Returns (residue mod p^want, want).
     """
-    for _ in range(64):
-        ordd, _ = derivative_order(f, p, z, want)
-        fv = f.eval_mod(z, p ** (want + ordd))
-        if fv == 0:  # ord f(z) >= want + ord f'(z)
-            return z % p ** want, want
-        certified = ord_int(fv, p) - ordd
-        z = newton_step(f, p, z, 2 * max(certified, 1) + ordd + 4)
+    prec = 1
+    for _ in range(64 + want.bit_length()):
+        ell, fv, dv = derivative_order(f, p, z, prec)
+        if fv == 0:  # ord f(z) >= prec + ord f'(z)
+            if prec == want:
+                return z % p ** want, want
+            prec = min(2 * prec, want)
+        # f/f' must at least be p-integral with room to move one digit; the
+        # full Hensel criterion is certified on the nodal side by construction
+        elif ord_int(fv, p) <= ell:
+            raise DerivativeNotInvertible(
+                f"non-contracting Newton step: ord f = {ord_int(fv, p)}, ord f' = {ell}"
+            )
+        else:
+            m = p ** prec
+            z = (z - fv // p ** ell * pow(dv // p ** ell, -1, m)) % m
     raise DerivativeNotInvertible("certification did not converge")
 
 

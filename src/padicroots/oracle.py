@@ -35,32 +35,23 @@ def lift_root(f: SparsePoly, p: int, residue: int, target_k: int) -> int:
     least doubles (minus ell) and the derivative valuation stays fixed.
     """
     # establish ell = ord_p f'(residue) at a safe working precision
-    probe = p ** (target_k + 8)
-    dv = f.deriv_mod(residue, probe)
+    fv, dv = f.eval_mod(residue, p ** (target_k + 8))
     if dv == 0:
         raise CriterionFailed("derivative vanishes at working precision")
     ell = ord_int(dv, p)
-    fv = f.eval_mod(residue, probe)
     j0 = (ord_int(fv, p) if fv else target_k + 8) - 2 * ell
     if j0 < 1:
         raise CriterionFailed(
             f"ord f = {ord_int(fv, p) if fv else 'inf'} < 2*{ell} + 1 at the given residue"
         )
-    z = residue
-    prec = target_k + 2 * ell + 2
-    m = p ** prec
+    z, m = residue, p ** (target_k + 2 * ell + 2)
     while True:
-        fz = f.eval_mod(z, m)
-        if fz == 0:
+        fz, dz = f.eval_mod(z, m)
+        if fz == 0 or ord_int(fz, p) - 2 * ell >= target_k:
             break
-        jf = ord_int(fz, p) - 2 * ell
-        if jf >= target_k:
-            break
-        dz = f.deriv_mod(z, m)
         if ord_int(dz, p) != ell:
             raise CriterionFailed("derivative valuation drifted during lifting")
-        step = (fz // p ** ell) * pow(dz // p ** ell, -1, m) % m
-        z = (z - step) % m
+        z = (z - fz // p ** ell * pow(dz // p ** ell, -1, m)) % m
     return z % p ** target_k
 
 
@@ -129,8 +120,8 @@ def _certify_count(
         for r in frontier:
             # g(r + t p^(k-1)) = g(r) + t p^(k-1) g'(r) mod p^k, as 2(k-1) >= k,
             # and p^(k-1) divides g(r): one t survives, or all of them, or none
-            q = g.eval_mod(r, m) // step
-            d = g.deriv_mod(r, p)
+            gv, dv = g.eval_mod(r, m)
+            q, d = gv // step, dv % p
             if d:
                 ts = [-q * pow(d, -1, p) % p]
             else:
@@ -139,8 +130,7 @@ def _certify_count(
                 x = r + t * step
                 if any(x % p ** min(k, kk) == rr % p ** min(k, kk) for rr, kk in skip_prefixes):
                     continue
-                fv = g.eval_mod(x, p ** (2 * k + 2))
-                dv = g.deriv_mod(x, p ** (2 * k + 2))
+                fv, dv = g.eval_mod(x, p ** (2 * k + 2))
                 ell = ord_int(dv, p) if dv else None
                 ordf = ord_int(fv, p) if fv else 2 * k + 2
                 # k >= ell + 1 makes the whole class sit inside the Hensel

@@ -68,20 +68,18 @@ class SparsePoly:
     def max_abs_coeff(self) -> int:
         return max(abs(c) for _, c in self.terms) if self.terms else 0
 
-    def eval_mod(self, x: int, m: int) -> int:
-        """f(x) mod m; exponentiation by squaring per term."""
-        total = 0
-        for a, c in self.terms:
-            total = (total + c * pow(x, a, m)) % m
-        return total
-
-    def deriv_mod(self, x: int, m: int) -> int:
-        """f'(x) mod m, without building the derivative."""
-        total = 0
+    def eval_mod(self, x: int, m: int) -> tuple[int, int]:
+        """(f(x) mod m, f'(x) mod m) in one pass: each term's x^(a-1) mod m
+        serves f' and, times x, f."""
+        fv = dv = 0
         for a, c in self.terms:
             if a:
-                total = (total + a * c * pow(x, a - 1, m)) % m
-        return total
+                power = pow(x, a - 1, m)
+                fv += c * power * x
+                dv += a * c * power
+            else:
+                fv += c
+        return fv % m, dv % m
 
     # -- text and JSON output ---------------------------------------------
 

@@ -31,7 +31,8 @@ class TetraFamilyParams:
             raise InvalidParams(f"{self.p} is not prime")
         if self.h < 3:
             raise InvalidParams("need h >= 3")
-        if self.d % 2 or not 4 <= self.d <= int(math.exp(self.h)):
+        # math.exp overflows past h = 709; every exponent is below 2^63 < e^44
+        if self.d % 2 or not 4 <= self.d <= int(math.exp(min(self.h, 50))):
             raise InvalidParams("need d even with 4 <= d <= floor(e^h)")
 
     @property
@@ -111,15 +112,13 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
 
     F = generate(params)
     probe = p ** (k + 8)
-    dF1 = F.deriv_mod(z1, probe)
-    dF2 = F.deriv_mod(z2, probe)
+    (fv1, dF1), (fv2, dF2) = F.eval_mod(z1, probe), F.eval_mod(z2, probe)
     if dF1 == 0 or dF2 == 0 or ord_int(dF1, p) != ord_int(dF2, p):
         raise PrecisionTooLow("derivative valuation not resolved; raise the precision")
 
     # sanity: both roots kill the tetranomial to nearly full working depth
-    for z in (z1, z2):
-        fv = F.eval_mod(z, probe)
-        slack = ord_int(dF1, p)  # conditioning of the evaluation
+    slack = ord_int(dF1, p)  # conditioning of the evaluation
+    for fv in (fv1, fv2):
         if fv != 0 and ord_int(fv, p) < k - slack:
             raise InvariantViolated("constructed residue is not a root at working precision")
 

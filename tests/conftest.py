@@ -3,9 +3,10 @@ import random
 import pytest
 
 from padicroots.fp import gcd_with_frobenius, roots_fp_memo
-from padicroots.newton import certified_residue, newton_step
+from padicroots.newton import certified_residue
 from padicroots.oracle import lift_root
 from padicroots.sparsepoly import SparsePoly
+from tests.reference import newton_step
 
 
 def oracle_reference_lift(rt, K: int) -> int:

@@ -4,8 +4,8 @@ None of these is on the solver's path: each restates a quantity of the
 paper (Yu's bound, the cofactor of q against (x-1)^2, the trinomial
 discriminant in full, a node polynomial rebuilt from scratch, a node's
 reduction in dense form, the p-part of the content, a rational's height,
-the roots mod p point by point) so a test can check the package's own
-numbers against it.
+the roots mod p point by point, one Newton step) so a test can check the
+package's own numbers against it.
 """
 
 import math
@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from padicroots.arith import ord_int
 from padicroots.bounds import C256E2, HEIGHT_FLOOR
-from padicroots.errors import ContentDivisible, InvariantViolated
+from padicroots.errors import ContentDivisible, DerivativeNotInvertible, InvariantViolated
+from padicroots.newton import derivative_order
 from padicroots.nodal_tree import NodalNode
 from padicroots.sparsepoly import SparsePoly, taylor_coeffs_mod
 from padicroots.trinomial import TrinomialInput
@@ -137,7 +138,30 @@ def log_height(q: Fraction) -> float:
     return math.log(max(abs(q.numerator), q.denominator))
 
 
+def value_and_derivative(f: SparsePoly, x: int, m: int) -> tuple[int, int]:
+    """(f(x) mod m, f'(x) mod m) as two plain sums of `pow` terms."""
+    fv = sum(c * pow(x, a, m) for a, c in f.terms) % m
+    dv = sum(a * c * pow(x, a - 1, m) for a, c in f.terms if a) % m
+    return fv, dv
+
+
 def roots_fp_pointwise(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
     """Roots of f mod p, each flagged by f'(z) = 0 mod p: f and f'
     evaluated with `pow` at every z in F_p, 0 included."""
-    return [(z, f.deriv_mod(z, p) == 0) for z in range(p) if f.eval_mod(z, p) == 0]
+    values = [(z, *value_and_derivative(f, z, p)) for z in range(p)]
+    return [(z, dv == 0) for z, fv, dv in values if fv == 0]
+
+
+def newton_step(f: SparsePoly, p: int, z: int, prec: int) -> int:
+    """One exact Newton step z - f(z)/f'(z) mod p^prec, the map whose rate
+    the Smale tests measure.  ell = ord_p f'(z) comes from the package's
+    probe, so deep derivatives (3^20 | d) are read; f and f' are summed
+    here, and their shared p^ell is divided out before inverting."""
+    ell = derivative_order(f, p, z, prec)[0]
+    fv, dv = value_and_derivative(f, z, p ** (prec + ell))
+    if fv == 0:
+        return z % p ** prec
+    if ord_int(fv, p) <= ell:
+        raise DerivativeNotInvertible(f"non-contracting Newton step at {z}")
+    m = p ** prec
+    return (z - fv // p ** ell * pow(dv // p ** ell, -1, m)) % m

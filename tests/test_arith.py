@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 from hypothesis import given
@@ -14,6 +15,21 @@ def test_ord_int_examples():
     assert ord_int(18, 3) == 2
     assert ord_int(0, 5) == INFINITY
     assert ord_int(-50, 5) == 2
+
+
+def test_ord_int_past_the_first_digits():
+    # the first 8 digits go one p at a time, the rest by p^(2^i) with restarts
+    for p in (2, 3, 7, 99991):
+        for v in range(80):
+            for u in (1, p - 1, p + 1, 5 * p ** 3 + 1):
+                assert ord_int(u * p ** v, p) == v
+                assert ord_int(-u * p ** v, p) == v
+
+
+def test_ord_int_deep_valuation_is_fast():
+    t0 = time.perf_counter()
+    assert ord_int(7 * 3 ** 100000, 3) == 100000
+    assert time.perf_counter() - t0 < 1
 
 
 def test_ord_rat_examples():

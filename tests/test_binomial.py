@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -10,8 +11,10 @@ from padicroots.binomial import (
     separation_binomial,
     solve_binomial,
 )
-from padicroots.errors import BudgetExceeded, InvalidParams
+from padicroots.errors import BudgetExceeded, DerivativeNotInvertible, InvalidParams
+from padicroots.newton import certified_residue
 from padicroots.oracle import count_qp_roots, lift_root
+from padicroots.sparsepoly import parse_poly
 from tests.conftest import random_binomial, smale_gains
 from tests.reference import log_height
 
@@ -104,6 +107,29 @@ def test_smale_convergence(rng):
                 assert ei - e0 >= 2 ** i, (f.to_text(), p, rt.unit_residue, i, e0, ei)
             done += 1
     assert done > 80
+
+
+def test_deep_refinement():
+    """The unit part of the root -1 of x^2 - 1 in Q_2 has every digit 1; its
+    certificate refines to 100000 digits with precision doubling, so the
+    last Newton steps, not the first, work at full size."""
+    res = solve_binomial(BinomialInput(-1, 1, 2, 2))
+    (rt,) = [r for r in res.roots if r.unit_digits(2) == (1, 1)]
+    t0 = time.perf_counter()
+    deep = rt.refine(100000 - rt.precision)
+    assert time.perf_counter() - t0 < 5
+    assert deep.precision == 100000
+    assert deep.unit_digits(100000) == (1,) * 100000
+
+
+def test_certification_errors_are_typed():
+    # x^2 + 1 at 1 in Q_2: ord f = ord f' = 1, so Newton cannot contract
+    with pytest.raises(DerivativeNotInvertible, match="non-contracting"):
+        certified_residue(parse_poly("x^2 + 1"), 2, 1, 10)
+    # 5 is no square in Q_2: ord f = 2 > ord f' = 1 at every odd z, so each
+    # step is taken, and none certifies a second digit
+    with pytest.raises(DerivativeNotInvertible, match="did not converge"):
+        certified_residue(parse_poly("x^2 - 5"), 2, 1, 10)
 
 
 def test_height_bound(rng):

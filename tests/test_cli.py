@@ -244,6 +244,26 @@ def test_removed_options_are_usage_errors(capsys):
         assert run_cli(capsys, cmd, "--p", "5", "x^2 - 1", "--mode", "small-gcd-assume")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tetra", "--p", "2", "--h", "1000", "--d", "4"],
+        ["bounds", "--p", "3", "--d", str(2 ** 63 - 1), "--H", "9" * 300],
+        ["polygon", "--arch", "x^9223372036854775807 - 1"],
+        ["count", "--p", "3", "x^9223372036854775807 - 1"],
+        ["tree", "--p", "3", "--k", "1", "738 - 10*x^2 + x^20"],
+        ["solve", "--p", "2", "x^2 - 1", "--digits", "1"],
+        ["oracle", "--p", "5", "x^3 - 2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_extreme_arguments_end_in_an_exit_code(capsys, argv):
+    """Each subcommand at an edge of its domain ends in exit code 0 or 1:
+    a result or a typed error, never a Python exception."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1) and "Traceback" not in err
+
+
 def test_usage_error_on_missing_p(capsys):
     assert run_cli(capsys, "solve", "x^2 - 1")[0] == 2
 

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicroots.arith import ord_int
@@ -55,14 +55,36 @@ def test_text_json_round_trip(rng):
 
 
 def test_evaluate_mod_examples():
-    assert parse_poly("x^2 - 1").eval_mod(1, 7 ** 2) == 0
-    assert parse_poly("1 - x^340").eval_mod(4, 17) == 0
-    # 1 - 10 + 738 = 729 = 3^6
-    assert parse_poly("x^10 - 10*x + 738").eval_mod(1, 3 ** 4) == 0
-    # f'(x) = 10x^9 - 10: 0 at 1, 10*2^9 - 10 = 5110 at 2
-    assert parse_poly("x^10 - 10*x + 738").deriv_mod(1, 3 ** 4) == 0
-    assert parse_poly("x^10 - 10*x + 738").deriv_mod(2, 10 ** 6) == 5110
-    assert parse_poly("7").deriv_mod(3, 5) == 0
+    # (f(x), f'(x)) mod m
+    assert parse_poly("x^2 - 1").eval_mod(1, 7 ** 2) == (0, 2)
+    # f'(x) = -340 x^339 and 17 | 340
+    assert parse_poly("1 - x^340").eval_mod(4, 17) == (0, 0)
+    # 1 - 10 + 738 = 729 = 3^6; f'(x) = 10x^9 - 10: 0 at 1
+    assert parse_poly("x^10 - 10*x + 738").eval_mod(1, 3 ** 4) == (0, 0)
+    # 1024 - 20 + 738 = 1742 and 10*2^9 - 10 = 5110 at 2
+    assert parse_poly("x^10 - 10*x + 738").eval_mod(2, 10 ** 6) == (1742, 5110)
+    assert parse_poly("7").eval_mod(3, 5) == (2, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=-10 ** 40, max_value=10 ** 40).filter(bool),
+        min_size=1,
+        max_size=6,
+    ),
+    x=st.one_of(st.just(0), st.integers(min_value=-10 ** 9, max_value=10 ** 9)),
+    m=st.sampled_from([1, 2, 7 ** 12, 10 ** 6, 2 ** 89 - 1, 3 ** 200]),
+)
+@example(terms={0: -5, 1: 3}, x=0, m=10 ** 6)
+@example(terms={1: 10 ** 50}, x=10 ** 6, m=10 ** 6)
+def test_eval_mod_matches_plain_integers(terms, x, m):
+    """eval_mod(x, m) is (sum c x^a, sum a c x^(a-1)) mod m, summed exactly."""
+    f = SparsePoly.from_terms(terms.items())
+    value = sum(c * x ** a for a, c in terms.items())
+    slope = sum(a * c * x ** (a - 1) for a, c in terms.items() if a)
+    assert f.eval_mod(x, m) == (value % m, slope % m)
 
 
 def _child(f, digit, p, k):
@@ -129,7 +151,7 @@ def test_shift_then_eval_matches_direct(p, digit, data):
     for _ in range(20):
         x = rng.randrange(m)
         lhs = p ** S * sum(uj * (p * x) ** j for j, uj in enumerate(u)) % m
-        assert lhs == f.eval_mod(prefix + p ** (n + 1) * x, m)
+        assert lhs == f.eval_mod(prefix + p ** (n + 1) * x, m)[0]
 
 
 def _build_then_strip(f, p, v):

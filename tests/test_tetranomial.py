@@ -19,6 +19,10 @@ def test_param_validation():
         TetraFamilyParams(p=3, h=3, d=5)
     with pytest.raises(InvalidParams):
         TetraFamilyParams(p=3, h=3, d=100)  # > floor(e^3)
+    with pytest.raises(InvalidParams, match=r"need d even with 4 <= d <= floor\(e\^h\)"):
+        TetraFamilyParams(p=3, h=3, d=22)
+    # e^h overflows a float past h = 709; no admissible d comes near it
+    assert TetraFamilyParams(p=2, h=5000, d=4).shift_exponent == 4999 * 2 + 5000
     with pytest.raises(InvalidParams):
         TetraFamilyParams(p=4, h=3, d=4)
 

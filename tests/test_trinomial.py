@@ -19,7 +19,7 @@ from padicroots.errors import (
     InvariantViolated,
 )
 from padicroots.fp import gcd_with_frobenius, roots_fp_memo
-from padicroots.newton import certified_residue, newton_step
+from padicroots.newton import certified_residue
 from padicroots.nodal_tree import RepeatedRootCut, build_tree
 from padicroots.oracle import count_qp_roots
 from padicroots.sparsepoly import SparsePoly, parse_poly, strip_zero_root
@@ -39,7 +39,7 @@ from tests.conftest import (
     random_trinomial,
     smale_gains,
 )
-from tests.reference import delta_tri
+from tests.reference import delta_tri, newton_step
 
 
 def test_discriminant_examples():
