@@ -18,6 +18,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+SPLIT_DIGITS = 32  # base_p_digits splits longer expansions in halves
+
 
 @functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
@@ -71,6 +73,9 @@ def ord_int(n: int, p: int) -> int | float:
 
 def base_p_digits(n: int, p: int, m: int) -> tuple[int, ...]:
     """The first m base-p digits of n >= 0, least significant first."""
+    if m > SPLIT_DIGITS:  # one divmod per half, not one per digit on all of n
+        high, low = divmod(n % p ** m, p ** (m // 2))
+        return base_p_digits(low, p, m // 2) + base_p_digits(high, p, m - m // 2)
     out = []
     for _ in range(m):
         n, z = divmod(n, p)

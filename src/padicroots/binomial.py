@@ -93,13 +93,12 @@ def solve_binomial(
     want = 3 if ell >= 1 else 2
     roots = []
     for z in first_digits:
-        z, prec = certified_residue(target, p, z, want)
         roots.append(
             ApproximateRoot(
                 p=p,
                 valuation=val,
-                unit_residue=z,
-                precision=prec,
+                unit_residue=certified_residue(target, p, z, want),
+                precision=want,
                 target=target,
             )
         )

@@ -7,10 +7,11 @@ residue, and the count of certified digits.  Iterating Newton on a nodal
 polynomial p^(-s) f(mu + p^i x) coincides with iterating the Newton map of
 the rescaled polynomial itself on the composite residue mu + p^i w, so
 refinement always works on one integer polynomial with exact p-power
-division of f/f'.  certified_residue is the one Newton loop: its precision
-doubles up to the digits wanted, one probe per iterate.  The probe,
-derivative_order, reads f(z) and f'(z) in one pass and doubles until f'(z)
-shows, so a derivative divisible by p^20 (x^d with 3^20 | d) is read.
+division of f/f'.  certified_residue is the one Newton loop, for the
+tetranomial family's roots too (the oracle's lift_root stays independent):
+its precision doubles up to the digits wanted, one probe per iterate.  The
+probe, derivative_order, reads f(z) and f'(z) in one pass and doubles until
+f'(z) shows, so a derivative divisible by p^20 (x^d with 3^20 | d) is read.
 """
 
 from __future__ import annotations
@@ -47,21 +48,21 @@ def derivative_order(f: SparsePoly, p: int, z: int, prec: int) -> tuple[int, int
         k *= 2
 
 
-def certified_residue(f: SparsePoly, p: int, z: int, want: int) -> tuple[int, int]:
+def certified_residue(f: SparsePoly, p: int, z: int, want: int) -> int:
     """Newton-polish z until >= want digits of its root are certified.
 
     ord f(z) - ord f'(z) lower-bounds the p-adic distance from z to its
     nearest root, so it is a sound certified-digit count.  The working
     precision doubles from 1 to want as its digits are certified; below it,
     z takes exact Newton steps, which need ord f(z) > 2 ord f'(z) (Hensel's
-    regime).  Returns (residue mod p^want, want).
+    regime).  Returns the residue mod p^want.
     """
     prec = 1
     for _ in range(64 + want.bit_length()):
         ell, fv, dv = derivative_order(f, p, z, prec)
         if fv == 0:  # ord f(z) >= prec + ord f'(z)
             if prec == want:
-                return z % p ** want, want
+                return z % p ** want
             prec = min(2 * prec, want)
         # f/f' must at least be p-integral with room to move one digit; the
         # full Hensel criterion is certified on the nodal side by construction
@@ -99,8 +100,8 @@ class ApproximateRoot:
     def refine(self, extra_digits: int) -> "ApproximateRoot":
         """Extend the certificate by at least extra_digits digits."""
         want = self.precision + extra_digits
-        z, got = certified_residue(self.target, self.p, self.unit_residue, want)
-        return replace(self, unit_residue=z, precision=got)
+        z = certified_residue(self.target, self.p, self.unit_residue, want)
+        return replace(self, unit_residue=z, precision=want)
 
     def unit_digits(self, m: int) -> tuple[int, ...]:
         """First m base-p digits of the unit part of the true root."""

@@ -6,8 +6,9 @@ two distinct roots in Z_p agreeing in at least (h-1)d/2 + h leading base-p
 digits (p = 2 gives one more) while its coefficients stay at O(h) digits.
 collision_order constructs both roots explicitly: substituting
 x = p^((h-1)d/2 + h) y + p^(h-1) and rescaling turns the tetranomial into
-G(y) = (1 + p^w y)^d - y^2 with w = (h-1)d/2 + 1, which is 1 - y^2 mod p^w,
-so the roots Hensel-lift from +-1 (odd p) or from 3 and 5 mod 8 (p = 2).
+G(y) = (1 + p^w y)^d - y^2 with w = (h-1)d/2 + 1, which is 1 - y^2 mod p^w.
+newton.certified_residue lifts its roots from +-1 (odd p) or 3 and 5
+(p = 2) on G truncated mod p^(k+8) to a few terms, exactly (_truncated_g).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 from .arith import is_prime, ord_int
 from .errors import InvalidParams, InvariantViolated, PrecisionTooLow
-from .sparsepoly import SparsePoly
+from .newton import certified_residue
+from .sparsepoly import MAX_EXPONENT, SparsePoly
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,9 @@ class TetraFamilyParams:
             raise InvalidParams(f"{self.p} is not prime")
         if self.h < 3:
             raise InvalidParams("need h >= 3")
-        # math.exp overflows past h = 709; every exponent is below 2^63 < e^44
-        if self.d % 2 or not 4 <= self.d <= int(math.exp(min(self.h, 50))):
-            raise InvalidParams("need d even with 4 <= d <= floor(e^h)")
+        # math.exp overflows past h = 709; e^h passes 2^63 - 1 from h = 44 on
+        if self.d % 2 or not 4 <= self.d <= min(int(math.exp(min(self.h, 50))), MAX_EXPONENT):
+            raise InvalidParams("need d even with 4 <= d <= floor(e^h) and d < 2^63")
 
     @property
     def shift_exponent(self) -> int:
@@ -49,29 +51,22 @@ def generate(params: TetraFamilyParams) -> SparsePoly:
     )
 
 
-def _g_eval(params: TetraFamilyParams, y: int, m: int) -> tuple[int, int]:
-    """(G(y), G'(y)) mod m for G(y) = (1 + p^w y)^d - y^2."""
+def _truncated_g(params: TetraFamilyParams, K: int) -> SparsePoly:
+    """G(y) = (1 + p^w y)^d - y^2 mod p^K, w = (h-1)d/2 + 1, as a SparsePoly.
+
+    C(d, j) p^(jw) y^j vanishes mod p^K once jw >= K, so at most
+    2 + ceil(K/w) terms remain.  A lift by certified_residue to k = K - 8
+    digits is exact, not an approximation:
+    - each probe reads G and G' mod p^(prec + 8) or p^(prec + ell), prec <= k;
+    - ell = ord_p G'(y) = ord_p 2 <= 1 at a unit y, so no probe passes p^K;
+    - so each value read equals the value of the untruncated G.
+    collision_order still checks both roots on the untruncated tetranomial
+    at p^(k + 8), and raises InvariantViolated on a wrong residue.
+    """
     p, d = params.p, params.d
-    w = (params.h - 1) * params.d // 2 + 1
-    base = (1 + p ** w * y) % m
-    gv = (pow(base, d, m) - y * y) % m
-    gdv = (d * p ** w * pow(base, d - 1, m) - 2 * y) % m
-    return gv, gdv
-
-
-def _hensel_on_g(params: TetraFamilyParams, y0: int, k: int) -> int:
-    p = params.p
-    m = p ** (k + 4)
-    y = y0
-    for _ in range(k.bit_length() + 6):
-        gv, gdv = _g_eval(params, y, m)
-        if gv == 0:
-            break
-        ell = ord_int(gdv, p)
-        if ord_int(gv, p) >= k + ell:
-            break
-        y = (y - (gv // p ** ell) * pow(gdv // p ** ell, -1, m)) % m
-    return y % p ** k
+    w = (params.h - 1) * d // 2 + 1
+    terms = [(j, math.comb(d, j) * p ** (j * w)) for j in range(min(d, (K - 1) // w) + 1)]
+    return SparsePoly.from_terms(terms + [(2, -1)])
 
 
 @dataclass(frozen=True)
@@ -98,13 +93,12 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
         raise PrecisionTooLow(
             f"need precision >= {params.shift_exponent + 4} to separate the roots"
         )
-    starts = (3, 5) if p == 2 else (1, p - 1)
-    y1 = _hensel_on_g(params, starts[0], k)
-    y2 = _hensel_on_g(params, starts[1], k)
-    scale = p ** params.shift_exponent
-    m = p ** k
-    z1 = (scale * y1 + p ** (params.h - 1)) % m
-    z2 = (scale * y2 + p ** (params.h - 1)) % m
+    G = _truncated_g(params, k + 8)
+    scale, m = p ** params.shift_exponent, p ** k
+    z1, z2 = (
+        (scale * certified_residue(G, p, y, k) + p ** (params.h - 1)) % m
+        for y in ((3, 5) if p == 2 else (1, p - 1))
+    )
     diff = (z1 - z2) % m
     if diff == 0:
         raise PrecisionTooLow("roots indistinguishable at this precision")
@@ -127,5 +121,5 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
         root1=z1,
         root2=z2,
         collision_order=order,
-        derivative_valuation=ord_int(dF1, p),
+        derivative_valuation=slack,
     )

@@ -281,13 +281,12 @@ def _harvest_tree(
         i = node.depth
         for z in node.nondegenerate_roots:
             start = node.mu + z * p ** i
-            residue, prec = certified_residue(g, p, start, i + 2)
             roots.append(
                 ApproximateRoot(
                     p=p,
                     valuation=v,
-                    unit_residue=residue,
-                    precision=prec,
+                    unit_residue=certified_residue(g, p, start, i + 2),
+                    precision=i + 2,
                     target=g,
                 )
             )

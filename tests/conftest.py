@@ -16,7 +16,7 @@ def oracle_reference_lift(rt, K: int) -> int:
     holds even when the target's derivative valuation exceeds the
     certificate's digit count, then hands over to the oracle's lifter.
     """
-    z, _ = certified_residue(rt.target, rt.p, rt.unit_residue, rt.precision + 24)
+    z = certified_residue(rt.target, rt.p, rt.unit_residue, rt.precision + 24)
     return lift_root(rt.target, rt.p, z, K)
 
 

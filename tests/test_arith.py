@@ -1,11 +1,12 @@
 import math
+import random
 import time
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicroots.arith import INFINITY, is_prime, ord_int, ord_rat
+from padicroots.arith import INFINITY, SPLIT_DIGITS, base_p_digits, is_prime, ord_int, ord_rat
 from tests.reference import log_height
 
 PRIMES_TO_100 = [p for p in range(2, 101) if is_prime(p)]
@@ -30,6 +31,28 @@ def test_ord_int_deep_valuation_is_fast():
     t0 = time.perf_counter()
     assert ord_int(7 * 3 ** 100000, 3) == 100000
     assert time.perf_counter() - t0 < 1
+
+
+def _digits_one_divmod_each(n, p, m):
+    out = []
+    for _ in range(m):
+        n, z = divmod(n, p)
+        out.append(z)
+    return tuple(out)
+
+
+def test_digit_split_matches_one_divmod_per_digit():
+    """base_p_digits splits past SPLIT_DIGITS digits; it must return the same
+    first m digits as the plain loop, for n below p^m and for n above it."""
+    rng = random.Random(20261020)
+    t = SPLIT_DIGITS
+    for p in (2, 3, 99991):
+        for m in (0, 1, t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1, 1000):
+            top = p ** m
+            below = [0, top - 1] + [rng.randrange(top) for _ in range(3)]
+            above = [top, top * p - 1] + [rng.randrange(top, top * p ** 50) for _ in range(3)]
+            for n in below + above:
+                assert base_p_digits(n, p, m) == _digits_one_divmod_each(n, p, m), (p, m, n)
 
 
 def test_ord_rat_examples():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import resource
@@ -170,6 +171,55 @@ def test_tetra_subcommand(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("tetra.json"))
     assert payload["collision_order"] >= 4
+
+
+# sha256 of `tetra --json` stdout, recorded from the Hensel lift at full
+# modulus that the truncated-G certified_residue lift replaced
+TETRA_JSON_SHA256 = {
+    (2, 3, 4, None): "11693244f33b4e08235b155fd8a4710993cbb51bdbea71f75b78f9a259f34f1b",
+    (2, 3, 4, 11): "2a83f9a3d2432683264a85baead4f9e71b961a9d972b022c19ce72205c097706",
+    (2, 3, 4, 21): "059f19196ee854d904bdc2f9f02aa77108507c35c71917f0e65184419f3fcd8a",
+    (3, 3, 10, None): "9e18013b69f8acc7bc4edfab6cf0f20eae0ec3ca9db4aa60253be6f6d2a59c5e",
+    (3, 3, 10, 17): "47c3bbc649cb2ab932620244f693adf68a41b35a8859b1ae4c6980a81762d658",
+    (3, 3, 10, 39): "33cc886543d4370c0ab628dccfbc8bd4bf5c8f1b042cd8943f2b0256257414cb",
+    (5, 4, 20, None): "fae8f55ce1138988ee517ba1333dcdb454530f539c99738f3f7706e8c125a45b",
+    (5, 4, 20, 38): "577f9b5f4addb5fe61bbf829f536d77c45cc9d8407c8e73c65430e1a0e225d70",
+    (5, 4, 20, 102): "e7066fde303a0bef6cc9280e964136ed97042766942298eda1b35296ac947a28",
+    (7, 5, 40, None): "bf910cb782ff32f595ff06931c548430003c5cc49ce8ef729cb5413296c21271",
+    (7, 5, 40, 89): "cab0c07f030d099970b5c2d8d3ccf3f2d9bd919bd651d81d15b831c7965588c6",
+    (7, 5, 40, 255): "650a39fb5902048d12484aa4b6f22a8388909bf335d27c66ef2886737ef09003",
+    (2, 20, 4000, None): "d63b2a392c6427897a79c433709af00a85d3b70db98eef430bfffffbb07f62c7",
+    (3, 10, 8000, None): "93469371914cfe6f319acbdf02a84ac9bc32d857047e51427b72e01c58dc5451",
+}
+
+
+@pytest.mark.parametrize("p, h, d, precision", list(TETRA_JSON_SHA256), ids=str)
+def test_tetra_json_is_pinned(capsys, p, h, d, precision):
+    """Byte-identical output at the default precision, at the least one
+    (shift_exponent + 4) and at 3 shift_exponent."""
+    argv = ["tetra", "--p", str(p), "--h", str(h), "--d", str(d), "--json"]
+    if precision is not None:
+        argv += ["--precision", str(precision)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TETRA_JSON_SHA256[p, h, d, precision]
+
+
+def test_tetra_at_d_20000():
+    """(h-1)d/2 = 190,000 colliding binary digits; the full-modulus Hensel
+    lift this replaced did not finish within 60 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    h, d = 20, 20000
+    run = subprocess.run(
+        [sys.executable, "-m", "padicroots.cli", "tetra", "--p", "2", "--h", str(h),
+         "--d", str(d), "--json"],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=15,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["collision_order"] >= (h - 1) * d // 2
 
 
 def test_oracle_subcommand(capsys):

@@ -375,5 +375,4 @@ def _polish(f, p, start, depth):
     # walk the residue deep enough that the oracle's Hensel criterion holds
     from padicroots.newton import certified_residue
 
-    z, _ = certified_residue(f, p, start, 2 * depth + 8)
-    return z
+    return certified_residue(f, p, start, 2 * depth + 8)

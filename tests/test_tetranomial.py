@@ -27,6 +27,13 @@ def test_param_validation():
         TetraFamilyParams(p=4, h=3, d=4)
 
 
+def test_exponent_beyond_63_bits_is_refused():
+    """e^50 > 2^64, so only the 2^63 - 1 exponent cap refuses d = 2^64;
+    without it, collision_order builds a power of p of about 49 * 2^63 digits."""
+    with pytest.raises(InvalidParams, match="d < 2"):
+        TetraFamilyParams(p=2, h=50, d=2 ** 64)
+
+
 def test_collision_orders_grow_linearly():
     for p in (2, 3, 5):
         orders = []

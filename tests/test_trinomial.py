@@ -609,9 +609,8 @@ def _refine_in_steps(rt, i):
     for _ in range(i):
         prec = 2 * prec
         z = newton_step(rt.target, rt.p, z, prec + 4)
-    assert certified_residue(rt.target, rt.p, z, prec) == (
-        refined.unit_residue, refined.precision
-    )
+    assert certified_residue(rt.target, rt.p, z, prec) == refined.unit_residue
+    assert refined.precision == prec
     return refined
 
 
