@@ -1,29 +1,31 @@
 """Root finding and auxiliary algebra in F_p at desk scale.
 
 Roots in F_p are found by a scan of F_p*, walked along a primitive root,
-at one modular multiplication per term per point.  A tree's root node
-first counts its distinct roots in F_p* with the Frobenius gcd,
-deg gcd(h, x^p - x) less one when h(0) = 0, where h is the reduction with
-its exponents reduced mod p-1.  The walk then skips F_p* when the count is
-0 and otherwise stops at its last root.  A fixed cost rule, about
-deg(h)^2 log2 p dense steps against p-1 points per term, keeps the plain
+at one modular multiplication per term per point, or, at a tree's root
+node, by splitting the Frobenius gcd.  There, with h the reduction with
+its exponents reduced mod p-1, g = gcd(h, x^p - x) with the factor x
+removed is the product of x - z over the distinct roots z of h in F_p*;
+its degree is their number, and Cantor-Zassenhaus splits it into its
+linear factors with gcd((x + a)^((p-1)/2) - 1, .) for a = 0, 1, 2, ...,
+in about deg(h)^2 log p dense steps.  The split is checked: f vanishes mod
+p at each root, and there are deg g distinct ones.  A fixed cost rule,
+about deg(h)^2 log2 p dense steps against p-1 points per term, keeps the
 walk wherever it is cheaper: at the corpus's primes, p <= 13, for every
-reduction that is not constant on F_p*.  Splitting the gcd itself
-(Cantor-Zassenhaus), sub-linear in p, would avoid the walk altogether; it
-waits until the benchmark bounds the oracle check of its large-p
-workload's first round, which grows with solver speed.  The scan affects
-running time only, never correctness.  A binomial x^d = t is not
-evaluated on all of F_p: one power test decides it, and its roots, one
-coset of the gamma-th roots of unity with gamma = gcd(d, p-1), come from a
-walk over (p-1)/gamma coset representatives.
+reduction that is not constant on F_p*, and at a root node whose
+reduction has a degree near p.  A reduction whose terms cancel on F_p*
+has no gcd to split and is walked.  The scan affects running time only,
+never correctness.  A binomial x^d = t is not evaluated on all of F_p:
+one power test decides it, and its roots, one coset of the gamma-th roots
+of unity with gamma = gcd(d, p-1), come from a walk over (p-1)/gamma
+coset representatives.
 
 The F_p work of digit-tree nodes below the root is memoized: their scan
 (roots_fp_memo) and the Frobenius gcd that cross-checks it, both keyed on
 (reduction, p).  A reduction there has degree at most the s-value that made
 its node, and a degenerate chain of N nodes meets the same few reductions
-over and over.  The memoized scan walks all of F_p* and never asks the
-Frobenius count, so the cross-check in the trinomial solver compares two
-independent routes.  Root nodes are scanned afresh, and their count stays
+over and over.  The memoized scan walks all of F_p* and never splits the
+Frobenius gcd, so the cross-check in the trinomial solver compares two
+independent routes.  Root nodes are scanned afresh, and their gcd stays
 out of the gcd_with_frobenius memo: a root's reduction is the input mod p,
 so a memo there would only replay inputs already seen.  Both memos hold at
 most FP_MEMO_SIZE entries each, least recently used first out, and both
@@ -58,14 +60,16 @@ def roots_fp_exhaustive(f: SparsePoly, p: int, count: bool = True) -> list[tuple
     cancel even for f != 0 mod p; f then vanishes on all of F_p* (e.g.
     x^20 + 2x^2 mod 3).  f' is evaluated at the roots only.
 
-    With count set (a tree's root node), the walk first asks
-    nonzero_root_count how many roots it will find, skips F_p* when there
-    are none, and stops at the last one; a walk that ends short of the
-    count raises InvariantViolated.  The count is taken only where a fixed
-    cost rule finds it cheaper than the walk; FROBENIUS_STEP_COST prices
-    one dense step of the gcd in walk steps.  roots_fp_memo, the scan
-    below the root, walks in full: the solver cross-checks those scans
-    against the Frobenius gcd, which would otherwise check itself.
+    With count set (a tree's root node), a fixed cost rule may take the
+    Frobenius gcd instead of the walk: nonzero_root_gcd gives g, the
+    product of x - z over the roots z in F_p*, and linear_roots splits it.
+    The split is checked: f must vanish mod p at every root it returns, and
+    they must be deg g distinct points of F_p*, or InvariantViolated is
+    raised.  FROBENIUS_STEP_COST prices one dense step of the gcd in walk
+    steps.  Reductions whose terms cancel on F_p* have no gcd to split and
+    are walked.  roots_fp_memo, the scan below the root, always walks: the
+    solver cross-checks those scans against the Frobenius gcd, which would
+    otherwise check itself.
     """
     check_prime_cap(p)
     acc: dict[int, int] = {}  # reduced exponent -> coefficient mod p
@@ -78,7 +82,7 @@ def roots_fp_exhaustive(f: SparsePoly, p: int, count: bool = True) -> list[tuple
     roots = []
     if f.coefficient(0) % p == 0:
         roots.append((0, f.coefficient(1) % p == 0))
-    n = None
+    g = None
     if count:
         # the gcd takes about (deg h + 1)^2 log2 p dense steps, the walk p-1
         # points at one step per nonconstant term, at least two
@@ -86,51 +90,98 @@ def roots_fp_exhaustive(f: SparsePoly, p: int, count: bool = True) -> list[tuple
         if FROBENIUS_STEP_COST * size * size * p.bit_length() < (p - 1) * max(
             2, len(acc) - (0 in acc)
         ):
-            n = nonzero_root_count(acc, p)
-    t = -acc.pop(0, 0) % p  # the terms sum to t at a root
+            g = nonzero_root_gcd(acc, p)
+    if g is None:
+        zs = _walk(acc, p)
+    else:
+        zs, n = linear_roots(g, p), len(g) - 1
+        if len(zs) != n or len(set(zs)) != n:
+            raise InvariantViolated(
+                f"split gave {len(zs)} roots mod {p}, {len(set(zs))} distinct; deg g is {n}"
+            )
+    for z in sorted(zs):
+        fv, dv = f.eval_mod(z, p)
+        if g is not None and (fv or z == 0):
+            raise InvariantViolated(f"split root {z} mod {p} is no root of f in F_p*")
+        roots.append((z, dv == 0))
+    return roots
+
+
+def _walk(acc: dict[int, int], p: int) -> list[int]:
+    """The points of F_p* where the terms of acc sum to 0, walked along the
+    primitive root."""
+    t = -acc.get(0, 0) % p  # the nonconstant terms sum to t at a root
     g = generator_fp(p)
-    ws = [c for c in acc.values() if c]
-    ms = [pow(g, e, p) for e, c in acc.items() if c]
+    ws = [c for e, c in acc.items() if c and e]
+    ms = [pow(g, e, p) for e, c in acc.items() if c and e]
     # zero terms pad to two, so the tight loop takes every f with at most
     # two nonconstant terms: a trinomial's root node and most nodes below it
     pad = 2 - len(ws)
     ws += [0] * pad
     ms += [1] * pad
     found = []
-    steps = 0 if n == 0 else p - 1
     if len(ws) == 2:
         (w1, w2), (m1, m2), tp = ws, ms, t + p
-        for i in range(steps):
+        for i in range(p - 1):
             s = w1 + w2
             if s == t or s == tp:
                 found.append(i)
-                if len(found) == n:
-                    break
             w1 = w1 * m1 % p
             w2 = w2 * m2 % p
     else:
-        for i in range(steps):
+        for i in range(p - 1):
             if sum(ws) % p == t:
                 found.append(i)
-                if len(found) == n:
-                    break
             ws = [w * m % p for w, m in zip(ws, ms)]
-    if n is not None and len(found) != n:
-        raise InvariantViolated(f"F_p* walk found {len(found)} roots mod {p}, the count is {n}")
-    for z in sorted(pow(g, i, p) for i in found):
-        roots.append((z, f.eval_mod(z, p)[1] == 0))
-    return roots
+    return [pow(g, i, p) for i in found]
 
 
-def nonzero_root_count(acc: dict[int, int], p: int) -> int:
-    """Distinct roots in F_p* of h = sum of c x^e over acc, by the Frobenius
-    gcd, which counts the root 0 as well when h(0) = 0."""
+def nonzero_root_gcd(acc: dict[int, int], p: int) -> list[int] | None:
+    """gcd(h, x^p - x) with the factor x removed, h = sum of c x^e over acc:
+    the product of x - z over the distinct roots z of h in F_p*, dense and
+    up to a unit.  None when the terms cancel: h = 0 on F_p*."""
     h = [0] * (max(acc) + 1)
     for e, c in acc.items():
         h[e] = c
     if not _poly_trim(h):
-        return p - 1  # the terms cancel: h = 0 on F_p*
-    return frobenius_degree(h, p) - (h[0] == 0)
+        return None
+    g = frobenius_gcd(h, p)
+    return g[1:] if g[0] == 0 else g
+
+
+def linear_roots(g: list[int], p: int) -> list[int]:
+    """The roots of g, a dense product of distinct linear factors over F_p
+    (Cantor-Zassenhaus).
+
+    A factor u of degree >= 2 is split by d = gcd((x + a)^((p-1)/2) - 1, u),
+    which keeps the roots z with z + a a nonzero square, for the shifts
+    a = 0, 1, 2, ... in turn.  A shift that does not split u does not split
+    its factors either, so each factor draws on from the shift after the one
+    that split its parent.  For z != w the sum of the Legendre symbols of
+    (z + a)(w + a) over a in F_p is -1, so some a < p separates them, at
+    every odd p; at p = 2 a factor has degree at most 1.  A nonlinear
+    irreducible factor is never split: it raises InvariantViolated after p
+    draws.  A repeated factor splits into copies, and its root comes out
+    twice.
+    """
+    roots, todo = [], [(g, 0)]
+    while todo:
+        u, a = todo.pop()
+        if len(u) == 2:
+            roots.append(-u[0] * pow(u[1], -1, p) % p)
+        if len(u) <= 2:
+            continue
+        while True:
+            if a >= p:
+                raise InvariantViolated(f"no shift below {p} splits a factor of degree {len(u) - 1}")
+            w = _linear_power(a, (p - 1) // 2, u, p) or [0]
+            w[0] = (w[0] - 1) % p  # (x + a)^((p-1)/2) - 1 mod u
+            d = _poly_gcd(u, w, p)
+            a += 1
+            if 1 < len(d) < len(u):
+                todo += [(d, a), (_poly_divmod(u, d, p)[0], a)]
+                break
+    return roots
 
 
 @functools.lru_cache(maxsize=FP_MEMO_SIZE)
@@ -207,19 +258,20 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = _poly_trim(a[:])
+def _poly_divmod(a: list[int], mod: list[int], p: int) -> tuple[list[int], list[int]]:
+    a = a[:]
     dm = len(mod) - 1
     inv_lead = pow(mod[-1], -1, p)
-    while len(a) - 1 >= dm:
-        shift = len(a) - 1 - dm
-        factor = a[-1] * inv_lead % p
-        for i, m in enumerate(mod):
-            a[shift + i] = (a[shift + i] - factor * m) % p
-        _poly_trim(a)
-        if not a:
-            break
-    return a
+    low = mod[:-1]
+    q = [0] * max(0, len(a) - dm)
+    while len(a) > dm:  # take off the top coefficient
+        factor = a.pop() * inv_lead % p
+        if factor:
+            shift = len(a) - dm
+            q[shift] = factor
+            for i, m in enumerate(low, shift):
+                a[i] = (a[i] - factor * m) % p
+    return q, _poly_trim(a)
 
 
 def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
@@ -227,17 +279,16 @@ def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int
         return []
     res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_rem(res, mod, p)
+        if ai:
+            for j, bj in enumerate(b, i):
+                res[j] = (res[j] + ai * bj) % p
+    return _poly_divmod(res, mod, p)[1]
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b:
-        a, b = b, _poly_rem(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     return a
 
 
@@ -253,23 +304,30 @@ def gcd_with_frobenius(f: SparsePoly, p: int) -> int:
     _poly_trim(h)
     if not h:
         raise ContentDivisible("f is identically 0 mod p")
-    return frobenius_degree(h, p)
+    return len(frobenius_gcd(h, p)) - 1
 
 
-def frobenius_degree(h: list[int], p: int) -> int:
-    """deg gcd(h, x^p - x) for a nonzero trimmed dense h over F_p.
-
-    x^p mod h is computed by repeated squaring, one square per bit of p and
-    a shift by x per set bit, so only deg(h)-sized polynomials are touched.
-    """
+def frobenius_gcd(h: list[int], p: int) -> list[int]:
+    """gcd(h, x^p - x), dense and up to a unit, for a nonzero trimmed dense
+    h over F_p; x^p is taken mod h, so only deg(h)-sized polynomials are
+    touched."""
     if len(h) <= 2:
-        return len(h) - 1
-    acc = [0, 1]  # x^(leading bit of p)
-    for bit in bin(p)[3:]:
+        return h
+    frob = _linear_power(0, p, h, p) + [0, 0]
+    frob[1] = (frob[1] - 1) % p
+    return _poly_gcd(h, frob, p)
+
+
+def _linear_power(a: int, e: int, h: list[int], p: int) -> list[int]:
+    """(x + a)^e mod h over F_p, trimmed, by repeated squaring: one square
+    per bit of e and one multiplication by x + a per set bit."""
+    acc = [1]
+    for bit in bin(e)[2:]:
         acc = _poly_mulmod(acc, acc, h, p)
         if bit == "1":
-            acc = _poly_rem([0] + acc, h, p)
-    frob = acc + [0] * (2 - len(acc))
-    frob[1] = (frob[1] - 1) % p
-    g = _poly_gcd(h, _poly_trim(frob), p)
-    return len(g) - 1
+            shifted = [0] + acc
+            if a:
+                for i, c in enumerate(acc):
+                    shifted[i] = (shifted[i] + a * c) % p
+            acc = _poly_divmod(shifted, h, p)[1]
+    return acc

@@ -66,7 +66,7 @@ def certified_residue(f: SparsePoly, p: int, z: int, want: int) -> int:
             prec = min(2 * prec, want)
         # f/f' must at least be p-integral with room to move one digit; the
         # full Hensel criterion is certified on the nodal side by construction
-        elif ord_int(fv, p) <= ell:
+        elif fv % p ** (ell + 1):  # ord f(z) <= ord f'(z)
             raise DerivativeNotInvertible(
                 f"non-contracting Newton step: ord f = {ord_int(fv, p)}, ord f' = {ell}"
             )

@@ -1,8 +1,9 @@
 """Brute-force ground truth for the roots of a polynomial in Q_p.
 
 Deliberately slow and simple.  Unit roots are sought mod p^k layer by
-layer (a root mod p^(j+1) reduces to a root mod p^j).  Level 1 evaluates
-g at every point of F_p*, with its terms reduced mod p once.  Each later
+layer (a root mod p^(j+1) reduces to a root mod p^j).  Level 1 walks
+F_p* along a primitive root, one multiplication per term per point, with
+the terms reduced mod p and their exponents mod p-1 once.  Each later
 level lifts a class r mod p^(k-1) by one linear congruence:
 g(r + t p^(k-1)) = g(r) + t p^(k-1) g'(r) mod p^k, since 2(k-1) >= k, so
 one digit t survives when p does not divide g'(r), and otherwise all p
@@ -15,6 +16,7 @@ beyond basic p-adic arithmetic and the polynomial container.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,6 +76,54 @@ def _taylor_coeff(f: SparsePoly, x: int, j: int, m: int) -> int:
     return sum(c * math.comb(a, j) * pow(x, a - j, m) for a, c in f.terms if a >= j) % m
 
 
+@functools.cache
+def _primitive_root(p: int) -> int:
+    """Smallest generator of F_p*, checked against the prime factors of p-1,
+    which trial division finds (oracle-local)."""
+    n, qs, q = p - 1, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            qs.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        qs.append(n)
+    return next(x for x in range(1, p) if all(pow(x, (p - 1) // q, p) != 1 for q in qs))
+
+
+def _level_one(g: SparsePoly, p: int) -> list[int]:
+    """The roots of g in F_p*, sorted.  F_p* is walked along a primitive
+    root x: each term c z^a, a reduced mod p-1, goes from z = x^i to x^(i+1)
+    by one multiplication by x^a."""
+    # the nonconstant terms sum to target at a root, and zero terms pad
+    # them to two for the unrolled walk
+    target, ws, ms = 0, [], []
+    x = _primitive_root(p)
+    for a, c in g.terms:
+        if a % (p - 1):
+            ws.append(c % p)
+            ms.append(pow(x, a, p))
+        else:
+            target = (target - c) % p
+    ws += [0] * (2 - len(ws))
+    ms += [1] * (2 - len(ms))
+    found = []
+    if len(ws) == 2:
+        (w1, w2), (m1, m2), tp = ws, ms, target + p
+        for i in range(p - 1):
+            s = w1 + w2
+            if s == target or s == tp:
+                found.append(i)
+            w1, w2 = w1 * m1 % p, w2 * m2 % p
+    else:
+        for i in range(p - 1):
+            if sum(ws) % p == target:
+                found.append(i)
+            ws = [w * m % p for w, m in zip(ws, ms)]
+    return sorted(pow(x, i, p) for i in found)
+
+
 def _certify_count(
     g: SparsePoly, p: int, skip_prefixes: list[tuple[int, int]], budget: int
 ) -> tuple[int, list[tuple[int, int]]]:
@@ -87,24 +137,7 @@ def _certify_count(
     Returns (count, certified (residue, k) list).
     """
     certified: list[tuple[int, int]] = []
-    # g on F_p*, its exponents reduced mod p-1: the nonconstant terms sum to
-    # target at a root, and zero terms pad them to two for the unrolled scan
-    target, terms = 0, []
-    for a, c in g.terms:
-        if a % (p - 1):
-            terms.append((a % (p - 1), c % p))
-        else:
-            target = (target - c) % p
-    terms += [(0, 0)] * (2 - len(terms))
-    if len(terms) == 2:
-        (a1, c1), (a2, c2) = terms
-        frontier = [
-            x for x in range(1, p) if (c1 * pow(x, a1, p) + c2 * pow(x, a2, p)) % p == target
-        ]
-    else:
-        frontier = [
-            x for x in range(1, p) if sum(c * pow(x, a, p) for a, c in terms) % p == target
-        ]
+    frontier = _level_one(g, p)
     work = p - 1
     k = 1
     while frontier:

@@ -9,6 +9,8 @@ from padicroots.fp import (
     binomial_coset_roots,
     gcd_with_frobenius,
     generator_fp,
+    linear_roots,
+    nonzero_root_gcd,
     roots_fp_exhaustive,
     roots_fp_memo,
 )
@@ -72,16 +74,28 @@ def test_scan_matches_pointwise(rng):
     assert [r for r, _ in roots_fp_exhaustive(*cases[0])] == [0, 1, 2]
 
 
-def test_bounded_root_scan_matches_pointwise(rng, monkeypatch):
-    """At primes in [10^4, 99991] the root scan counts its roots in F_p*
-    first and stops at the last one.  It must still find every root that
-    evaluating f at each point of F_p finds: rootless reductions, h(0) = 0
-    (h the reduction with exponents mod p-1), exponents that collapse mod
-    p-1, and reductions on both sides of the cost rule."""
+def _record_counts(monkeypatch) -> list:
+    """Patch fp.nonzero_root_gcd to note each root node's split count,
+    deg g, or None where the reduction cancels on F_p* and is walked."""
     counts = []
-    count = padicroots.fp.nonzero_root_count
-    monkeypatch.setattr(padicroots.fp, "nonzero_root_count",
-                        lambda acc, p: counts.append(count(acc, p)) or counts[-1])
+    gcd = padicroots.fp.nonzero_root_gcd
+
+    def recorded(acc, p):
+        g = gcd(acc, p)
+        counts.append(None if g is None else len(g) - 1)
+        return g
+
+    monkeypatch.setattr(padicroots.fp, "nonzero_root_gcd", recorded)
+    return counts
+
+
+def test_bounded_root_scan_matches_pointwise(rng, monkeypatch):
+    """At primes in [10^4, 99991] the root scan splits the Frobenius gcd in
+    place of the walk.  It must still find every root that evaluating f at
+    each point of F_p finds: rootless reductions, h(0) = 0 (h the reduction
+    with exponents mod p-1), exponents that collapse mod p-1, and reductions
+    on both sides of the cost rule."""
+    counts = _record_counts(monkeypatch)
     big = [q for q in range(10 ** 4, 99991) if is_prime(q)]
     cases, q = [], rng.choice(big)
     for p in [q, 99991]:
@@ -106,31 +120,117 @@ def test_bounded_root_scan_matches_pointwise(rng, monkeypatch):
     assert 0 in counts and any(counts) and len(counts) < len(cases)  # some took the walk
 
 
-def test_root_scan_raises_when_the_walk_ends_short_of_the_count(monkeypatch):
-    """A Frobenius count one too high leaves the walk short at the end of
-    F_p*, which raises, in the scan and in a solve through it."""
-    count = padicroots.fp.nonzero_root_count
-    monkeypatch.setattr(padicroots.fp, "nonzero_root_count", lambda acc, p: count(acc, p) + 1)
+def _times_linear(g: list[int], c: int, p: int) -> list[int]:
+    """g (x - c) over F_p, dense."""
+    return [(b - c * a) % p for a, b in zip(g + [0], [0] + g)]
+
+
+def test_root_scan_raises_when_the_split_disagrees_with_the_count(monkeypatch):
+    """The root scan checks its split: a Frobenius gcd one degree too high
+    gives a root where f does not vanish (times x - 4, and 4 is no root) or
+    a root twice (times x - 1), a splitter that drops a root or repeats one
+    gives too few distinct roots, and each raises, in the scan and in a
+    solve through it."""
     f = parse_poly("6 - 7*x + x^3")  # (x - 1)(x - 2)(x + 3)
-    with pytest.raises(InvariantViolated, match="walk found 3 roots mod 99991, the count is 4"):
-        roots_fp_exhaustive(f, 99991)
-    with pytest.raises(InvariantViolated):
-        solve_sparse(f, 99991)
-    with pytest.raises(InvariantViolated, match="walk found 0 roots"):
-        roots_fp_exhaustive(parse_poly("x^2 + 1"), 99991)  # -1 is no square: count 0
+    gcd = padicroots.fp.nonzero_root_gcd
+    with monkeypatch.context() as m:
+        m.setattr(padicroots.fp, "nonzero_root_gcd", lambda acc, p: _times_linear(gcd(acc, p), 4, p))
+        with pytest.raises(InvariantViolated, match="split root 4 mod 99991 is no root of f"):
+            roots_fp_exhaustive(f, 99991)
+        with pytest.raises(InvariantViolated):
+            solve_sparse(f, 99991)
+        with pytest.raises(InvariantViolated, match="split root 4 mod 99991"):
+            roots_fp_exhaustive(parse_poly("x^2 + 1"), 99991)  # -1 is no square: count 0
+        m.setattr(padicroots.fp, "nonzero_root_gcd", lambda acc, p: _times_linear(gcd(acc, p), 1, p))
+        with pytest.raises(InvariantViolated, match="split gave 4 roots mod 99991, 3 distinct"):
+            roots_fp_exhaustive(f, 99991)  # the root 1 twice
+    split = padicroots.fp.linear_roots
+    for wrong, message in [
+        (lambda g, p: split(g, p)[1:], "split gave 2 roots mod 99991, 2 distinct; deg g is 3"),
+        (lambda g, p: split(g, p) + split(g, p)[:1], "split gave 4 roots"),
+        (lambda g, p: split(g, p)[1:] + split(g, p)[1:2], "3 roots mod 99991, 2 distinct"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(padicroots.fp, "linear_roots", wrong)
+            with pytest.raises(InvariantViolated, match=message):
+                roots_fp_exhaustive(f, 99991)
+            with pytest.raises(InvariantViolated):
+                solve_sparse(f, 99991)
+    assert [z for z, _ in roots_fp_exhaustive(f, 99991)] == [1, 2, 99988]
 
 
 def test_root_count_stays_out_of_the_frobenius_memo(monkeypatch):
     """A large-p solve counts its root nodes' roots without the memo of
     gcd_with_frobenius, which the nodes below the root keep for themselves."""
-    counts = []
-    count = padicroots.fp.nonzero_root_count
-    monkeypatch.setattr(padicroots.fp, "nonzero_root_count",
-                        lambda acc, p: counts.append(count(acc, p)) or counts[-1])
+    counts = _record_counts(monkeypatch)
     assert solve_sparse(parse_poly("6 - 7*x + x^3"), 99991).root_count == 3
     assert counts == [3]
     info = gcd_with_frobenius.cache_info()
     assert info.currsize == info.hits == info.misses == 0
+
+
+def _split(f: SparsePoly, p: int) -> list[int] | None:
+    """The split of f's Frobenius gcd on F_p*, sorted, called directly at any
+    p; None where the reduction cancels on F_p*."""
+    acc = {}
+    for a, c in f.terms:
+        acc[a % (p - 1)] = (acc.get(a % (p - 1), 0) + c) % p
+    g = nonzero_root_gcd(acc, p)
+    return None if g is None else sorted(linear_roots(g, p))
+
+
+def test_split_matches_pointwise(rng):
+    """The Cantor-Zassenhaus split of the Frobenius gcd finds the roots in
+    F_p* that evaluating f at every point finds, for random reductions of
+    degree <= 12 at primes up to 99991, whichever route the cost rule takes
+    for the scan.  Edge cases: p = 2 and 3, where (p-1)/2 <= 1; rootless;
+    fully split (deg g = deg h); h(0) = 0 against f(0) = 0; terms that
+    cancel on F_p*, where the scan walks."""
+    big = [q for q in range(10 ** 4, 99991) if is_prime(q)]
+    cases = [
+        (parse_poly("x + 1"), 2), (parse_poly("x^2 + x + 1"), 2), (parse_poly("x^3 + 1"), 2),
+        (parse_poly("x^2 + 1"), 3), (parse_poly("x^2 - 1"), 3), (parse_poly("x^3 - x"), 3),
+        (parse_poly("x^2 + 1"), 10007),  # 10007 = 3 mod 4: rootless
+        (parse_poly("x^12 - 1"), 13),  # every point of F_13*
+        (parse_poly("x^12 - 1"), 10009),  # 12 | 10008: twelve roots, deg g = deg h
+        (parse_poly("x^3 + 2*x"), 99991),  # f(0) = h(0) = 0
+        (parse_poly("3 - 3*x^10 + x^5 - x"), 11),  # h(0) = 0, f(0) = 3
+        (parse_poly("17 + x^10 + 37*x^40"), 11),  # cancels: h = 0 on F_11*
+    ]
+    for p in [5, 7, 13, 101, 1009, 10007] * 8 + rng.sample(big, 1) + [99991]:
+        roots = rng.sample(range(1, p), min(p - 1, rng.randint(0, 6)))
+        h = [1]
+        for r in roots:  # a product of linear factors, times a random cofactor
+            h = _times_linear(h, r, p)
+        for _ in range(rng.randint(0, 12 - len(roots))):
+            h = _times_linear(h, rng.randrange(p), p)
+        h = [c * rng.randint(1, p - 1) + rng.randint(0, 1) * rng.randrange(p) for c in h]
+        cases.append((SparsePoly.from_terms(enumerate(h)), p))
+    for f, p in cases:
+        if all(c % p == 0 for _, c in f.terms):
+            continue
+        pointwise = roots_fp_pointwise(f, p)
+        expected = [z for z, _ in pointwise if z]
+        split = _split(f, p)
+        assert split == expected or split is None and expected == list(range(1, p)), (f.to_text(), p)
+        if p > 100:
+            assert roots_fp_exhaustive(f, p) == pointwise, (f.to_text(), p)
+    assert _split(parse_poly("x^12 - 1"), 10009) == [z for z in range(1, 10009) if pow(z, 12, 10009) == 1]
+    assert _split(parse_poly("17 + x^10 + 37*x^40"), 11) is None
+    assert roots_fp_exhaustive(parse_poly("17 + x^10 + 37*x^40"), 11) == [(z, False) for z in range(1, 11)]
+
+
+def test_split_raises_on_a_factor_no_shift_splits():
+    """A nonlinear irreducible factor is never split; the draws stop at p
+    and raise, where a product of distinct linear factors always splits.  A
+    repeated factor splits into copies, whose root the scan's check counts
+    twice."""
+    for g, p in [([11, 0, 1], 13), ([1, 0, 1], 3), ([1, 1, 1], 2), ([2, 0, 0, 1], 7)]:
+        with pytest.raises(InvariantViolated, match=f"no shift below {p}"):
+            linear_roots(g, p)
+    assert sorted(linear_roots([-6, 11, -6, 1], 13)) == [1, 2, 3]  # (x-1)(x-2)(x-3)
+    assert linear_roots([3, 1], 5) == [2] and linear_roots([4], 5) == []
+    assert linear_roots([1, 11, 1], 13) == [1, 1]  # (x - 1)^2
 
 
 def test_memo_values_cannot_be_mutated():

@@ -2,7 +2,7 @@ import pytest
 
 from padicroots.arith import ord_int
 from padicroots.errors import BudgetExceeded, CriterionFailed
-from padicroots.oracle import count_qp_roots, lift_root
+from padicroots.oracle import _level_one, count_qp_roots, lift_root
 from padicroots.sparsepoly import SparsePoly, parse_poly
 from padicroots.trinomial import solve_sparse
 from tests.conftest import random_trinomial
@@ -80,3 +80,31 @@ def test_linear_lift_all_or_none_at_a_large_prime():
         assert o.qp_count == len(residues), text
         assert sorted(e["residue"] for e in o.lifted) == residues, text
         assert solve_sparse(f, p).root_count == len(residues), text
+
+
+def test_level_one_walk_matches_pointwise(rng):
+    """The oracle's level-1 sweep, a walk of F_p* along its own primitive
+    root, keeps the points where two `pow` calls per term find g = 0 mod p,
+    in increasing order: one or two nonconstant terms (the unrolled walk),
+    three or more, terms that cancel on F_p*, and exponents that are
+    multiples of p-1."""
+    def pointwise(g, p):
+        return [x for x in range(1, p) if sum(c * pow(x, a, p) for a, c in g.terms) % p == 0]
+
+    for p in [2, 3, 5, 13, 10007, 99991]:
+        cases = [
+            parse_poly(f"x^{p + 2} - x^3"),  # cancels: 0 on F_p*
+            parse_poly(f"3 + x^{2 * (p - 1)} - 4*x^{p - 1}"),  # constant 0 on F_p*
+            parse_poly(f"1 + x^{p - 1}"),  # constant 2 on F_p*
+            parse_poly(f"2 + 5*x^7 - x^10 + 4*x^{p + 10}"),  # three nonconstant terms
+            parse_poly("6 - 7*x + x^3"),  # roots 1, 2 and -3
+        ]
+        if p < 100:  # the pointwise scan costs about 0.2 s per input at p = 99991
+            cases += [SparsePoly.from_terms(
+                [(rng.randint(0, 3 * p), rng.randint(-p, p)) for _ in range(rng.randint(1, 5))])
+                for _ in range(12)]
+        for g in cases:
+            if not g.is_zero:
+                assert _level_one(g, p) == pointwise(g, p), (g.to_text(), p)
+    assert _level_one(parse_poly("x^99993 - x^3"), 99991) == list(range(1, 99991))
+    assert _level_one(parse_poly("6 - 7*x + x^3"), 99991) == [1, 2, 99988]
