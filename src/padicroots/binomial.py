@@ -19,7 +19,7 @@ from .arith import is_prime, ord_int
 from .errors import InvalidParams
 from .fp import binomial_coset_roots, check_prime_cap
 from .newton import ApproximateRoot, certified_residue
-from .sparsepoly import SparsePoly
+from .sparsepoly import ScaledPoly
 
 REASON_NO_INTEGRAL_VALUATION = "no-integral-valuation"
 REASON_POWER_TEST_FAILED = "power-test-failed"
@@ -87,7 +87,7 @@ def solve_binomial(
         return BinomialSolveResult(count=len(first_digits), roots=[], reason=None)
     # unit root of c1u + c2u y^d; true root is y * p^((v1 - v2)/d)
     val = (v1 - v2) // d
-    target = SparsePoly.from_terms([(0, c1u), (d, c2u)])
+    target = ScaledPoly(p, ((0, c1u, 0), (d, c2u, 0)))
     # enough certified digits that Newton on the (nodal) target gains a full
     # 2^i digits per i iterations: depth + 2 where depth = (ell >= 1)
     want = 3 if ell >= 1 else 2

@@ -19,14 +19,14 @@ HEIGHT_FLOOR = 1 / (16 * math.e ** 2)
 TWO_TERM_VALUATION_CONSTANT = math.log(2) * math.log(4) * 2 ** 2.5 * C256E2 ** 3
 
 
-def two_term_valuation_bound(d: int, H: int, p: int) -> float:
+def two_term_valuation_bound(d: int, log_H: float, p: int) -> float:
     """Upper bound on ord_p(T^(a3-a2) - 1) for the trinomial critical value.
 
     The n = 2 specialization with |r_i|, |s_i| <= dH and B = max(d, 3):
     36791093348 * p * log(max(d,3)) * max(log_p(dH), 1/(16 e^2 log p))^2.
     """
     lp = math.log(p)
-    height = max(math.log(d * H) / lp, HEIGHT_FLOOR / lp)
+    height = max((math.log(d) + log_H) / lp, HEIGHT_FLOOR / lp)
     return TWO_TERM_VALUATION_CONSTANT * p * math.log(max(d, 3)) * height ** 2
 
 
@@ -40,7 +40,7 @@ def mahler_bound(d: int, H: int) -> float:
 
 def trinomial_separation_bound(
     d: int,
-    H: int,
+    log_H: float,
     p: int,
     degenerate: bool,
     a2: int | None = None,
@@ -61,24 +61,24 @@ def trinomial_separation_bound(
     lp = math.log(p)
     rolle = lp / (p - 1)
     if not degenerate:
-        M = two_term_valuation_bound(d, H, p)
-        return -(math.log(H) + M * lp + rolle)
+        M = two_term_valuation_bound(d, log_H, p)
+        return -(log_H + M * lp + rolle)
     ab3 = max(d // r, 2)
     ab2 = (a2 // r) if a2 else max(ab3 - 1, 1)
     jterm = max(1, ab2 ** 2 * ab3 ** 3 * (ab3 - ab2) ** 2)
     # simple-simple pairs: prefactor height + scaling valuation + cofactor
-    b_pair = -(math.log(H) + 2 * math.log(d * H) + math.log(jterm) + rolle)
+    b_pair = -(log_H + 2 * (math.log(d) + log_H) + math.log(jterm) + rolle)
     # degenerate-simple pairs
-    b_degsimple = -degenerate_valuation_gap_cap(d, H, r)
+    b_degsimple = -degenerate_valuation_gap_cap(d, log_H, r)
     # degenerate-degenerate pairs: spacing of roots of x^r = tau^r, whose
     # encoding has logarithmic height <= d (log d + 2 log H)
-    b_degdeg = -(rolle + (d / r) * (math.log(d) + 2 * math.log(max(H, 2))))
+    b_degdeg = -(rolle + (d / r) * (math.log(d) + 2 * max(log_H, math.log(2))))
     return min(b_pair, b_degsimple, b_degdeg)
 
 
-def degenerate_valuation_gap_cap(d: int, H: int, r: int) -> float:
+def degenerate_valuation_gap_cap(d: int, log_H: float, r: int) -> float:
     """Cap on |ord_p(z - tau)| between a simple root z and a degenerate
     root tau: log_p((d-r) d^3 H / (8 r^4)) in natural-log form (divide by
     log p for the ord cap at a given prime)."""
     # a sum of logs: the product overflows a float once H passes 10^300
-    return max(math.log(d - r) + 3 * math.log(d) + math.log(H) - math.log(8 * r ** 4), 0.0)
+    return max(math.log(d - r) + 3 * math.log(d) + log_H - math.log(8 * r ** 4), 0.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from . import bounds as bounds_mod
 from .arith import base_p_digits, is_prime
@@ -18,7 +19,7 @@ from .errors import InvalidParams, PadicError
 from .newton_polygon import build_arch, build_padic
 from .nodal_tree import build_tree
 from .oracle import count_qp_roots
-from .sparsepoly import SparsePoly, parse_poly
+from .sparsepoly import ScaledPoly, SparsePoly, parse_poly
 from .tetranomial import TetraFamilyParams, collision_order, generate
 from .trinomial import MODE_FULL, MODES, solve_sparse
 
@@ -68,7 +69,7 @@ def _cmd_solve(args) -> int:
     if args.json:
         print(json.dumps(_solve_json(res, f, args.digits), indent=2))
         return 0
-    print(f"{res.root_count} root(s) of {f} in Q_{args.p}")
+    print(f"{res.root_count} root(s) of {f.to_text()} in Q_{args.p}")
     if res.zero_root_multiplicity:
         print(f"  0 (multiplicity {res.zero_root_multiplicity})")
     for rt in res.roots:
@@ -110,8 +111,7 @@ def _cmd_polygon(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    f = parse_poly(args.poly)
-    tree = build_tree(f, args.p, args.k)
+    tree = build_tree(ScaledPoly.of(parse_poly(args.poly), args.p), args.p, args.k)
     # each node's reduction as sparse [exponent, coefficient] pairs: the
     # root node keeps the input's degree, which may be near 2^63
     if args.json:
@@ -144,16 +144,17 @@ def _cmd_tree(args) -> int:
 def _cmd_bounds(args) -> int:
     if not is_prime(args.p) or args.d < 2 or args.H < 1:
         raise InvalidParams(f"need p prime, d >= 2, H >= 1; got p={args.p}, d={args.d}, H={args.H}")
+    log_H = math.log(args.H)
     out = {
         "mahler_log": bounds_mod.mahler_bound(args.d, args.H),
         "trinomial_separation_log": bounds_mod.trinomial_separation_bound(
-            args.d, args.H, args.p, degenerate=args.degenerate
+            args.d, log_H, args.p, degenerate=args.degenerate
         ),
-        "two_term_valuation": bounds_mod.two_term_valuation_bound(args.d, args.H, args.p),
+        "two_term_valuation": bounds_mod.two_term_valuation_bound(args.d, log_H, args.p),
         "binomial_separation": separation_binomial(max(args.d, 2), args.p, args.H).__dict__,
     }
     if args.degenerate:
-        out["degenerate_gap_log"] = bounds_mod.degenerate_valuation_gap_cap(args.d, args.H, 1)
+        out["degenerate_gap_log"] = bounds_mod.degenerate_valuation_gap_cap(args.d, log_H, 1)
     print(json.dumps(out, indent=2))
     return 0
 

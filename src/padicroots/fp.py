@@ -39,7 +39,7 @@ import functools
 import math
 
 from .errors import ContentDivisible, InvariantViolated, PrimeTooLarge
-from .sparsepoly import SparsePoly
+from .sparsepoly import ScaledPoly, SparsePoly
 
 DESK_PRIME_CAP = 100_000
 FP_MEMO_SIZE = 256  # entries per memo: a degenerate benchmark cycle meets 95 keys
@@ -51,16 +51,17 @@ def check_prime_cap(p: int):
         raise PrimeTooLarge(f"p = {p} exceeds the exhaustive-scan cap {DESK_PRIME_CAP}")
 
 
-def roots_fp_exhaustive(f: SparsePoly, p: int, count: bool = True) -> list[tuple[int, bool]]:
+def roots_fp_exhaustive(f: ScaledPoly, p: int, split: bool = True) -> list[tuple[int, bool]]:
     """All roots of f mod p with a degeneracy flag (f(z) = f'(z) = 0 mod p).
 
     F_p* is walked along the primitive root g: at the i-th point z = g^i
     each term c z^e is the previous one times g^e, one multiplication per
     term, and the exponents are reduced mod p-1.  The reduced terms may
     cancel even for f != 0 mod p; f then vanishes on all of F_p* (e.g.
-    x^20 + 2x^2 mod 3).  f' is evaluated at the roots only.
+    x^20 + 2x^2 mod 3).  f' is evaluated at the roots only.  A tree's root
+    node scans the tree's input itself, which equals its reduction mod p.
 
-    With count set (a tree's root node), a fixed cost rule may take the
+    With split set (a tree's root node), a fixed cost rule may take the
     Frobenius gcd instead of the walk: nonzero_root_gcd gives g, the
     product of x - z over the roots z in F_p*, and linear_roots splits it.
     The split is checked: f must vanish mod p at every root it returns, and
@@ -73,17 +74,16 @@ def roots_fp_exhaustive(f: SparsePoly, p: int, count: bool = True) -> list[tuple
     """
     check_prime_cap(p)
     acc: dict[int, int] = {}  # reduced exponent -> coefficient mod p
-    for a, c in f.terms:
-        if c % p:
+    for a, c, s in f.parts:
+        if c % p and not s:
             e = a % (p - 1)
             acc[e] = (acc.get(e, 0) + c) % p
     if not acc:
         raise ContentDivisible("f is identically 0 mod p")
-    roots = []
-    if f.coefficient(0) % p == 0:
-        roots.append((0, f.coefficient(1) % p == 0))
+    f0, d0 = f.eval_mod(0, p)
+    roots = [(0, d0 == 0)] if f0 == 0 else []
     g = None
-    if count:
+    if split:
         # the gcd takes about (deg h + 1)^2 log2 p dense steps, the walk p-1
         # points at one step per nonconstant term, at least two
         size = max(acc) + 1
@@ -186,9 +186,9 @@ def linear_roots(g: list[int], p: int) -> list[int]:
 
 @functools.lru_cache(maxsize=FP_MEMO_SIZE)
 def roots_fp_memo(f: SparsePoly, p: int) -> tuple[tuple[int, bool], ...]:
-    """roots_fp_exhaustive, memoized and walking all of F_p*, for the nodes
-    below a tree's root."""
-    return tuple(roots_fp_exhaustive(f, p, count=False))
+    """roots_fp_exhaustive with split=False, memoized: it walks all of F_p*
+    at the nodes below a tree's root."""
+    return tuple(roots_fp_exhaustive(ScaledPoly.of(f, p), p, split=False))
 
 
 def _factor_trial(n: int) -> list[int]:

@@ -2,11 +2,11 @@
 
 A certificate pins down a true root zeta of f in Q_p by a rational start
 point plus the data needed to iterate the Newton map exactly: the
-valuation-rescaled integer polynomial whose unit root is tracked, the unit
-residue, and the count of certified digits.  Iterating Newton on a nodal
-polynomial p^(-s) f(mu + p^i x) coincides with iterating the Newton map of
-the rescaled polynomial itself on the composite residue mu + p^i w, so
-refinement always works on one integer polynomial with exact p-power
+valuation-rescaled integer polynomial (ScaledPoly) whose unit root is
+tracked, the unit residue, and the count of certified digits.  Iterating
+Newton on a nodal polynomial p^(-s) f(mu + p^i x) coincides with iterating
+the Newton map of the rescaled polynomial itself on the residue mu + p^i w,
+so refinement always works on one integer polynomial with exact p-power
 division of f/f'.  certified_residue is the one Newton loop, for the
 tetranomial family's roots too (the oracle's lift_root stays independent):
 its precision doubles up to the digits wanted, one probe per iterate.  The
@@ -21,13 +21,13 @@ from fractions import Fraction
 
 from .arith import base_p_digits, ord_int
 from .errors import DerivativeNotInvertible
-from .sparsepoly import SparsePoly
+from .sparsepoly import ScaledPoly
 
 # the deepest probe of f'(z), in digits; vanishing there, f'(z) is taken as 0
 MAX_PROBE_DIGITS = 1 << 20
 
 
-def derivative_order(f: SparsePoly, p: int, z: int, prec: int) -> tuple[int, int, int]:
+def derivative_order(f: ScaledPoly, p: int, z: int, prec: int) -> tuple[int, int, int]:
     """(ell, f(z), f'(z)) with ell = ord_p f'(z), both values mod p^(prec + ell).
 
     The one probe of f and f' at z: they are read mod p^(prec + 8), and the
@@ -48,7 +48,7 @@ def derivative_order(f: SparsePoly, p: int, z: int, prec: int) -> tuple[int, int
         k *= 2
 
 
-def certified_residue(f: SparsePoly, p: int, z: int, want: int) -> int:
+def certified_residue(f: ScaledPoly, p: int, z: int, want: int) -> int:
     """Newton-polish z until >= want digits of its root are certified.
 
     ord f(z) - ord f'(z) lower-bounds the p-adic distance from z to its
@@ -80,16 +80,16 @@ def certified_residue(f: SparsePoly, p: int, z: int, want: int) -> int:
 class ApproximateRoot:
     """Start point converging quadratically to one root of the target.
 
-    The associated true root of the original polynomial is
-    unit * p^valuation, where unit is the target's root certified by
-    unit_residue to `precision` base-p digits.
+    The true root of the original polynomial is unit * p^valuation, unit
+    the target's root certified by unit_residue to `precision` base-p
+    digits; the target is exact, so refine certifies any number of digits.
     """
 
     p: int
     valuation: int
     unit_residue: int  # mod p^precision, every digit certified
     precision: int
-    target: SparsePoly
+    target: ScaledPoly
     degenerate: bool = False
     multiplicity: int = 1
 

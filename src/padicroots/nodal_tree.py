@@ -1,7 +1,7 @@
 """The labelled rooted tree of digit-shifted, rescaled polynomials.
 
 The node at the n-digit prefix mu is h(x) = p^(-S) g(mu + p^n x), g the
-tree's sparse input and S the precision consumed so far.  It stores only
+tree's input (ScaledPoly) and S the precision consumed so far.  It stores only
 its reduction h mod p; shift_rescale reads its Taylor data from g itself.
 Its precision k_local is k - S, k the tree's cap.  Children hang off
 degenerate roots of the reduction whose s-value lies in {2, ..., k_local - 1};
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .arith import INFINITY, base_p_digits, is_prime, ord_int
 from .errors import DivisibilityViolation, InvalidParams, InvariantViolated
 from .fp import roots_fp_exhaustive, roots_fp_memo
-from .sparsepoly import SparsePoly, taylor_coeffs_mod
+from .sparsepoly import ScaledPoly, SparsePoly, taylor_coeffs_mod
 
 M_P = {2: 4, 3: 3}  # nodal degree cap by prime; 2 for p >= 5
 GUARD_DEPTH = 32  # no workload tree is deeper than 4; only a wrong cut goes this deep
@@ -47,7 +47,7 @@ def s_value(u: list[int], p: int, k: int) -> int:
     return best
 
 
-def shift_rescale(g: SparsePoly, prefix: int, n: int, S: int, p: int, prec: int) -> list[int]:
+def shift_rescale(g: ScaledPoly, prefix: int, n: int, S: int, p: int, prec: int) -> list[int]:
     """Taylor coefficients u_0..u_(prec-1) mod p^prec of the node
     h(x) = p^(-S) g(mu + p^n x) at the digit z, prefix = mu + z p^n.
 
@@ -137,7 +137,7 @@ class NodalTree:
 
 
 def build_tree(
-    f: SparsePoly, p: int, k: int | None = None, root_digits: str = "all",
+    f: ScaledPoly, p: int, k: int | None = None, root_digits: str = "all",
     cut: RepeatedRootCut | None = None, plan: Callable | None = None,
 ) -> NodalTree:
     """Construct the full tree at precision k >= 1 (InvalidParams for a
@@ -149,7 +149,7 @@ def build_tree(
     the digit 1 (most-significant-digit-1 roots); deeper digits are never
     restricted.  A degenerate digit whose prefix `cut` covers is listed in
     degenerate_roots but gets no child.  Every other degenerate digit is
-    expanded: a Taylor expansion of the sparse f at its prefix
+    expanded: a Taylor expansion of f's parts at its prefix
     (shift_rescale) gives its s-value and its child's reduction.  The
     expansion's precision P is the digit's own.  s is at most the digit's
     multiplicity, so at most deg, the degree of the node's reduction, and
@@ -168,12 +168,11 @@ def build_tree(
         raise InvalidParams(f"precision exponent must be >= 1, got {k}")
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
-    degree_cap = nodal_degree_cap(p) if f.term_count == 3 else None
+    degree_cap = nodal_degree_cap(p) if len(f.parts) == 3 else None
     cap, max_depth = (INFINITY, GUARD_DEPTH) if k is None else (k, (k - 1) // 2)
     k_mature = 1
 
-    reduction = SparsePoly(tuple([(a, c % p) for a, c in f.terms if c % p]))
-    root = NodalNode(mu=0, depth=0, reduction=reduction, s_consumed=0)
+    root = NodalNode(mu=0, depth=0, reduction=f.reduction(), s_consumed=0)
     stack = [root]
     while stack:
         node = stack.pop()
@@ -181,7 +180,7 @@ def build_tree(
         if node.depth:
             roots = roots_fp_memo(node.reduction, p)
         else:
-            roots = roots_fp_exhaustive(node.reduction, p)
+            roots = roots_fp_exhaustive(f, p)
         if node.depth == 0 and root_digits == "nonzero":
             roots = [(z, d) for z, d in roots if z != 0]
         elif node.depth == 0 and root_digits == "one":
@@ -243,7 +242,7 @@ class StabilizedTree:
 
 
 def stabilized_tree(
-    f: SparsePoly, p: int, root_digits: str = "all",
+    f: ScaledPoly, p: int, root_digits: str = "all",
     cut: RepeatedRootCut | None = None, plan: Callable | None = None,
 ) -> StabilizedTree:
     """The uncapped digit tree of f, which is mature.  A capped tree is

@@ -23,14 +23,14 @@ from fractions import Fraction
 
 from .arith import is_prime, ord_int, xgcd
 from .errors import BudgetExceeded, CriterionFailed, InvalidParams, InvariantViolated
-from .sparsepoly import SparsePoly
+from .sparsepoly import ScaledPoly, SparsePoly
 
 DEFAULT_BUDGET = 10 ** 8
 MAX_POWER_BITS = 2 ** 23  # largest power, in bits, that the oracle builds
 HARD_K_CAP = 64
 
 
-def lift_root(f: SparsePoly, p: int, residue: int, target_k: int) -> int:
+def lift_root(f: ScaledPoly, p: int, residue: int, target_k: int) -> int:
     """Hensel lift of a residue satisfying the criterion, to mod p^target_k.
 
     Each step checks Hensel's postconditions: the residual valuation at
@@ -71,9 +71,11 @@ class OracleRootSet:
     degenerate_count: int = 0
 
 
-def _taylor_coeff(f: SparsePoly, x: int, j: int, m: int) -> int:
-    """f^(j)(x)/j! mod m, term by term (oracle-local)."""
-    return sum(c * math.comb(a, j) * pow(x, a - j, m) for a, c in f.terms if a >= j) % m
+def _taylor_coeff(g: ScaledPoly, x: int, j: int, m: int) -> int:
+    """g^(j)(x)/j! mod m, part by part (oracle-local)."""
+    return sum(
+        u * pow(g.p, s, m) * math.comb(a, j) * pow(x, a - j, m) for a, u, s in g.parts if a >= j
+    ) % m
 
 
 @functools.cache
@@ -125,7 +127,7 @@ def _level_one(g: SparsePoly, p: int) -> list[int]:
 
 
 def _certify_count(
-    g: SparsePoly, p: int, skip_prefixes: list[tuple[int, int]], budget: int
+    g: ScaledPoly, p: int, skip_prefixes: list[tuple[int, int]], budget: int
 ) -> tuple[int, list[tuple[int, int]]]:
     """Count Z_p roots of valuation 0 of g by certify-or-die sweeping.
 
@@ -137,7 +139,7 @@ def _certify_count(
     Returns (count, certified (residue, k) list).
     """
     certified: list[tuple[int, int]] = []
-    frontier = _level_one(g, p)
+    frontier = _level_one(g.reduction(), p)
     work = p - 1
     k = 1
     while frontier:
@@ -186,20 +188,17 @@ def _certify_count(
     return len(certified), certified
 
 
-def _rescale(f: SparsePoly, p: int, v: int) -> SparsePoly:
+def _rescale(f: SparsePoly, p: int, v: int) -> ScaledPoly:
     """Content-free integerization of f(p^v x) (oracle-local copy).
 
     Built from the coefficients' orders: c_a = u_a p^(o_a) with p not
     dividing u_a gives the term u_a p^(o_a + v a - m) x^a, m the least of
-    the o_a + v a, for either sign of v.  A power of p over
-    MAX_POWER_BITS raises BudgetExceeded before any term is built.
+    the o_a + v a, for either sign of v, held as the parts (a, u_a,
+    o_a + v a - m): no power of p is built and nothing is refused.
     """
     terms = [(a, c, ord_int(c, p)) for a, c in f.terms]
     m = min(o + v * a for a, _, o in terms)
-    top = max(o + v * a for a, _, o in terms) - m
-    if top * math.log2(p) > MAX_POWER_BITS:
-        raise BudgetExceeded(f"rescale to valuation {v} needs {p}^{top}, over {MAX_POWER_BITS} bits")
-    return SparsePoly(tuple((a, c // p ** o * p ** (o + v * a - m)) for a, c, o in terms))
+    return ScaledPoly(p, tuple((a, c // p ** o, o + v * a - m) for a, c, o in terms))
 
 
 def _integral_valuations(f: SparsePoly, p: int) -> list[int]:
@@ -273,9 +272,7 @@ def count_qp_roots(f: SparsePoly, p: int) -> OracleRootSet:
     if f.terms[0][0] > 0:
         a1 = f.terms[0][0]
         body = SparsePoly(tuple((a - a1, c) for a, c in f.terms))
-    result = OracleRootSet(p=p, qp_count=0, zero_root=a1 > 0)
-    if a1 > 0:
-        result.qp_count += 1
+    result = OracleRootSet(p=p, qp_count=int(a1 > 0), zero_root=a1 > 0)
     if body.term_count == 1:
         return result
 

@@ -1,9 +1,9 @@
 """Sparse integer polynomials: parsing, evaluation, Taylor coefficients, rescaling.
 
-A polynomial is a tuple of (exponent, coefficient) pairs with strictly
-increasing exponents and nonzero coefficients.  Exponents are capped at
-2^63 - 1; coefficients are arbitrary-precision.  The zero polynomial is the
-empty term tuple.
+A polynomial is a tuple of (exponent, coefficient) pairs, exponents strictly
+increasing and at most 2^63 - 1, coefficients nonzero and arbitrary-precision;
+the zero polynomial is the empty term tuple.  A rescaled polynomial is held
+as its parts (ScaledPoly), so no power of p is ever built in full.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import re
 from dataclasses import dataclass
 
 from .arith import ord_int
-from .errors import BudgetExceeded, ExponentOverflow, ParseError
+from .errors import ExponentOverflow, ParseError
 
 MAX_EXPONENT = 2 ** 63 - 1
-# largest power of p, in bits, that rescale_for_valuation builds
-MAX_RESCALE_BITS = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -59,28 +57,6 @@ class SparsePoly:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, a: int) -> int:
-        for e, c in self.terms:
-            if e == a:
-                return c
-        return 0
-
-    def max_abs_coeff(self) -> int:
-        return max(abs(c) for _, c in self.terms) if self.terms else 0
-
-    def eval_mod(self, x: int, m: int) -> tuple[int, int]:
-        """(f(x) mod m, f'(x) mod m) in one pass: each term's x^(a-1) mod m
-        serves f' and, times x, f."""
-        fv = dv = 0
-        for a, c in self.terms:
-            if a:
-                power = pow(x, a - 1, m)
-                fv += c * power * x
-                dv += a * c * power
-            else:
-                fv += c
-        return fv % m, dv % m
-
     # -- text and JSON output ---------------------------------------------
 
     def to_text(self) -> str:
@@ -104,9 +80,6 @@ class SparsePoly:
 
     def to_json_obj(self) -> dict:
         return {"terms": [[a, str(c)] for a, c in self.terms]}
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 _TERM_RE = re.compile(
@@ -152,25 +125,57 @@ def parse_poly(text: str) -> SparsePoly:
     return poly
 
 
+@dataclass(frozen=True, slots=True)
+class ScaledPoly:
+    """g = sum u_i p^(s_i) x^(a_i), held as its parts (a_i, u_i, s_i) and p.
+
+    A read reduces p^(s_i) mod the modulus it asks for, one pow per part of
+    s_i > 0, so a p^(s_i) of 10^12 bits is never built.  There is no
+    `.terms`: a reader taking u_i for a coefficient would be silently wrong.
+    """
+
+    p: int
+    parts: tuple[tuple[int, int, int], ...]
+
+    @classmethod
+    def of(cls, f: SparsePoly, p: int) -> "ScaledPoly":  # f itself: every s_i = 0
+        return cls(p, tuple([(a, c, 0) for a, c in f.terms]))
+
+    def reduction(self) -> SparsePoly:
+        """g mod p: the parts with s_i = 0, their u_i reduced."""
+        return SparsePoly(tuple([(a, u % self.p) for a, u, s in self.parts if not s and u % self.p]))
+
+    def eval_mod(self, x: int, m: int) -> tuple[int, int]:
+        """(g(x) mod m, g'(x) mod m), the one evaluator: x^(a-1) serves both."""
+        fv = dv = 0
+        for a, u, s in self.parts:
+            if s:
+                u *= pow(self.p, s, m)
+            if a:
+                power = pow(x, a - 1, m)
+                fv += u * power * x
+                dv += a * u * power
+            else:
+                fv += u
+        return fv % m, dv % m
+
+
 # -- evaluation and calculus ----------------------------------------------
 
 
-def taylor_coeffs_mod(f: SparsePoly, zeta: int, p: int, k: int, jmax: int) -> list[int]:
-    """Taylor coefficients u_j = f^(j)(zeta)/j! mod p^k for j = 0..jmax.
+def taylor_coeffs_mod(g: ScaledPoly, zeta: int, p: int, k: int, jmax: int) -> list[int]:
+    """Taylor coefficients U_j = g^(j)(zeta)/j! mod p^k for j = 0..jmax.
 
-    u_j = sum_i c_i * C(a_i, j) * zeta^(a_i - j); binomials over huge exponents
-    stay cheap because only jmax + 1 columns are needed.
+    U_j = sum_i c_i * C(a_i, j) * zeta^(a_i - j), c_i = u_i p^(s_i) mod p^k;
+    binomials over huge exponents stay cheap because only jmax + 1 columns
+    are needed.
     """
     m = p ** k
     zeta %= m
     out = [0] * (jmax + 1)
-    for a, c in f.terms:
-        c %= m
+    for a, c, s in g.parts:
+        c = c * pow(p, s, m) % m if s else c % m
         top = min(a, jmax)
-        if zeta == 0:
-            if a <= jmax:
-                out[a] = (out[a] + c) % m
-            continue
         # walk j downward so the power of zeta only ever gets multiplied
         power = pow(zeta, a - top, m)
         for j in range(top, -1, -1):
@@ -187,19 +192,15 @@ def strip_zero_root(f: SparsePoly) -> tuple[SparsePoly, int]:
     return SparsePoly(tuple((a - a1, c) for a, c in f.terms)), a1
 
 
-def rescale_for_valuation(f: SparsePoly, p: int, v: int) -> SparsePoly:
-    """Integerized, content-free image of f(p^v x).
+def rescale_for_valuation(f: SparsePoly, p: int, v: int) -> ScaledPoly:
+    """Integerized, content-free image of f(p^v x), held as its parts.
 
     Roots of f with ord_p = v correspond to unit roots of the result.  With
     c_i = u_i p^(o_i), p not dividing u_i, and e_i = o_i + v a_i, the result
     is g = sum u_i p^(e_i - m) x^(a_i) with m = min e_i, so
-    g(x) p^m = f(p^v x) for every sign of v.  Each coefficient is built once,
-    at its final size; a power of p above MAX_RESCALE_BITS raises
-    BudgetExceeded before any is built.
+    g(x) p^m = f(p^v x) for every sign of v.  It is the parts
+    (a_i, u_i, e_i - m): no power of p is built, at any valuation or degree.
     """
     parts = [(a, c // p ** o, o + v * a) for a, c in f.terms for o in [ord_int(c, p)]]
     m = min(e for _, _, e in parts)
-    top = max(e for _, _, e in parts) - m
-    if top * math.log2(p) > MAX_RESCALE_BITS:
-        raise BudgetExceeded(f"valuation {v} needs {p}^{top}, over {MAX_RESCALE_BITS} bits")
-    return SparsePoly(tuple((a, u * p ** (e - m)) for a, u, e in parts))
+    return ScaledPoly(p, tuple((a, u, e - m) for a, u, e in parts))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .arith import is_prime, ord_int
 from .errors import InvalidParams, InvariantViolated, PrecisionTooLow
 from .newton import certified_residue
-from .sparsepoly import MAX_EXPONENT, SparsePoly
+from .sparsepoly import MAX_EXPONENT, ScaledPoly, SparsePoly
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
         raise PrecisionTooLow(
             f"need precision >= {params.shift_exponent + 4} to separate the roots"
         )
-    G = _truncated_g(params, k + 8)
+    G = ScaledPoly.of(_truncated_g(params, k + 8), p)
     scale, m = p ** params.shift_exponent, p ** k
     z1, z2 = (
         (scale * certified_residue(G, p, y, k) + p ** (params.h - 1)) % m
@@ -104,7 +104,7 @@ def collision_order(params: TetraFamilyParams, precision: int | None = None) -> 
         raise PrecisionTooLow("roots indistinguishable at this precision")
     order = ord_int(diff, p)
 
-    F = generate(params)
+    F = ScaledPoly.of(generate(params), p)
     probe = p ** (k + 8)
     (fv1, dF1), (fv2, dF2) = F.eval_mod(z1, probe), F.eval_mod(z2, probe)
     if dF1 == 0 or dF2 == 0 or ord_int(dF1, p) != ord_int(dF2, p):

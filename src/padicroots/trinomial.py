@@ -32,7 +32,7 @@ from .fp import gcd_with_frobenius
 from .newton import ApproximateRoot, certified_residue
 from .newton_polygon import integral_valuation_candidates
 from .nodal_tree import RepeatedRootCut, nodal_degree_cap, stabilized_tree
-from .sparsepoly import SparsePoly, rescale_for_valuation, strip_zero_root
+from .sparsepoly import ScaledPoly, SparsePoly, rescale_for_valuation, strip_zero_root
 
 MODE_FULL = "full"
 MODE_RESTRICTED = "restricted-root"
@@ -168,7 +168,7 @@ class PrecisionPlan:
     k: int
 
 
-def precision_plan(inp: TrinomialInput, report: DiscriminantReport, height: int) -> PrecisionPlan:
+def precision_plan(inp: TrinomialInput, report: DiscriminantReport, log_H: float) -> PrecisionPlan:
     """Assemble S0 and D caps from the explicit proof constants.
 
     S0 caps the root-node digit cost: the degenerate-case formula
@@ -176,11 +176,11 @@ def precision_plan(inp: TrinomialInput, report: DiscriminantReport, height: int)
     second-derivative valuation 2 + ord_p(d(d-1) c3 / 2) when a2 = 1, and
     the two-term valuation bound otherwise.  D caps the deepest shared
     digit prefix of two simple roots, read off the separation bound.
-    height is that of the polynomial the tree is built on.  The solver
-    reads k only in the digit trees' depth guard (build_tree), which passes
-    the rescaled g's height.
+    log_H is the log-height of the polynomial the tree is built on, so no
+    height is ever built.  The solver reads k only in the digit trees'
+    depth guard (build_tree), which passes the rescaled g's log-height.
     """
-    p, d, r, H = inp.p, inp.d, report.r, height
+    p, d, r = inp.p, inp.d, report.r
     lp = math.log(p)
     m_p = nodal_degree_cap(p)
 
@@ -190,15 +190,15 @@ def precision_plan(inp: TrinomialInput, report: DiscriminantReport, height: int)
     if inp.a2 == 1:
         cands.append(2 + ord_int(d * (d - 1) * inp.c3 // 2, p))
     dbar = d // r
-    general = 2 + math.log(dbar * max(dbar - 1, 1) * H) / lp
+    general = 2 + (math.log(dbar * max(dbar - 1, 1)) + log_H) / lp
     if dbar > 2:
         general += (
-            147164373392 * p * math.log(dbar - 1) * math.log(dbar * (dbar - 1) * H) / lp
+            147164373392 * p * math.log(dbar - 1) * (math.log(dbar * (dbar - 1)) + log_H) / lp
         )
     cands.append(general)
     s0 = max(2, math.ceil(min(cands)))
 
-    sep = trinomial_separation_bound(d, H, p, degenerate=report.is_zero, a2=inp.a2, r=r)
+    sep = trinomial_separation_bound(d, log_H, p, degenerate=report.is_zero, a2=inp.a2, r=r)
     D = max(0, math.ceil(-sep / lp))
     k = 1 + s0 * min(1, D) + m_p * max(D - 1, 0)
     return PrecisionPlan(S0=s0, D=D, M_p=m_p, k=k)
@@ -253,15 +253,16 @@ class SolveResult:
 
 
 def _harvest_tree(
-    g: SparsePoly, p: int, v: int, root_digits: str, certify: bool,
+    g: ScaledPoly, p: int, v: int, root_digits: str, certify: bool,
     cut: RepeatedRootCut | None, inp: TrinomialInput, report: DiscriminantReport,
 ) -> tuple[list[ApproximateRoot], CandidateOutcome]:
     """Non-degenerate valuation-v roots from the uncapped digit tree of g:
     one per simple root of a node's reduction, certified only when certify
     is set.  cut ends the digit chains of the repeated roots at valuation v.
-    Only the tree's depth guard calls plan."""
-    def plan():
-        return precision_plan(inp, report, g.max_abs_coeff())
+    Only the tree's depth guard calls plan, with g's log-height."""
+    def plan():  # max log |u_i p^(s_i)|, read off the parts: no power is built
+        log_H = max(math.log(abs(u)) + s * math.log(p) for _, u, s in g.parts)
+        return precision_plan(inp, report, log_H)
 
     st = stabilized_tree(g, p, root_digits=root_digits, cut=cut, plan=plan)
     roots, count = [], 0
@@ -298,14 +299,14 @@ def solve_trinomial(inp: TrinomialInput, mode: str = MODE_FULL, certify: bool = 
 
     The constant term is nonzero, so 0 is never a root; solve_sparse
     validates the mode and handles a factor x^a1.  Candidate valuations
-    are taken in polygon order: rescale (BudgetExceeded past
-    MAX_RESCALE_BITS), then build one uncapped digit tree (stabilized_tree).
+    are taken in polygon order: rescale to g, held as its parts at any
+    valuation and degree, then build one uncapped digit tree (stabilized_tree).
     At the valuation v that holds the degenerate roots, it cuts every digit
     on their chains from depth N = cut_depth(abar2, abar3, r, p) on, which
     reads only the exponents, so every tree is finite and mature.  Each
-    digit on a chain costs one Taylor expansion of the sparse g
-    (build_tree) at its own precision, so the tree's work is polynomial in
-    N and log(dH).  The cut is one residue test, the same with and without
+    digit on a chain costs one Taylor expansion of g's parts (build_tree)
+    at its own precision, so the tree's work is polynomial in N and
+    log(dH).  The cut is one residue test, the same with and without
     certify; certify=False counts without certificates.
     """
     p = inp.p

@@ -3,9 +3,9 @@
 None of these is on the solver's path: each restates a quantity of the
 paper (Yu's bound, the cofactor of q against (x-1)^2, the trinomial
 discriminant in full, a node polynomial rebuilt from scratch, a node's
-reduction in dense form, the p-part of the content, a rational's height,
-the roots mod p point by point, one Newton step) so a test can check the
-package's own numbers against it.
+reduction in dense form, the p-part of the content, a polynomial's and a
+rational's height, the roots mod p point by point, one Newton step) so a
+test can check the package's own numbers against it.
 """
 
 import math
@@ -17,7 +17,7 @@ from padicroots.bounds import C256E2, HEIGHT_FLOOR
 from padicroots.errors import ContentDivisible, DerivativeNotInvertible, InvariantViolated
 from padicroots.newton import derivative_order
 from padicroots.nodal_tree import NodalNode
-from padicroots.sparsepoly import SparsePoly, taylor_coeffs_mod
+from padicroots.sparsepoly import ScaledPoly, SparsePoly, taylor_coeffs_mod
 from padicroots.trinomial import TrinomialInput
 
 
@@ -104,7 +104,7 @@ def reconstruct_node_poly(f: SparsePoly, p: int, k: int, node: NodalNode) -> Spa
     if i == 0:
         return f
     m = p ** k
-    u = taylor_coeffs_mod(f, node.mu, p, k, min(f.degree, k - 1))
+    u = taylor_coeffs_mod(ScaledPoly.of(f, p), node.mu, p, k, min(f.degree, k - 1))
     m_out = p ** (k - node.s_consumed)
     ps = p ** node.s_consumed
     coeffs = []
@@ -131,6 +131,11 @@ def content_p(f: SparsePoly, p: int) -> int:
     return min(ord_int(c, p) for _, c in f.terms)
 
 
+def max_abs_coeff(f: SparsePoly) -> int:
+    """H(f), the largest absolute value of a coefficient; 0 for f = 0."""
+    return max(abs(c) for _, c in f.terms) if f.terms else 0
+
+
 def log_height(q: Fraction) -> float:
     """Logarithmic height log max(|numerator|, denominator); 0 for q = 0."""
     if q == 0:
@@ -138,21 +143,24 @@ def log_height(q: Fraction) -> float:
     return math.log(max(abs(q.numerator), q.denominator))
 
 
-def value_and_derivative(f: SparsePoly, x: int, m: int) -> tuple[int, int]:
-    """(f(x) mod m, f'(x) mod m) as two plain sums of `pow` terms."""
-    fv = sum(c * pow(x, a, m) for a, c in f.terms) % m
-    dv = sum(a * c * pow(x, a - 1, m) for a, c in f.terms if a) % m
+def value_and_derivative(g: ScaledPoly, x: int, m: int) -> tuple[int, int]:
+    """(g(x) mod m, g'(x) mod m) as two plain sums of `pow` terms over the
+    parts (a, u, s) of g = sum u p^s x^a."""
+    p = g.p
+    fv = sum(u * pow(p, s, m) * pow(x, a, m) for a, u, s in g.parts) % m
+    dv = sum(a * u * pow(p, s, m) * pow(x, a - 1, m) for a, u, s in g.parts if a) % m
     return fv, dv
 
 
 def roots_fp_pointwise(f: SparsePoly, p: int) -> list[tuple[int, bool]]:
     """Roots of f mod p, each flagged by f'(z) = 0 mod p: f and f'
     evaluated with `pow` at every z in F_p, 0 included."""
-    values = [(z, *value_and_derivative(f, z, p)) for z in range(p)]
+    g = ScaledPoly.of(f, p)
+    values = [(z, *value_and_derivative(g, z, p)) for z in range(p)]
     return [(z, dv == 0) for z, fv, dv in values if fv == 0]
 
 
-def newton_step(f: SparsePoly, p: int, z: int, prec: int) -> int:
+def newton_step(f: ScaledPoly, p: int, z: int, prec: int) -> int:
     """One exact Newton step z - f(z)/f'(z) mod p^prec, the map whose rate
     the Smale tests measure.  ell = ord_p f'(z) comes from the package's
     probe, so deep derivatives (3^20 | d) are read; f and f' are summed

@@ -14,7 +14,7 @@ from padicroots.binomial import (
 from padicroots.errors import BudgetExceeded, DerivativeNotInvertible, InvalidParams
 from padicroots.newton import certified_residue
 from padicroots.oracle import count_qp_roots, lift_root
-from padicroots.sparsepoly import parse_poly
+from padicroots.sparsepoly import ScaledPoly, parse_poly
 from tests.conftest import random_binomial, smale_gains
 from tests.reference import log_height
 
@@ -125,11 +125,11 @@ def test_deep_refinement():
 def test_certification_errors_are_typed():
     # x^2 + 1 at 1 in Q_2: ord f = ord f' = 1, so Newton cannot contract
     with pytest.raises(DerivativeNotInvertible, match="non-contracting"):
-        certified_residue(parse_poly("x^2 + 1"), 2, 1, 10)
+        certified_residue(ScaledPoly.of(parse_poly("x^2 + 1"), 2), 2, 1, 10)
     # 5 is no square in Q_2: ord f = 2 > ord f' = 1 at every odd z, so each
     # step is taken, and none certifies a second digit
     with pytest.raises(DerivativeNotInvertible, match="did not converge"):
-        certified_residue(parse_poly("x^2 - 5"), 2, 1, 10)
+        certified_residue(ScaledPoly.of(parse_poly("x^2 - 5"), 2), 2, 1, 10)
 
 
 def test_height_bound(rng):

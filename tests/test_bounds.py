@@ -43,7 +43,7 @@ def test_yu_two_term_specialization():
         v = yu_bound([Fraction(d * H - 1, d * H), Fraction(-(d * H), 1)], [d, max(d - 1, 1)], p)
         cap = 36791093348 * p * math.log(max(d, 3)) * (math.log(d * H) / math.log(p)) ** 2
         assert v < cap
-        tt = two_term_valuation_bound(d, H, p)
+        tt = two_term_valuation_bound(d, math.log(H), p)
         assert 0 < tt < cap
         assert abs(tt / cap - math.log(2) * math.log(4) * 2 ** 2.5 * C256E2 ** 3 / 36791093348) < 1e-6
 
@@ -116,20 +116,20 @@ def _sylvester_resultant(f, g):
 def test_separation_bound_shapes():
     # never exceeds log H from above
     for (d, H, p) in [(5, 10, 3), (20, 738, 3), (10, 12, 2), (40, 50, 13)]:
-        assert trinomial_separation_bound(d, H, p, degenerate=False) <= math.log(H)
-        assert trinomial_separation_bound(d, H, p, degenerate=True) <= math.log(H)
+        assert trinomial_separation_bound(d, math.log(H), p, degenerate=False) <= math.log(H)
+        assert trinomial_separation_bound(d, math.log(H), p, degenerate=True) <= math.log(H)
     # square-free case is dominated by the valuation-bound term for large p
-    b_small = trinomial_separation_bound(10, 10, 3, degenerate=False)
-    b_large = trinomial_separation_bound(10, 10, 97, degenerate=False)
+    b_small = trinomial_separation_bound(10, math.log(10), 3, degenerate=False)
+    b_large = trinomial_separation_bound(10, math.log(10), 97, degenerate=False)
     assert b_large < b_small
     # degenerate bound plug-in at d = 3, r = 1, H = 10 is finite and explicit
-    val = trinomial_separation_bound(3, 10, 5, degenerate=True, a2=1, r=1)
+    val = trinomial_separation_bound(3, math.log(10), 5, degenerate=True, a2=1, r=1)
     assert -100 < val < 0
 
 
 def test_degenerate_gap_cap():
-    assert degenerate_valuation_gap_cap(10, 50, 1) == math.log((10 - 1) * 1000 * 50 / 8)
-    assert degenerate_valuation_gap_cap(4, 1, 2) >= 0
+    assert degenerate_valuation_gap_cap(10, math.log(50), 1) == math.log((10 - 1) * 1000 * 50 / 8)
+    assert degenerate_valuation_gap_cap(4, 0.0, 2) >= 0
 
     # a sum of logs: equal to the product form while that fits a float, and
     # finite above H = 10^300, where the product overflows
@@ -137,7 +137,8 @@ def test_degenerate_gap_cap():
         return math.log(max((d - r) * d ** 3 * H / (8 * r ** 4), 1.0))
 
     for d, H, r in [(10, 50, 1), (20, 738, 1), (8002, 2 ** 900, 2), (10 ** 6, 10 ** 250, 7)]:
-        assert abs(degenerate_valuation_gap_cap(d, H, r) - product_form(d, H, r)) < 1e-9
-    cap = degenerate_valuation_gap_cap(20, 10 ** 400, 1)
+        cap = degenerate_valuation_gap_cap(d, math.log(H), r)
+        assert abs(cap - product_form(d, H, r)) < 1e-9
+    cap = degenerate_valuation_gap_cap(20, math.log(10 ** 400), 1)
     assert abs(cap - (math.log(19 * 20 ** 3 / 8) + 400 * math.log(10))) < 1e-9
-    assert trinomial_separation_bound(20, 10 ** 400, 3, degenerate=True) <= -cap
+    assert trinomial_separation_bound(20, math.log(10 ** 400), 3, degenerate=True) <= -cap

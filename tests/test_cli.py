@@ -245,13 +245,19 @@ def test_long_coefficient_is_an_error_not_a_crash(capsys):
     assert json.loads(out)["error"] == "ParseError"
 
 
-def test_huge_rescale_is_refused_at_once(capsys):
-    # the v = 1 rescale would need 3^(2^30 - 2); refused before it is built
-    t0 = time.perf_counter()
-    code, out, err = run_cli(capsys, "count", "--p", "3", "9 - x^2 + x^1073741824", "--json")
-    assert time.perf_counter() - t0 < 1
-    assert code == 1
-    assert json.loads(out)["error"] == "BudgetExceeded"
+def test_huge_rescale_is_counted_at_once(capsys):
+    # each v = 1 rescale holds a power of p of 10^9 to 10^18 bits as a part,
+    # never built: count, solve and the oracle agree, each within 1 s
+    for p, text, want in [
+        ("3", "3 - x + x^1099511627776", 1),
+        ("3", "9 - x^2 + x^1073741824", 4),
+        ("2", "4 - 2*x + x^1152921504606846976", 1),
+    ]:
+        for command in ("count", "solve", "oracle"):
+            t0 = time.perf_counter()
+            code, out, err = run_cli(capsys, command, "--p", p, text, "--json")
+            assert time.perf_counter() - t0 < 1
+            assert code == 0 and json.loads(out)["count"] == want, (command, text)
 
 
 def test_oracle_rescale_is_budgeted(capsys):
@@ -260,11 +266,11 @@ def test_oracle_rescale_is_budgeted(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--p", "3", "3 - x + x^100000")
     assert time.perf_counter() - t0 < 1
     assert code == 0 and json.loads(out)["count"] == 1
-    # the v = 1 rescale would need 3^(2^30 - 2); refused before it is built
+    # the v = 1 rescale holds 3^(2^30 - 2) as a part, never built
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "oracle", "--p", "3", "9 - x^2 + x^1073741824", "--json")
     assert time.perf_counter() - t0 < 1
-    assert code == 1 and json.loads(out)["error"] == "BudgetExceeded"
+    assert code == 0 and json.loads(out)["count"] == 4
 
 
 def test_prime_cap_on_both_paths(capsys):

@@ -15,31 +15,36 @@ from padicroots.fp import (
     roots_fp_memo,
 )
 from padicroots.nodal_tree import build_tree
-from padicroots.sparsepoly import SparsePoly, parse_poly
+from padicroots.sparsepoly import ScaledPoly, SparsePoly, parse_poly
 from padicroots.trinomial import solve_sparse
 from tests.reference import roots_fp_pointwise
 
 PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
 
+def _scan(f, p):
+    """The root-node scan of a plain polynomial f, held as parts with s = 0."""
+    return roots_fp_exhaustive(ScaledPoly.of(f, p), p)
+
+
 def test_roots_fp_examples():
-    roots = roots_fp_exhaustive(parse_poly("1 - x^340"), 17)
+    roots = _scan(parse_poly("1 - x^340"), 17)
     assert [r for r, _ in roots] == [1, 4, 13, 16]
     assert all(deg for _, deg in roots)
-    assert roots_fp_exhaustive(parse_poly("x^2 + 1"), 3) == []
+    assert _scan(parse_poly("x^2 + 1"), 3) == []
     # mod 2 this is x^2 (x^8 + 1): both digits are degenerate roots
-    assert roots_fp_exhaustive(parse_poly("x^10 + 11*x^2 - 12"), 2) == [(0, True), (1, True)]
+    assert _scan(parse_poly("x^10 + 11*x^2 - 12"), 2) == [(0, True), (1, True)]
 
 
 def test_roots_fp_cap():
     with pytest.raises(PrimeTooLarge):
-        roots_fp_exhaustive(parse_poly("x^2 - 1"), 1_000_003)
+        _scan(parse_poly("x^2 - 1"), 1_000_003)
 
 
 def test_roots_fp_huge_exponent_reduction():
     # 2^63-ish exponents evaluate through the Fermat reduction
     f = SparsePoly.from_terms([(0, -1), (2 ** 62, 1)])
-    roots = roots_fp_exhaustive(f, 13)
+    roots = _scan(f, 13)
     direct = [z for z in range(13) if pow(z, 2 ** 62, 13) == 1]
     assert [r for r, _ in roots] == direct
 
@@ -68,10 +73,10 @@ def test_scan_matches_pointwise(rng):
     for f, p in cases:
         if all(c % p == 0 for _, c in f.terms):
             continue
-        assert roots_fp_exhaustive(f, p) == roots_fp_pointwise(f, p), (f.to_text(), p)
+        assert _scan(f, p) == roots_fp_pointwise(f, p), (f.to_text(), p)
         compared += 1
     assert compared > 0.9 * len(cases)
-    assert [r for r, _ in roots_fp_exhaustive(*cases[0])] == [0, 1, 2]
+    assert [r for r, _ in _scan(*cases[0])] == [0, 1, 2]
 
 
 def _record_counts(monkeypatch) -> list:
@@ -116,7 +121,7 @@ def test_bounded_root_scan_matches_pointwise(rng, monkeypatch):
                  (rng.randint(7, 12), 1)]
         cases.append((SparsePoly.from_terms(terms), rng.choice(big)))
     for f, p in cases:
-        assert roots_fp_exhaustive(f, p) == roots_fp_pointwise(f, p), (f.to_text(), p)
+        assert _scan(f, p) == roots_fp_pointwise(f, p), (f.to_text(), p)
     assert 0 in counts and any(counts) and len(counts) < len(cases)  # some took the walk
 
 
@@ -136,14 +141,14 @@ def test_root_scan_raises_when_the_split_disagrees_with_the_count(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(padicroots.fp, "nonzero_root_gcd", lambda acc, p: _times_linear(gcd(acc, p), 4, p))
         with pytest.raises(InvariantViolated, match="split root 4 mod 99991 is no root of f"):
-            roots_fp_exhaustive(f, 99991)
+            _scan(f, 99991)
         with pytest.raises(InvariantViolated):
             solve_sparse(f, 99991)
         with pytest.raises(InvariantViolated, match="split root 4 mod 99991"):
-            roots_fp_exhaustive(parse_poly("x^2 + 1"), 99991)  # -1 is no square: count 0
+            _scan(parse_poly("x^2 + 1"), 99991)  # -1 is no square: count 0
         m.setattr(padicroots.fp, "nonzero_root_gcd", lambda acc, p: _times_linear(gcd(acc, p), 1, p))
         with pytest.raises(InvariantViolated, match="split gave 4 roots mod 99991, 3 distinct"):
-            roots_fp_exhaustive(f, 99991)  # the root 1 twice
+            _scan(f, 99991)  # the root 1 twice
     split = padicroots.fp.linear_roots
     for wrong, message in [
         (lambda g, p: split(g, p)[1:], "split gave 2 roots mod 99991, 2 distinct; deg g is 3"),
@@ -153,10 +158,10 @@ def test_root_scan_raises_when_the_split_disagrees_with_the_count(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(padicroots.fp, "linear_roots", wrong)
             with pytest.raises(InvariantViolated, match=message):
-                roots_fp_exhaustive(f, 99991)
+                _scan(f, 99991)
             with pytest.raises(InvariantViolated):
                 solve_sparse(f, 99991)
-    assert [z for z, _ in roots_fp_exhaustive(f, 99991)] == [1, 2, 99988]
+    assert [z for z, _ in _scan(f, 99991)] == [1, 2, 99988]
 
 
 def test_root_count_stays_out_of_the_frobenius_memo(monkeypatch):
@@ -214,10 +219,10 @@ def test_split_matches_pointwise(rng):
         split = _split(f, p)
         assert split == expected or split is None and expected == list(range(1, p)), (f.to_text(), p)
         if p > 100:
-            assert roots_fp_exhaustive(f, p) == pointwise, (f.to_text(), p)
+            assert _scan(f, p) == pointwise, (f.to_text(), p)
     assert _split(parse_poly("x^12 - 1"), 10009) == [z for z in range(1, 10009) if pow(z, 12, 10009) == 1]
     assert _split(parse_poly("17 + x^10 + 37*x^40"), 11) is None
-    assert roots_fp_exhaustive(parse_poly("17 + x^10 + 37*x^40"), 11) == [(z, False) for z in range(1, 11)]
+    assert _scan(parse_poly("17 + x^10 + 37*x^40"), 11) == [(z, False) for z in range(1, 11)]
 
 
 def test_split_raises_on_a_factor_no_shift_splits():
@@ -238,12 +243,12 @@ def test_memo_values_cannot_be_mutated():
     its own nodes, so no caller can write into a memoized scan."""
     f = parse_poly("x^3 + 2*x^2")
     roots = roots_fp_memo(f, 3)
-    assert roots == tuple(roots_fp_exhaustive(f, 3)) == ((0, True), (1, False))
+    assert roots == tuple(_scan(f, 3)) == ((0, True), (1, False))
     with pytest.raises(AttributeError):
         roots.append((2, False))
     with pytest.raises(TypeError):
         roots[0] = (2, False)
-    g = parse_poly("x^10 - 10*x + 738")
+    g = ScaledPoly.of(parse_poly("x^10 - 10*x + 738"), 3)
     (child,) = [ch for ch in build_tree(g, 3, 6).root.children if ch.mu == 1]
     assert child.reduction == f
     child.nondegenerate_roots.append(2)
@@ -306,5 +311,5 @@ def test_frobenius_gcd_matches_exhaustive(rng):
         f = SparsePoly.from_terms(enumerate(coeffs))
         if f.is_zero:
             continue
-        expected = len(roots_fp_exhaustive(f, p))
+        expected = len(_scan(f, p))
         assert gcd_with_frobenius(f, p) == expected

@@ -50,6 +50,26 @@ def _trinomial(rng, p):
     return SparsePoly.from_terms([(0, _coeff(rng, p)), (a2, _coeff(rng, p)), (a3, _coeff(rng, p))])
 
 
+def _unit(rng, p):
+    return rng.choice([x for x in range(-50, 51) if x % p])
+
+
+def _wide_degree(rng, p):
+    """Degree up to 2^62, with p-power coefficients that give a valuation
+    v != 0, whose rescale holds a power of p of up to about 2^62 log2 p
+    bits as a part: v in {1, 2} from a low term of degree <= 4, or v = -1
+    from two top terms at most 4 apart."""
+    d = rng.randint(8, 2 ** rng.randint(3, 62))
+    gap = rng.randint(1, 4)
+    o = rng.randint(0, 3)
+    if rng.random() < 0.5:
+        v = rng.randint(1, 2)
+        exps = [(0, o + v * gap), (gap, o), (d, rng.randint(0, 3))]
+    else:
+        exps = [(0, rng.randint(0, 3)), (d - gap, o), (d, o + gap)]
+    return SparsePoly.from_terms([(a, _unit(rng, p) * p ** e) for a, e in exps])
+
+
 def _binomial(rng, p):
     """p | d, p-power constants."""
     d = p * rng.randint(1, max(1, 300 // p))
@@ -94,12 +114,16 @@ def _deep_cut(rng):
     return SparsePoly.from_terms(terms), p
 
 
-def _inputs(rng):
+def _inputs(rng, wide):
+    """One input of each family per round; _wide_degree draws from its own
+    generator `wide`, so the other families' inputs do not depend on it."""
     for _ in range(ROUNDS):
         for family in (_trinomial, degenerate_trinomial, _binomial):
             p = _prime(rng)
             yield family(rng, p), p
         yield _close_roots(rng, rng.choice(PRIMES))
+        p = _prime(wide)
+        yield _wide_degree(wide, p), p
 
 
 def _check(f, p, seen):
@@ -150,9 +174,9 @@ def _gate(inputs):
 
 
 def test_fuzz_gate_matches_oracle():
-    failures, seen = _gate(_inputs(random.Random(0xF022)))
+    failures, seen = _gate(_inputs(random.Random(0xF022), random.Random(0xF025)))
     assert failures == [], (len(failures), failures[:5])
-    assert seen["compared"] > 0.9 * 4 * ROUNDS, seen
+    assert seen["compared"] > 0.9 * 5 * ROUNDS, seen
 
 
 def test_fuzz_deep_cuts_match_oracle():

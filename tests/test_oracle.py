@@ -3,7 +3,7 @@ import pytest
 from padicroots.arith import ord_int
 from padicroots.errors import BudgetExceeded, CriterionFailed
 from padicroots.oracle import _level_one, count_qp_roots, lift_root
-from padicroots.sparsepoly import SparsePoly, parse_poly
+from padicroots.sparsepoly import ScaledPoly, SparsePoly, parse_poly
 from padicroots.trinomial import solve_sparse
 from tests.conftest import random_trinomial
 
@@ -31,13 +31,13 @@ def test_count_unit_rescale_invariance(rng):
 
 
 def test_lift_root():
-    f = parse_poly("x^2 - 1")
+    f = ScaledPoly.of(parse_poly("x^2 - 1"), 7)
     z = lift_root(f, 7, 6, 4)
     assert pow(z, 2, 7 ** 4) == 1 and z % 7 == 6
     with pytest.raises(CriterionFailed):
         lift_root(f, 7, 3, 4)
     # reference lift for the binomial digits example
-    g = parse_poly("1 - x^340")
+    g = ScaledPoly.of(parse_poly("1 - x^340"), 17)
     z = lift_root(g, 17, 4 + 2 * 17, 8)
     assert pow(z, 340, 17 ** 8) == 1
     assert z % 17 == 4 and (z // 17) % 17 == 2

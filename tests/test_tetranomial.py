@@ -3,13 +3,14 @@ import pytest
 from padicroots.arith import ord_int
 from padicroots.errors import InvalidParams, PrecisionTooLow
 from padicroots.tetranomial import TetraFamilyParams, collision_order, generate
+from tests.reference import max_abs_coeff
 
 
 def test_generate_example():
     g = generate(TetraFamilyParams(p=3, h=3, d=4))
     assert g.terms == ((0, -81), (1, 18), (2, -1), (4, 729))
     assert g.term_count == 4
-    assert g.max_abs_coeff() == 3 ** 6  # p^(2h) = H
+    assert max_abs_coeff(g) == 3 ** 6  # p^(2h) = H
 
 
 def test_param_validation():

@@ -22,7 +22,9 @@ from padicroots.fp import gcd_with_frobenius, roots_fp_memo
 from padicroots.newton import certified_residue
 from padicroots.nodal_tree import RepeatedRootCut, build_tree
 from padicroots.oracle import count_qp_roots
-from padicroots.sparsepoly import SparsePoly, parse_poly, strip_zero_root
+from padicroots.sparsepoly import (
+    ScaledPoly, SparsePoly, parse_poly, rescale_for_valuation, strip_zero_root,
+)
 from padicroots.trinomial import (
     MODE_FULL,
     MODE_RESTRICTED,
@@ -39,7 +41,7 @@ from tests.conftest import (
     random_trinomial,
     smale_gains,
 )
-from tests.reference import delta_tri, newton_step
+from tests.reference import delta_tri, max_abs_coeff, newton_step, value_and_derivative
 
 
 def test_discriminant_examples():
@@ -164,34 +166,64 @@ def test_discriminant_not_fooled_by_a_modular_false_zero():
 @pytest.mark.parametrize(
     "f, p, want",
     [
-        # x = 1 is a double root; the v = 1 rescale needs 3^(2^30 - 1), over
-        # MAX_RESCALE_BITS, and v = 1 comes first in polygon order
+        # x = 1 is a double root; the v = 1 rescale holds 3^(2^30 - 1) as a
+        # part, and v = 1 comes first in polygon order
         (SparsePoly.from_terms([(0, 2 ** 30 - 1), (2, -(2 ** 30 + 1)), (2 ** 30 + 1, 2)]), 3,
-         BudgetExceeded),
+         "oracle"),
         (SparsePoly.from_terms([(0, 9999), (2, -10001), (10001, 2)]), 3, "oracle"),
         (_q(2, 4001, 2, 2), 5, "oracle"),  # x^2 = 1/2 has no root in Q_5
         (SparsePoly.from_terms([(0, 10 ** 6), (1, -(10 ** 6 + 1)), (10 ** 6 + 1, 1)]), 5,
-         BudgetExceeded),
+         "oracle"),
         # (1 - 3^400 x)^2: height above 10^300
         (SparsePoly.from_terms([(0, 1), (1, -2 * 3 ** 400), (2, 3 ** 800)]), 5, "oracle"),
         (_q(2, 4001, 1, 2), 7, "oracle"),
     ],
 )
 def test_degenerate_inputs_at_large_degree_and_height(f, p, want):
-    """Each gives the oracle's count or BudgetExceeded: (a) and (d) from the
-    rescale, whose power of p is above MAX_RESCALE_BITS.  (b) has a cut
+    """Each gives the oracle's count, within 1 s per solve.  (a) and (d)
+    rescale to a power of p of about 10^9 and 10^6 bits, held as a part and
+    never built (each certificate refines by 100 digits).  (b) has a cut
     depth N = 3 (ord_3(10001 * 9999) = 2; the height-based depth was 41):
     its tree at the cap is mature, and it gets the oracle's count, 2.  (f)
     has N = 1, since 7 divides neither 4001 nor 3999 (the height-based
     depth was 1442, a digit chain of 1442 nodes), and it gets the oracle's
     count, 1.
     The count-only path (`padicroots count`) gives the same outcome."""
+    assert want == "oracle"
     for certify in (True, False):
-        if want == "oracle":
-            assert solve_sparse(f, p, certify=certify).root_count == count_qp_roots(f, p).qp_count
-        else:
-            with pytest.raises(want):
-                solve_sparse(f, p, certify=certify)
+        t0 = time.perf_counter()
+        res = solve_sparse(f, p, certify=certify)
+        assert time.perf_counter() - t0 < 1
+        assert res.root_count == count_qp_roots(f, p).qp_count
+        for rt in res.roots:
+            assert rt.refine(100).precision == rt.precision + 100
+
+
+@pytest.mark.parametrize("text, p", [
+    ("3 - x + x^1099511627776", 3),
+    ("9 - x^2 + x^1073741824", 3),
+    ("4 - 2*x + x^1152921504606846976", 2),
+])
+def test_huge_rescale_certificates_refine(text, p):
+    """The v = 1 rescale of each holds a power of p of 10^9 to 10^18 bits
+    as a part.  Both paths get the oracle's count within 1 s, and every
+    certificate refines by 100 digits and to 5000, each probe reading that
+    power mod its own p^N: plain `pow` sums over the target's parts vanish
+    at the refined residue."""
+    f = parse_poly(text)
+    want = count_qp_roots(f, p).qp_count
+    for certify in (True, False):
+        t0 = time.perf_counter()
+        res = solve_sparse(f, p, certify=certify)
+        assert time.perf_counter() - t0 < 1
+        assert res.root_count == want
+    res = solve_sparse(f, p)
+    assert len(res.roots) == want
+    for rt in res.roots:
+        for extra in (100, 5000 - rt.precision):
+            deep = rt.refine(extra)
+            assert deep.precision == rt.precision + extra
+            assert value_and_derivative(rt.target, deep.unit_residue, p ** deep.precision)[0] == 0
 
 
 def test_deep_digit_chain_costs_a_polynomial_in_its_depth():
@@ -210,8 +242,8 @@ def test_deep_digit_chain_costs_a_polynomial_in_its_depth():
     assert count_qp_roots(f, 3).qp_count == 2
     cut = RepeatedRootCut(depth=529, num=1, den=2, r=1, ell=0)
     t0 = time.perf_counter()
-    k = precision_plan(inp, report, inp.poly.max_abs_coeff()).k
-    tree = build_tree(f, 3, k, root_digits="nonzero", cut=cut)
+    k = precision_plan(inp, report, math.log(max_abs_coeff(f))).k
+    tree = build_tree(ScaledPoly.of(f, 3), 3, k, root_digits="nonzero", cut=cut)
     assert time.perf_counter() - t0 < 1
     nodes = list(tree.root.walk())
     assert tree.k_mature <= tree.k and max(node.depth for node in nodes) == 528
@@ -305,17 +337,18 @@ def test_precision_plan_cases():
     inp = TrinomialInput(2, -3, 1, 1, 3, 5)
     rep = discriminant_tri(inp)
     assert rep.is_zero
-    plan = precision_plan(inp, rep, inp.poly.max_abs_coeff())
+    plan = precision_plan(inp, rep, math.log(max_abs_coeff(inp.poly)))
     assert plan.S0 <= 2 + math.ceil(math.log(3) / math.log(5)) + 1
     assert plan.M_p == 2
     # a2 = 1 with p not dividing d(d-1)c3: S0 = 2
     inp = TrinomialInput(1, 1, 1, 1, 3, 7)
-    plan = precision_plan(inp, discriminant_tri(inp), inp.poly.max_abs_coeff())
+    plan = precision_plan(inp, discriminant_tri(inp), math.log(max_abs_coeff(inp.poly)))
     assert plan.S0 == 2
     # M_p per prime
     for p, m_p in ((2, 4), (3, 3)):
         inp = TrinomialInput(1, 1, 1, 1, 3, p)
-        assert precision_plan(inp, discriminant_tri(inp), inp.poly.max_abs_coeff()).M_p == m_p
+        q = precision_plan(inp, discriminant_tri(inp), math.log(max_abs_coeff(inp.poly)))
+        assert q.M_p == m_p
     # k formula with D = 0
     plan0 = plan
     assert plan0.k == 1 + plan0.S0 * min(1, plan0.D) + plan0.M_p * max(plan0.D - 1, 0)
@@ -416,22 +449,25 @@ def test_failed_cross_check_raises_invariant_violated(monkeypatch):
 
 
 _GUARD_SCRIPT = """
+import math
+
 import padicroots.trinomial as t
 from padicroots.errors import InvariantViolated
-from padicroots.sparsepoly import parse_poly
+from padicroots.sparsepoly import ScaledPoly, parse_poly
 
 f = parse_poly("1 - 2*x + x^2")
+g = ScaledPoly.of(f, 3)
 inp, _ = t.TrinomialInput.from_poly(f, 3)
 report = t.discriminant_tri(inp)
 plans = []
 
 def plan():
-    plans.append(t.precision_plan(inp, report, f.max_abs_coeff()))
+    plans.append(t.precision_plan(inp, report, math.log(2)))
     return plans[-1]
 
 chain = "depth bound exceeded at " + str((1,) + (0,) * 32)
 try:
-    t.stabilized_tree(f, 3, root_digits="nonzero", cut=None, plan=plan)
+    t.stabilized_tree(g, 3, root_digits="nonzero", cut=None, plan=plan)
     raise SystemExit("an uncapped tree without its cut ended")
 except InvariantViolated as exc:
     if str(exc) != chain or [q.k for q in plans] != [18]:
@@ -462,6 +498,34 @@ def test_depth_guard_stops_an_uncapped_tree_without_its_cut():
         timeout=30,
     )
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("p, m, k_used", [(3, 40, 81), (2, 60, 123), (5, 35, 71)])
+def test_depth_guard_passes_a_legitimate_deep_chain(p, m, k_used, monkeypatch):
+    """(x - p)^2 - p^(2m+2) has the roots p(1 +- p^m), at valuation 1.  Their
+    unit parts share m digits, so the chain of the tree at v = 1 passes
+    GUARD_DEPTH = 32: the tree reads the plan once, from the log-height of
+    g = (x - 1)^2 - p^(2m), finds its depth bound deeper than the chain,
+    and both roots are counted."""
+    f = SparsePoly.from_terms([(0, p * p - p ** (2 * m + 2)), (1, -2 * p), (2, 1)])
+    g = rescale_for_valuation(f, p, 1)
+    assert m > padicroots.nodal_tree.GUARD_DEPTH
+    heights = []
+
+    def recording(inp, report, log_H):
+        heights.append(log_H)
+        return precision_plan(inp, report, log_H)
+
+    monkeypatch.setattr(padicroots.trinomial, "precision_plan", recording)
+    assert count_qp_roots(f, p).qp_count == 2
+    for certify in (True, False):
+        heights.clear()
+        res = solve_sparse(f, p, certify=certify)
+        assert res.root_count == 2
+        assert [(c.valuation, c.k_used, c.count) for c in res.candidates] == [(1, k_used, 2)]
+        # g's log-height, max log |u| + s log p over its parts
+        assert heights == [max(math.log(abs(u)) + s * math.log(p) for _, u, s in g.parts)]
+        assert heights[0] == pytest.approx(math.log(p ** (2 * m) - 1))
 
 
 def test_solving_again_rescans_the_root_node(monkeypatch):
@@ -579,8 +643,7 @@ def test_degenerate_repulsion_inequality(rng):
             continue
         d = f.degree - strip_zero_root(f)[1]
         rep = res.discriminant
-        H = f.max_abs_coeff()
-        cap = degenerate_valuation_gap_cap(d, H, rep.r) / math.log(p)
+        cap = degenerate_valuation_gap_cap(d, math.log(max_abs_coeff(f)), rep.r) / math.log(p)
         M = ord_int(rep.abar2 * rep.abar3 * (rep.abar3 - rep.abar2) // 2, p)
         for tau in degs:
             for z in simples:
@@ -671,7 +734,7 @@ def test_pairwise_depth_within_plan(rng):
         import itertools
 
         inp = TrinomialInput.from_poly(f, p)[0]
-        plan = precision_plan(inp, res.discriminant, inp.poly.max_abs_coeff())
+        plan = precision_plan(inp, res.discriminant, math.log(max_abs_coeff(inp.poly)))
 
         for r1, r2 in itertools.combinations(res.roots, 2):
             assert _pair_ord(r1, r2, p) <= plan.D
