@@ -7,8 +7,12 @@ its exponents reduced mod p-1, g = gcd(h, x^p - x) with the factor x
 removed is the product of x - z over the distinct roots z of h in F_p*;
 its degree is their number, and Cantor-Zassenhaus splits it into its
 linear factors with gcd((x + a)^((p-1)/2) - 1, .) for a = 0, 1, 2, ...,
-in about deg(h)^2 log p dense steps.  The split is checked: f vanishes mod
-p at each root, and there are deg g distinct ones.  A fixed cost rule,
+in about deg(h)^2 log p dense steps.  A power (x + a)^e mod h
+(_linear_power) makes h monic once and reduces by its nonzero lower terms
+only, two at a trinomial's root node; it takes `% p` once per coefficient
+per step rather than after every product, which is exact because Python
+ints do not overflow.  The split is checked: f vanishes mod p at each
+root, and there are deg g distinct ones.  A fixed cost rule,
 about deg(h)^2 log2 p dense steps against p-1 points per term, keeps the
 walk wherever it is cheaper: at the corpus's primes, p <= 13, for every
 reduction that is not constant on F_p*, and at a root node whose
@@ -43,7 +47,7 @@ from .sparsepoly import ScaledPoly, SparsePoly
 
 DESK_PRIME_CAP = 100_000
 FP_MEMO_SIZE = 256  # entries per memo: a degenerate benchmark cycle meets 95 keys
-FROBENIUS_STEP_COST = 4  # walk steps one dense step of frobenius_degree costs (measured 2-6)
+FROBENIUS_STEP_COST = 2  # walk steps one dense step of the Frobenius gcd costs, as measured
 
 
 def check_prime_cap(p: int):
@@ -74,14 +78,18 @@ def roots_fp_exhaustive(f: ScaledPoly, p: int, split: bool = True) -> list[tuple
     """
     check_prime_cap(p)
     acc: dict[int, int] = {}  # reduced exponent -> coefficient mod p
+    f0 = d0 = 0  # f(0), f'(0) mod p: the parts x^0 and x^1 kept in acc, if any
     for a, c, s in f.parts:
         if c % p and not s:
             e = a % (p - 1)
             acc[e] = (acc.get(e, 0) + c) % p
+            if a == 0:
+                f0 = c
+            elif a == 1:
+                d0 = c
     if not acc:
         raise ContentDivisible("f is identically 0 mod p")
-    f0, d0 = f.eval_mod(0, p)
-    roots = [(0, d0 == 0)] if f0 == 0 else []
+    roots = [] if f0 else [(0, not d0)]
     g = None
     if split:
         # the gcd takes about (deg h + 1)^2 log2 p dense steps, the walk p-1
@@ -259,30 +267,22 @@ def _poly_trim(a: list[int]) -> list[int]:
 
 
 def _poly_divmod(a: list[int], mod: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = a[:]
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
+    """(quotient, trimmed remainder) of a by mod over F_p, at one inverse of
+    mod's leading coefficient.  The coefficients of a above x^(deg mod - 1)
+    are taken off from the top, each reduced mod p once as it is taken off;
+    the remainder's are reduced once at the end."""
+    n = len(mod) - 1
+    inv = pow(mod[-1], -1, p)
     low = mod[:-1]
-    q = [0] * max(0, len(a) - dm)
-    while len(a) > dm:  # take off the top coefficient
-        factor = a.pop() * inv_lead % p
-        if factor:
-            shift = len(a) - dm
-            q[shift] = factor
-            for i, m in enumerate(low, shift):
-                a[i] = (a[i] - factor * m) % p
-    return q, _poly_trim(a)
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                res[j] = (res[j] + ai * bj) % p
-    return _poly_divmod(res, mod, p)[1]
+    r = a[:]
+    q = [0] * max(0, len(r) - n)
+    for k in range(len(r) - n - 1, -1, -1):
+        t = r[k + n] * inv % p
+        if t:
+            q[k] = t
+            for i, c in enumerate(low, k):
+                r[i] -= t * c
+    return q, _poly_trim([c % p for c in r[:n]])
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -320,14 +320,42 @@ def frobenius_gcd(h: list[int], p: int) -> list[int]:
 
 def _linear_power(a: int, e: int, h: list[int], p: int) -> list[int]:
     """(x + a)^e mod h over F_p, trimmed, by repeated squaring: one square
-    per bit of e and one multiplication by x + a per set bit."""
+    per bit of e and one multiplication by x + a per set bit.
+
+    h is made monic once, x^n = sum of r_i x^i mod h with n = deg h, and
+    only its nonzero lower terms r_i are kept: two at a trinomial's root
+    node.  A step squares with the symmetric product, n(n+1)/2 products,
+    into plain ints, multiplies by x + a, and takes the coefficients above
+    x^(n-1) off from the top by those terms.  Python ints do not overflow,
+    so `% p` is taken once per coefficient per step: on each top
+    coefficient as it is taken off, and on the n kept ones at the end.
+    """
+    n = len(h) - 1
+    inv = pow(h[-1], -1, p)
+    low = [(i - n, -c * inv % p) for i, c in enumerate(h[:-1]) if c % p]
     acc = [1]
     for bit in bin(e)[2:]:
-        acc = _poly_mulmod(acc, acc, h, p)
-        if bit == "1":
-            shifted = [0] + acc
+        m = len(acc)
+        sq = [0] * (2 * m - 1)
+        for i in range(m):
+            c = acc[i]
+            if c:
+                sq[i + i] += c * c
+                c += c  # a cross term a_i a_j occurs twice
+                for j in range(i + 1, m):
+                    sq[i + j] += c * acc[j]
+        if bit == "1":  # times x + a
             if a:
-                for i, c in enumerate(acc):
-                    shifted[i] = (shifted[i] + a * c) % p
-            acc = _poly_divmod(shifted, h, p)[1]
+                sq.append(0)
+                for k in range(2 * m - 1, 0, -1):
+                    sq[k] = sq[k - 1] + a * sq[k]
+                sq[0] *= a
+            else:
+                sq.insert(0, 0)
+        for k in range(len(sq) - 1, n - 1, -1):
+            t = sq[k] % p
+            if t:
+                for off, r in low:
+                    sq[k + off] += t * r
+        acc = _poly_trim([c % p for c in sq[:n]])
     return acc

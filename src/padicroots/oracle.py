@@ -27,6 +27,7 @@ from .sparsepoly import ScaledPoly, SparsePoly
 
 DEFAULT_BUDGET = 10 ** 8
 MAX_POWER_BITS = 2 ** 23  # largest power, in bits, that the oracle builds
+POWER_TEST_PRIME = 2 ** 61 - 1  # x^m != y^n mod this prime proves x^m != y^n
 HARD_K_CAP = 64
 
 
@@ -218,7 +219,8 @@ def _powers_equal(x: int, m: int, y: int, n: int) -> bool:
     """x^m == y^n for x, y, m, n >= 1.
 
     x >= 2 gives x^m a bit length in [m(bl(x) - 1) + 1, m bl(x)], so
-    disjoint ranges decide without a power; equal powers over
+    disjoint ranges decide without a power, and so do residues that differ
+    mod the prime 2^61 - 1; only powers that agree on both and exceed
     MAX_POWER_BITS raise BudgetExceeded instead of being built.
     """
     if x == 1 or y == 1:
@@ -226,6 +228,8 @@ def _powers_equal(x: int, m: int, y: int, n: int) -> bool:
     if m * x.bit_length() < n * (y.bit_length() - 1) + 1 or (
         n * y.bit_length() < m * (x.bit_length() - 1) + 1
     ):
+        return False
+    if pow(x, m, POWER_TEST_PRIME) != pow(y, n, POWER_TEST_PRIME):
         return False
     if m * x.bit_length() > MAX_POWER_BITS:
         raise BudgetExceeded(f"degeneracy check needs a power of {m * x.bit_length()} bits")

@@ -4,8 +4,9 @@ None of these is on the solver's path: each restates a quantity of the
 paper (Yu's bound, the cofactor of q against (x-1)^2, the trinomial
 discriminant in full, a node polynomial rebuilt from scratch, a node's
 reduction in dense form, the p-part of the content, a polynomial's and a
-rational's height, the roots mod p point by point, one Newton step) so a
-test can check the package's own numbers against it.
+rational's height, the roots mod p point by point, one Newton step, the
+dense power (x + a)^e mod h and division over F_p by schoolbook) so a test
+can check the package's own numbers against it.
 """
 
 import math
@@ -173,3 +174,41 @@ def newton_step(f: ScaledPoly, p: int, z: int, prec: int) -> int:
         raise DerivativeNotInvertible(f"non-contracting Newton step at {z}")
     m = p ** prec
     return (z - fv // p ** ell * pow(dv // p ** ell, -1, m)) % m
+
+
+def poly_divmod_schoolbook(a: list[int], mod: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, trimmed remainder) of dense a by dense mod over F_p, one
+    top coefficient at a time, with `% p` after every product."""
+    a = a[:]
+    dm = len(mod) - 1
+    inv_lead = pow(mod[-1], -1, p)
+    q = [0] * max(0, len(a) - dm)
+    while len(a) > dm:
+        factor = a.pop() * inv_lead % p
+        if factor:
+            shift = len(a) - dm
+            q[shift] = factor
+            for i, m in enumerate(mod[:-1], shift):
+                a[i] = (a[i] - factor * m) % p
+    while a and a[-1] % p == 0:
+        a.pop()
+    return q, [c % p for c in a]
+
+
+def linear_power_schoolbook(a: int, e: int, h: list[int], p: int) -> list[int]:
+    """(x + a)^e mod h over F_p, trimmed: left-to-right square and multiply,
+    each product the full schoolbook one with `% p` after every term, and
+    each reduction the full division by h."""
+    acc = [1]
+    for bit in bin(e)[2:]:
+        sq = [0] * max(0, 2 * len(acc) - 1)
+        for i, ai in enumerate(acc):
+            for j, aj in enumerate(acc, i):
+                sq[j] = (sq[j] + ai * aj) % p
+        acc = poly_divmod_schoolbook(sq, h, p)[1]
+        if bit == "1":
+            shifted = [0] + acc
+            for i, c in enumerate(acc):
+                shifted[i] = (shifted[i] + a * c) % p
+            acc = poly_divmod_schoolbook(shifted, h, p)[1]
+    return acc

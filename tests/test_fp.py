@@ -6,6 +6,8 @@ import padicroots.fp
 from padicroots.arith import is_prime
 from padicroots.errors import InvariantViolated, PrimeTooLarge
 from padicroots.fp import (
+    _linear_power,
+    _poly_divmod,
     binomial_coset_roots,
     gcd_with_frobenius,
     generator_fp,
@@ -17,7 +19,12 @@ from padicroots.fp import (
 from padicroots.nodal_tree import build_tree
 from padicroots.sparsepoly import ScaledPoly, SparsePoly, parse_poly
 from padicroots.trinomial import solve_sparse
-from tests.reference import roots_fp_pointwise
+from tests.reference import (
+    linear_power_schoolbook,
+    poly_divmod_schoolbook,
+    roots_fp_pointwise,
+    value_and_derivative,
+)
 
 PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
@@ -79,6 +86,70 @@ def test_scan_matches_pointwise(rng):
     assert [r for r, _ in _scan(*cases[0])] == [0, 1, 2]
 
 
+def test_root_zero_read_off_the_parts(rng):
+    """The root scan reads f(0) and f'(0) mod p off the parts x^0 and x^1
+    with s = 0.  A part x^0 or x^1 with s > 0, or with p | u, adds nothing
+    mod p; the entry for 0 and its flag must agree with evaluating the parts
+    at 0, and at small p the whole scan with evaluating them everywhere."""
+    cases = [
+        ScaledPoly(5, ((0, 3, 1), (1, 2, 0), (4, 1, 0))),  # f(0) = 15: root 0, f'(0) = 2
+        ScaledPoly(5, ((0, 4, 1), (1, 7, 1), (6, 1, 0))),  # f(0) = 20, f'(0) = 35: degenerate
+        ScaledPoly(7, ((0, 2, 0), (1, 3, 2), (3, 1, 0))),  # f(0) = 2: no root 0
+        ScaledPoly(3, ((0, 6, 0), (1, 3, 0), (2, 1, 0))),  # p | u with s = 0
+        ScaledPoly(99991, ((0, 5, 1), (1, 9, 0), (7, 2, 0))),  # the split route
+        ScaledPoly(99991, ((0, 5, 1), (1, 9, 3), (7, 2, 0))),
+    ]
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 13, 10007, 99991])
+        exps = sorted({0, 1, *rng.sample(range(2, 14), rng.randint(1, 3))})
+        parts = [(a, rng.choice([1, -1]) * rng.randint(1, 50), rng.choice([0, 0, 1, 2])) for a in exps]
+        a, u, _ = parts[-1]
+        parts[-1] = (a, u * p + 1, 0)  # nonzero mod p: f is not 0 mod p
+        cases.append(ScaledPoly(p, tuple(parts)))
+    zero_roots = 0
+    for g in cases:
+        p = g.p
+        f0, d0 = value_and_derivative(g, 0, p)
+        roots = roots_fp_exhaustive(g, p)
+        assert [flag for z, flag in roots if z == 0] == ([d0 == 0] if f0 == 0 else []), g
+        zero_roots += f0 == 0
+        if p < 100:
+            expected = [(z, dv == 0) for z in range(p) for fv, dv in [value_and_derivative(g, z, p)] if fv == 0]
+            assert roots == expected, g
+    assert 40 < zero_roots < len(cases) - 40
+
+
+def _dense_cases(rng, p: int) -> list[list[int]]:
+    """Moduli h over F_p: non-monic where p > 2, degree 0 and 1, x^n with no
+    lower terms, trinomial-shaped c0 + c1 x^a + c x^n, and dense."""
+    def unit():
+        return rng.randint(1, p - 1)
+
+    hs = [[unit()], [rng.randrange(p), unit()], [0, 0, 0, unit()], [0] * 12 + [unit()]]
+    for n in (2, 5, 9, 12):
+        h = [0] * (n + 1)
+        h[0], h[rng.randint(1, n - 1)], h[n] = rng.randrange(p), unit(), unit()
+        hs.append(h)
+        hs.append([rng.randrange(p) for _ in range(n)] + [unit()])
+    return hs
+
+
+def test_dense_kernel_matches_schoolbook(rng):
+    """_linear_power and _poly_divmod, which make h monic once, reduce by its
+    nonzero lower terms only and take `% p` once per coefficient, agree with
+    the schoolbook power and division that take `% p` after every product."""
+    for p in (2, 3, 13, 10007, 99991):
+        for h in _dense_cases(rng, p):
+            for a in (0, rng.randrange(1, p) if p > 2 else 1):
+                for e in (0, 1, 2, (p - 1) // 2, p, rng.randrange(10 ** 6)):
+                    assert _linear_power(a, e, h, p) == linear_power_schoolbook(a, e, h, p), (a, e, h, p)
+            for size in (0, len(h) - 1, len(h), 2 * len(h) + 3):
+                x = [rng.randrange(p) for _ in range(size)]
+                assert _poly_divmod(x, h, p) == poly_divmod_schoolbook(x, h, p), (x, h, p)
+    # (x + 1)^2 mod (x + 1)^2 is 0, and so is every later power
+    assert _linear_power(1, 5, [1, 2, 1], 13) == linear_power_schoolbook(1, 5, [1, 2, 1], 13) == []
+
+
 def _record_counts(monkeypatch) -> list:
     """Patch fp.nonzero_root_gcd to note each root node's split count,
     deg g, or None where the reduction cancels on F_p* and is walked."""
@@ -123,6 +194,19 @@ def test_bounded_root_scan_matches_pointwise(rng, monkeypatch):
     for f, p in cases:
         assert _scan(f, p) == roots_fp_pointwise(f, p), (f.to_text(), p)
     assert 0 in counts and any(counts) and len(counts) < len(cases)  # some took the walk
+
+
+def test_corpus_primes_keep_the_walk(monkeypatch):
+    """At p <= 13 the cost rule walks every root reduction that is not
+    constant on F_p*: each degree below p - 1 and each count of nonconstant
+    terms, the top term x^d and the lowest ones x, x^2, ... with constant 1."""
+    counts = _record_counts(monkeypatch)
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(1, p - 1):
+            for t in range(1, d + 1):
+                f = SparsePoly.from_terms([(0, 1), (d, 1)] + [(e, 1) for e in range(1, t)])
+                assert _scan(f, p) == roots_fp_pointwise(f, p), (f.to_text(), p)
+    assert counts == []
 
 
 def _times_linear(g: list[int], c: int, p: int) -> list[int]:

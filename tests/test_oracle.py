@@ -2,7 +2,7 @@ import pytest
 
 from padicroots.arith import ord_int
 from padicroots.errors import BudgetExceeded, CriterionFailed
-from padicroots.oracle import _level_one, count_qp_roots, lift_root
+from padicroots.oracle import MAX_POWER_BITS, _level_one, _powers_equal, count_qp_roots, lift_root
 from padicroots.sparsepoly import ScaledPoly, SparsePoly, parse_poly
 from padicroots.trinomial import solve_sparse
 from tests.conftest import random_trinomial
@@ -108,3 +108,15 @@ def test_level_one_walk_matches_pointwise(rng):
                 assert _level_one(g, p) == pointwise(g, p), (g.to_text(), p)
     assert _level_one(parse_poly("x^99993 - x^3"), 99991) == list(range(1, 99991))
     assert _level_one(parse_poly("6 - 7*x + x^3"), 99991) == [1, 2, 99988]
+
+
+def test_powers_equal_decides_overlapping_ranges_mod_a_prime():
+    """Powers over MAX_POWER_BITS whose bit-length ranges overlap are told
+    apart by their residues mod 2^61 - 1; only powers equal there too raise
+    BudgetExceeded, and small ones are still compared exactly."""
+    m = MAX_POWER_BITS  # each pair below has overlapping bit-length ranges
+    assert _powers_equal(3, 2 * m, 5, 3 * m // 2 + 1) is False
+    assert _powers_equal(6, m, 7, m - 1) is False
+    with pytest.raises(BudgetExceeded):
+        _powers_equal(4, m, 2, 2 * m)  # equal: 2^(2m) both
+    assert _powers_equal(8, 4, 16, 3) and not _powers_equal(8, 4, 15, 3)
